@@ -181,6 +181,8 @@ def cmd_verify_asymptotics(args) -> int:
     rng = np.random.default_rng(args.seed)
     cases = []
     if args.rho1 is not None:
+        if not 0 <= args.x3 < d.x3_size:
+            raise ValueError(f"--x3 must lie in [0, {d.x3_size})")
         cases.append((args.rho1, args.rho2, args.x3))
     else:
         for _ in range(args.random):
@@ -200,6 +202,8 @@ def cmd_verify_asymptotics(args) -> int:
 
 
 def cmd_sizing(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     d = _load(args)
     plan = _load_plan(args)
     xi = [float(v) for v in args.xi.split(",")]
@@ -258,10 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=0.1)
     p.add_argument("--k1-max", type=float, default=0.8)
     p.add_argument("--k2-grid", default="0:1:21")
-    p.add_argument("--optimize", action="store_true", default=True,
-                   help="optimize the x3 distribution (default)")
     p.add_argument("--fix-x3", type=int, default=None,
-                   help="pin every phase to this x3 symbol")
+                   help="pin every phase to this x3 symbol (default: optimize)")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("simulate", help="finite-blocklength Monte-Carlo run")

@@ -171,11 +171,8 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
         key[1] += p * plan.rho2[t] * float(q[m] @ prof.d_zy2[m])
         chi = 0.0
         for x3 in range(d.x3_size):
-            if q[x3] > 0:
-                c = chi_square(d, plan.rho1[t], plan.rho2[t], x3)
-                if math.isinf(c):
-                    return num, key, math.inf, r3
-                chi += q[x3] * c
+            if q[x3] > 0:     # an infinite chi-square makes dsq infinite
+                chi += q[x3] * chi_square(d, plan.rho1[t], plan.rho2[t], x3)
         dsq += p * a * a * chi
     return num, key, dsq, r3
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dmc, SIDE_Z
-from .infotheory import DEFAULT_UNIT, divergence_profile, unit_factor
-from .region import PhasePlan, theorem1_sizing
+from .channel import Dmc
+from .infotheory import DEFAULT_UNIT, unit_factor
+from .region import PhasePlan, _plan_quantities, theorem1_sizing
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 
@@ -55,6 +55,8 @@ class SimConfig:
         for name in ("m1", "m2", "m3", "k1", "k2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.trials < 0:
+            raise ValueError("trials must be non-negative")
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
         self.plan.validate()
@@ -77,7 +79,14 @@ def _phi_fractions(plan: PhasePlan) -> tuple[float, float, bool]:
 
 
 class CodebookEnsemble:
-    """Random codebooks for one (plan, n, omega_n, sizes) configuration."""
+    """Random codebooks for one (plan, n, omega_n, sizes) configuration.
+
+    Each codebook is stored once at block length: ``x1`` (m1, k1, n) and
+    ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3`` is
+    (m3, n), and ``pad_idx``/``pad_p`` give the positions and densities of the
+    shorter-active user's padding.  ``cb1/cb2/cb3[t]`` are per-phase views.
+    The arrays are read-only, so the views handed out cannot alter them.
+    """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
         plan = cfg.plan
@@ -92,9 +101,13 @@ class CodebookEnsemble:
         self.active2 = [int(math.floor(self.phi2 * nt)) for nt in self.n_t]
         self.clip_warnings: list[str] = []
         self.bern1, self.bern2 = [], []
-        self.cb1, self.cb2, self.cb3 = [], [], []
+        self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
+        self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
+        self.x3 = np.zeros((cfg.m3, cfg.n), dtype=int)
+        pad_idx, pad_p = [], []
         for t in range(plan.tau):
-            nt = self.n_t[t]
+            nt, off = self.n_t[t], self.offsets[t]
+            a1, a2 = self.active1[t], self.active2[t]
             dens = []
             for user, rho in ((1, plan.rho1[t]), (2, plan.rho2[t])):
                 p = rho * self.omega_n / math.sqrt(nt) if nt > 0 else 0.0
@@ -105,36 +118,37 @@ class CodebookEnsemble:
                 dens.append(p)
             self.bern1.append(dens[0])
             self.bern2.append(dens[1])
-            self.cb1.append((rng.random((cfg.m1, cfg.k1, self.active1[t]))
-                             < dens[0]).astype(np.uint8))
-            self.cb2.append((rng.random((cfg.m2, cfg.k2, self.active2[t]))
-                             < dens[1]).astype(np.uint8))
+            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < dens[0]
+            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < dens[1]
             q = np.asarray(plan.p_x3_given_t[t], dtype=float)
             if len(q) != d_x3_size:
                 raise ValueError("plan x3 alphabet does not match the channel")
-            self.cb3.append(rng.choice(d_x3_size, size=(cfg.m3, nt), p=q))
+            self.x3[:, off:off + nt] = rng.choice(d_x3_size, size=(cfg.m3, nt), p=q)
+            # the shorter-active user pads [active_short, active_long)
+            lo, hi = sorted((a1, a2))
+            pad_idx.append(np.arange(off + lo, off + hi))
+            pad_p.append(np.full(hi - lo, dens[0] if self.swapped else dens[1]))
+        self.pad_idx = np.concatenate(pad_idx)
+        self.pad_p = np.concatenate(pad_p)
+        for a in (self.x1, self.x2, self.x3, self.pad_idx, self.pad_p):
+            a.flags.writeable = False
+        o, phases = self.offsets, range(plan.tau)
+        self.cb1 = [self.x1[:, :, o[t]:o[t] + self.active1[t]] for t in phases]
+        self.cb2 = [self.x2[:, :, o[t]:o[t] + self.active2[t]] for t in phases]
+        self.cb3 = [self.x3[:, o[t]:o[t + 1]] for t in phases]
 
     def x3_sequence(self, w3: int) -> np.ndarray:
-        return np.concatenate([cb[w3] for cb in self.cb3]) if self.n else \
-            np.zeros(0, dtype=int)
+        return self.x3[w3]
 
     def covert_sequence(self, user: int, w: int, s: int) -> np.ndarray:
         """Codeword symbols placed in the block, zeros elsewhere (no padding)."""
-        x = np.zeros(self.n, dtype=np.uint8)
-        cbs = self.cb1 if user == 1 else self.cb2
-        active = self.active1 if user == 1 else self.active2
-        for t in range(self.plan.tau):
-            off = self.offsets[t]
-            x[off:off + active[t]] = cbs[t][w, s]
-        return x
+        return (self.x1 if user == 1 else self.x2)[w, s].copy()
 
 
 def build_codebooks(cfg: SimConfig, rng: np.random.Generator,
-                    d: Dmc | None = None, x3_size: int | None = None
-                    ) -> CodebookEnsemble:
+                    d: Dmc | None = None) -> CodebookEnsemble:
     """Draw a fresh random-coding ensemble; deterministic given the rng state."""
-    if x3_size is None:
-        x3_size = d.x3_size if d is not None else len(cfg.plan.p_x3_given_t[0])
+    x3_size = d.x3_size if d is not None else len(cfg.plan.p_x3_given_t[0])
     return CodebookEnsemble(cfg, rng, x3_size)
 
 
@@ -149,27 +163,18 @@ def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
     cfg = ens.cfg
     if not (0 <= w3 < cfg.m3):
         raise IndexError("w3 out of range")
-    x3 = ens.x3_sequence(w3)
+    x3 = ens.x3[w3]
     if hypothesis == 0:
         z = np.zeros(ens.n, dtype=np.uint8)
         return z, z.copy(), x3
     if not (0 <= w1 < cfg.m1 and 0 <= s1 < cfg.k1
             and 0 <= w2 < cfg.m2 and 0 <= s2 < cfg.k2):
         raise IndexError("message or key index out of range")
-    x1 = ens.covert_sequence(1, w1, s1)
-    x2 = ens.covert_sequence(2, w2, s2)
-    # pad the shorter user over [active_short, active_long) of each phase
-    short_user = 1 if ens.swapped else 2
-    xs = x1 if short_user == 1 else x2
-    dens = ens.bern1 if short_user == 1 else ens.bern2
-    lo = ens.active1 if ens.swapped else ens.active2
-    hi = ens.active2 if ens.swapped else ens.active1
-    for t in range(ens.plan.tau):
-        gap = hi[t] - lo[t]
-        if gap > 0:
-            off = ens.offsets[t]
-            xs[off + lo[t]:off + hi[t]] = (rng.random(gap) < dens[t])
-    return x1, x2, x3
+    x = [ens.x1[w1, s1], ens.x2[w2, s2]]
+    short = 0 if ens.swapped else 1
+    x[short] = x[short].copy()
+    x[short][ens.pad_idx] = rng.random(len(ens.pad_idx)) < ens.pad_p
+    return x[0], x[1], x3
 
 
 def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
@@ -190,7 +195,7 @@ def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
 
 def _sample_rows(mat: np.ndarray, rows: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(mat[rows], axis=1)
+    cum = np.cumsum(mat, axis=1)[rows]
     u = rng.random(len(rows))
     out = (u[:, None] >= cum).sum(axis=1)
     return np.minimum(out, mat.shape[1] - 1)
@@ -206,14 +211,9 @@ class DecodeResult:
 def auto_thresholds(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
                     mu: float = 0.5) -> tuple[float, float]:
     """eta_l = (1 - mu) * omega_n * sqrt(n) * E[rho_l D_Y^(l)], natural log."""
-    prof = divergence_profile(d, unit="nats")
-    e = [0.0, 0.0]
-    for t in range(plan.tau):
-        q = np.asarray(plan.p_x3_given_t[t], dtype=float)
-        e[0] += plan.p_t[t] * plan.rho1[t] * float(q @ prof.d_y1)
-        e[1] += plan.p_t[t] * plan.rho2[t] * float(q @ prof.d_y2)
+    num, _, _, _ = _plan_quantities(d, plan, "nats")
     root = omega_n * math.sqrt(n)
-    return (1 - mu) * root * e[0], (1 - mu) * root * e[1]
+    return (1 - mu) * root * num[0], (1 - mu) * root * num[1]
 
 
 def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
@@ -223,45 +223,22 @@ def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
     the known key's sub-codebook.  Ties and failures resolve to the lowest
     index and stage errors respectively."""
     y = np.asarray(yn, dtype=int)
-    cfg = ens.cfg
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_gy = np.log(d.gamma_y)
-    # step 1: non-covert message, all-zero covert inputs assumed
-    scores = np.empty(cfg.m3)
-    for w3 in range(cfg.m3):
-        rows = ens.x3_sequence(w3)
-        scores[w3] = float(np.sum(log_gy[rows, y]))
-    w3_hat = int(np.argmax(scores))
-    if hypothesis == 0:
-        return DecodeResult(w3=w3_hat)
-    x3 = ens.x3_sequence(w3_hat)
-    base_rows = x3                              # (0,0,x3) index equals x3
-    w1_hat = _decode_covert(ens, d, y, 1, s1, x3, base_rows, eta1, log_gy)
-    w2_hat = _decode_covert(ens, d, y, 2, s2, x3, base_rows, eta2, log_gy)
-    return DecodeResult(w3=w3_hat, w1=w1_hat, w2=w2_hat)
-
-
-def _decode_covert(ens, d, y, user, key, x3, base_rows, eta, log_gy):
-    cfg = ens.cfg
-    m = cfg.m1 if user == 1 else cfg.m2
-    hits = []
-    for j in range(m):
-        xl = ens.covert_sequence(user, j, key)
-        on = xl == 1
-        if not np.any(on):
-            llr = 0.0
-        else:
-            if user == 1:
-                rows_on = 1 * (2 * d.x3_size) + x3[on]
-            else:
-                rows_on = d.x3_size + x3[on]
-            llr = float(np.sum(log_gy[rows_on, y[on]])
-                        - np.sum(log_gy[base_rows[on], y[on]]))
-        if llr > eta:
-            hits.append(j)
-        if len(hits) > 1:
-            return None
-    return hits[0] if len(hits) == 1 else None
+        # step 1: non-covert message, all-zero covert inputs assumed
+        w3_hat = int(np.argmax(log_gy[ens.x3, y].sum(axis=1)))
+        if hypothesis == 0:
+            return DecodeResult(w3=w3_hat)
+        x3 = ens.x3[w3_hat]
+        base = log_gy[x3, y]                    # (0,0,x3) index equals x3
+        hats = []
+        for sub, row_off, eta in ((ens.x1[:, s1], 2 * d.x3_size, eta1),
+                                  (ens.x2[:, s2], d.x3_size, eta2)):
+            gain = log_gy[row_off + x3, y] - base
+            llr = np.where(sub == 1, gain, 0.0).sum(axis=1)
+            hits = np.flatnonzero(llr > eta)
+            hats.append(int(hits[0]) if len(hits) == 1 else None)
+    return DecodeResult(w3=w3_hat, w1=hats[0], w2=hats[1])
 
 
 @dataclass
@@ -384,40 +361,20 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     if work > cfg.enum_cap:
         raise EnumerationCapError(
             f"|Z|^n * pairs = {work} exceeds enumeration cap {cfg.enum_cap}")
-    x3 = ens.x3_sequence(w3)
-    ref_rows = [d.row(SIDE_Z, 0, 0, int(v)) for v in x3]
-    ref = _product_law(ref_rows)
-    short_user = 1 if ens.swapped else 2
-    dens = ens.bern1 if short_user == 1 else ens.bern2
-    lo = ens.active1 if ens.swapped else ens.active2
-    hi = ens.active2 if ens.swapped else ens.active1
+    x3 = ens.x3[w3]
+    gz, k = d.gamma_z, d.x3_size
+    ref = _product_law(gz[x3])
+    # padding positions mix the short user's symbols 0 and 1 at its density
+    pad, p = ens.pad_idx, ens.pad_p[:, None]
+    pad_step = 2 * k if ens.swapped else k
     qhat = np.zeros_like(ref)
-    pairs = 0
-    for wa in range(cfg.m1):
-        for sa in range(cfg.k1):
-            x1 = ens.covert_sequence(1, wa, sa)
-            for wb in range(cfg.m2):
-                for sb in range(cfg.k2):
-                    x2 = ens.covert_sequence(2, wb, sb)
-                    rows = []
-                    for t in range(ens.plan.tau):
-                        off = ens.offsets[t]
-                        for i in range(off, off + ens.n_t[t]):
-                            j = i - off
-                            if lo[t] <= j < hi[t]:
-                                p = dens[t]
-                                if short_user == 2:
-                                    r = ((1 - p) * d.row(SIDE_Z, int(x1[i]), 0, int(x3[i]))
-                                         + p * d.row(SIDE_Z, int(x1[i]), 1, int(x3[i])))
-                                else:
-                                    r = ((1 - p) * d.row(SIDE_Z, 0, int(x2[i]), int(x3[i]))
-                                         + p * d.row(SIDE_Z, 1, int(x2[i]), int(x3[i])))
-                            else:
-                                r = d.row(SIDE_Z, int(x1[i]), int(x2[i]), int(x3[i]))
-                            rows.append(r)
-                    qhat += _product_law(rows)
-                    pairs += 1
-    qhat /= pairs
+    for x1 in ens.x1.reshape(cfg.m1 * cfg.k1, n).astype(int):
+        for x2 in ens.x2.reshape(cfg.m2 * cfg.k2, n).astype(int):
+            idx = x1 * (2 * k) + x2 * k + x3
+            rows = gz[idx]
+            rows[pad] = (1 - p) * rows[pad] + p * gz[idx[pad] + pad_step]
+            qhat += _product_law(rows)
+    qhat /= cfg.pair_count()
     mask = qhat > 0
     if np.any(ref[mask] == 0):
         return math.inf

@@ -148,3 +148,16 @@ def test_sizing_report(capsys, chan_file, plan_file, tmp_path):
 def test_paper_channel_alias(capsys):
     code, out, _ = run(capsys, "profile", "--channel", "paper")
     assert code == 0 and "d_y1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-asymptotics", "--channel", "paper", "--rho1", "1", "--x3", "5"],
+    ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "0"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
+     "--trials", "-3"],
+], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials"])
+def test_invalid_input_exit_3(capsys, plan_file, argv):
+    code, out, err = run(capsys, *[plan_file if a == "PLAN" else a
+                                   for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

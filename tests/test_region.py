@@ -128,18 +128,39 @@ def test_rate_tuple_perfectly_covert_flag():
     assert rt.perfectly_covert and math.isinf(rt.r1) and math.isinf(rt.r2)
 
 
+# warden rows with an absolute-continuity violation at x3 = 0
+GZ_AC = [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
+         [1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
+         [0.0, 0.0, 1.0], [0.3, 0.3, 0.4],
+         [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]
+
+
 def test_rate_tuple_ac_violation_raises():
-    gz = [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
-          [1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
-          [0.0, 0.0, 1.0], [0.3, 0.3, 0.4],
-          [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]
     gy = [[0.5, 0.3, 0.2]] * 8
-    d = make_dmc(gy, gz)
+    d = make_dmc(gy, GZ_AC)
     with pytest.raises(ValueError, match="absolute continuity"):
         rate_tuple(d, PhasePlan.single_phase((1.0, 0.0), 1.0, 1.0))
     # fine when the violating symbol carries no probability
     rt = rate_tuple(d, PhasePlan.single_phase((0.0, 1.0), 1.0, 1.0))
     assert math.isfinite(rt.r1)
+
+
+def test_sizing_independent_of_phase_order_at_infinite_chi_square():
+    """An infinite chi-square in one phase must not drop later phases'
+    numerators: both listings of the same two phases size alike."""
+    gy = ([[0.5, 0.3, 0.2]] * 2 + [[0.2, 0.3, 0.5]] * 2
+          + [[0.3, 0.5, 0.2]] * 2 + [[0.3, 0.3, 0.4]] * 2)
+    d = make_dmc(gy, GZ_AC)
+    sizes = []
+    for order in ((0, 1), (1, 0)):
+        plan = PhasePlan(p_t=(0.5, 0.5),
+                         p_x3_given_t=tuple((1.0 - x, float(x)) for x in order),
+                         rho1=(1.0, 1.0), rho2=(1.0, 1.0))
+        sz = theorem1_sizing(d, plan, 10**6, 1e-2, (0.1,) * 6, "nats")
+        assert sz.divergence_bound == math.inf
+        sizes.append((sz.log_m1, sz.log_m2))
+    assert sizes[0] == sizes[1]
+    assert abs(sizes[0][0] - 0.9194861227787833) < 1e-12
 
 
 def test_plan_validation():

@@ -7,9 +7,9 @@ import pytest
 import covertmac as cm
 from covertmac.region import PhasePlan
 from covertmac.simulator import (EnumerationCapError, SimConfig,
-                                 build_codebooks, channel_sample, decode,
-                                 encode, exact_delta, phase_lengths,
-                                 run_trials, wilson_interval)
+                                 auto_thresholds, build_codebooks,
+                                 channel_sample, decode, encode, exact_delta,
+                                 phase_lengths, run_trials, wilson_interval)
 
 PLAN_Q = PhasePlan.single_phase((0.535, 0.465), rho1=0.5, rho2=0.5)
 PLAN_X0 = PhasePlan.single_phase((1.0, 0.0), rho1=0.5, rho2=0.5)
@@ -232,6 +232,22 @@ def test_decode_matches_reference_oracle():
     assert fragile_trials < 100
 
 
+def test_auto_thresholds_ignore_unused_x3(paper):
+    """A receiver-side support violation at an x3 the plan never sends must
+    leave the thresholds as they are; a NaN threshold fails every covert
+    decode."""
+    gy = np.array(paper.gamma_y)
+    gy[1] = [0.0, 0.2, 0.2, 0.2, 0.2, 0.2]        # row (0, 0, 1)
+    gy[5] = [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]        # row (1, 0, 1)
+    from conftest import make_dmc
+    d = make_dmc(gy, paper.gamma_z)
+    plan = PhasePlan.single_phase((1.0, 0.0), 0.5, 0.5)
+    eta = auto_thresholds(d, plan, 1000, 1000 ** -0.25)
+    assert eta == auto_thresholds(paper, plan, 1000, 1000 ** -0.25)
+    rep = run_trials(SimConfig(n=1000, plan=plan, trials=50, seed=0), d)
+    assert rep.stage_errors["w1"] < 50 and rep.stage_errors["w2"] < 50
+
+
 def test_run_trials_pe0_zero_when_m3_one(paper):
     cfg = SimConfig(n=24, plan=PLAN_Q, m3=1, trials=50, seed=4)
     rep = run_trials(cfg, paper)
@@ -343,3 +359,48 @@ def test_exact_delta_padding_segment_exact(paper):
         ref = np.kron(ref, paper.row("Z", 0, 0, int(x3[i])))
     want = float(np.sum(qhat * np.log(qhat / ref)))
     assert abs(exact_delta(ens, paper, 0, "nats") - want) < 1e-12
+
+
+PIN_PLAN = dict(p_t=(0.4, 0.6), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
+                rho1=(1.5, 0.5), rho2=(0.5, 2.0))
+
+
+@pytest.mark.parametrize("betas, fixed, counts, deltas", [
+    # beta2 < beta1: user 2 pads, fresh ensemble per trial
+    ((1.0, 0.6), False,
+     (1, 34, {"w3_h0": 1, "w3": 2, "w1": 17, "w2": 26}),
+     ("0x1.3320391667b7ap+1", "0x1.8b8f8da5a71cbp+0")),
+    # beta2 > beta1: user 1 pads, one fixed ensemble
+    ((0.7, 1.0), True,
+     (0, 32, {"w3_h0": 0, "w3": 4, "w1": 25, "w2": 13}),
+     ("0x1.6ef1929ef525bp-1", "0x1.28e51de2169e6p+0")),
+])
+def test_simulator_outputs_pinned(paper, betas, fixed, counts, deltas):
+    """Trial counts and exact divergences recorded from the per-phase
+    reference implementation; any change to the RNG consumption order, the
+    padding segment or a decode decision shows here."""
+    plan = PhasePlan(**PIN_PLAN, beta1=betas[0], beta2=betas[1])
+    rep = run_trials(SimConfig(n=80, plan=plan, m1=3, m2=3, m3=16, k1=2, k2=2,
+                               trials=40, seed=7, fixed_codebook=fixed), paper)
+    e0, e1, stage = counts
+    assert (rep.pe0_hat, rep.pe1_hat) == (e0 / 40, e1 / 40)
+    assert rep.stage_errors == stage
+    cfg = SimConfig(n=6, plan=plan, m1=2, m2=2, m3=2, k1=1, k2=2, trials=0)
+    ens = build_codebooks(cfg, rng_for(41), d=paper)
+    assert [exact_delta(ens, paper, w3).hex() for w3 in range(2)] == list(deltas)
+
+
+def test_codebook_storage_read_only(paper):
+    plan = PhasePlan.single_phase((0.535, 0.465), 1.0, 1.0, beta1=1.0, beta2=0.5)
+    cfg = SimConfig(n=40, plan=plan, trials=0)
+    ens = build_codebooks(cfg, rng_for(42), d=paper)
+    x1, x2, x3 = encode(ens, 1, 0, 0, 0, 0, 0, rng_for(43))
+    for view in (x1, x3, ens.x3_sequence(0), ens.cb2[0]):
+        with pytest.raises(ValueError):
+            view[0] = 1
+    before = ens.x2.copy()
+    x2[:] = 1                             # the padded word is a fresh copy
+    fresh = ens.covert_sequence(1, 0, 0)
+    fresh[:] = 1
+    np.testing.assert_array_equal(ens.x2, before)
+    np.testing.assert_array_equal(ens.covert_sequence(1, 0, 0), x1)
