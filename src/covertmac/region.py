@@ -1,5 +1,6 @@
 """Asymptotic rate/key tuples over multi-phase coding plans, finite-blocklength
-sizing, and boundary tracing by multi-start direct search.
+sizing, and boundary tracing: a linear program at R3 = 0, multi-start direct
+search otherwise.
 
 A plan multiplexes up to six phases.  Phase t runs for a fraction p_t of the
 blocklength, gives the non-covert user symbol frequencies p_x3_given_t, and
@@ -16,15 +17,24 @@ minimal key rates k_l defined like r_l with the warden-advantage divergence
 D_Z - D_Y in place of D_Y, clamped at zero.  Phases with rho1+rho2 = 0
 contribute nothing to either numerators or D (silent-phase convention), so
 plans are invariant to scaling all rho's by a positive constant.
+
+At R3 = 0, max r2 is a linear-fractional program.  A phase with a mixed x3
+row splits into one-hot modes (lam, x3), lam = rho1 / (rho1 + rho2), with
+covert mass v = p (rho1 + rho2); the numerators are linear in v, and the
+time shares p ~ v sqrt(chi2) minimize D to sum v sqrt(chi2)
+(Cauchy-Schwarz).  Normalizing N2 = 1 (Charnes-Cooper, 1962) turns
+1 / r2 into the optimum of a linear program over a lam grid, which column
+generation refines.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.stats import qmc
 
 from .channel import Dmc, SIDE_Y
@@ -181,6 +191,7 @@ def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
     """Evaluate the asymptotic rate/key tuple of a plan."""
     plan.validate(d.x3_size)
     num, key, dsq, r3 = _plan_quantities(d, plan, unit)
+    r3 = float(r3)              # plans may hold numpy scalars
     if math.isinf(dsq):
         raise ValueError("chi-square is infinite at an active (phase, x3); "
                          "the plan violates absolute continuity")
@@ -193,8 +204,8 @@ def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
                          r3, 0.0, 0.0, unit, perfectly_covert=True)
     dd = math.sqrt(dsq)
     betas = (plan.beta1, plan.beta2)
-    r1, r2 = (SQRT2 * b * n / dd for b, n in zip(betas, num))
-    k1, k2 = (max(0.0, SQRT2 * b * k / dd) for b, k in zip(betas, key))
+    r1, r2 = (float(SQRT2 * b * n / dd) for b, n in zip(betas, num))
+    k1, k2 = (float(max(0.0, SQRT2 * b * k / dd)) for b, k in zip(betas, key))
     return RateTuple(r1, r2, r3, k1, k2, unit)
 
 
@@ -263,6 +274,24 @@ _PENALTY_L2 = 1e4   # smooth far-field guidance
 _MARGIN = 1e-6      # penalties aim slightly inside the feasible set
 
 
+def _chi2_coefficients(d: Dmc) -> np.ndarray:
+    """Rows (A, B, C) over x3 with
+    chi2(lam, x3) = A lam^2 + 2B lam(1-lam) + C (1-lam)^2, lam = rho1/(rho1+rho2);
+    all three are inf at an absolute-continuity violation."""
+    coef = np.full((3, d.x3_size), math.inf)
+    for x in range(d.x3_size):
+        if x in d.ac_violations:
+            continue
+        q00 = d.row("Z", 0, 0, x)
+        sup = q00 > 0
+        b1 = d.row("Z", 1, 0, x)[sup] / q00[sup] - 1.0
+        b2 = d.row("Z", 0, 1, x)[sup] / q00[sup] - 1.0
+        w = q00[sup]
+        coef[:, x] = (float(np.sum(w * b1 * b1)), float(np.sum(w * b1 * b2)),
+                      float(np.sum(w * b2 * b2)))
+    return coef
+
+
 class _PlanSpace:
     """Maps a flat search vector to plan quantities for one phase count.
 
@@ -286,22 +315,7 @@ class _PlanSpace:
         self.sub_y = [d.row(SIDE_Y, 0, 0, x).tolist() for x in range(self.K)]
         self.neg_h = [sum(v * math.log(v) for v in row if v > 0)
                       for row in self.sub_y]
-        # chi2(lam, x3) = A lam^2 + 2B lam(1-lam) + C (1-lam)^2 per x3
-        self.chiA = [0.0] * self.K
-        self.chiB = [0.0] * self.K
-        self.chiC = [0.0] * self.K
-        for x in range(self.K):
-            if x in d.ac_violations:
-                self.chiA[x] = self.chiB[x] = self.chiC[x] = math.inf
-                continue
-            q00 = d.row("Z", 0, 0, x)
-            sup = q00 > 0
-            b1 = d.row("Z", 1, 0, x)[sup] / q00[sup] - 1.0
-            b2 = d.row("Z", 0, 1, x)[sup] / q00[sup] - 1.0
-            w = q00[sup]
-            self.chiA[x] = float(np.sum(w * b1 * b1))
-            self.chiB[x] = float(np.sum(w * b1 * b2))
-            self.chiC[x] = float(np.sum(w * b2 * b2))
+        self.chiA, self.chiB, self.chiC = _chi2_coefficients(d).tolist()
 
     @property
     def dim(self) -> int:
@@ -483,22 +497,223 @@ def _structured_starts(space: _PlanSpace) -> list[np.ndarray]:
     return starts
 
 
+# ---------------------------------------------------------------------------
+# R3_min = 0: a linear-fractional program over one-hot modes
+
+
+_LP_GRID = 201                                  # starting lam grid per x3
+_LP_PRICE_GRID = np.linspace(0.0, 1.0, 1001)    # dense pricing evaluation
+_LP_RC_TOL = 1e-10                              # pricing stops above -tol
+_LP_MAX_ROUNDS = 50
+# below HiGHS' 1e-7 defaults, so that no basic column prices under -tol
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+
+def _mode_columns(prof, coef, lam, x):
+    """Per unit covert mass v of mode (lam, x3): sqrt(chi2), the numerators
+    n1, n2 and the key numerators key1, key2."""
+    A, B, C = coef[:, x]
+    chi = A * lam * lam + 2.0 * B * lam * (1.0 - lam) + C * (1.0 - lam) ** 2
+    return (np.sqrt(np.maximum(chi, 0.0)), lam * prof.d_y1[x],
+            (1.0 - lam) * prof.d_y2[x], lam * prof.d_zy1[x],
+            (1.0 - lam) * prof.d_zy2[x])
+
+
+def _lp_rows(cols, cons: Constraints):
+    """Inequality rows of the LP over (v, t): the v part and the t column.
+
+    The time shares p ~ v sqrt(chi2) make D = sum v sqrt(chi2).  With N2
+    normalized to 1 the objective t = 1/r2 needs D <= sqrt2 t and
+    K2 <= k2_max t.  beta1 drops out as sqrt2 N1 >= r1_min D and
+    r1_min K1 <= k1_max N1 (K1 <= 0 when both are zero).
+    """
+    s, n1, _, key1, key2 = cols
+    rows, t_coef = [s], [-SQRT2]
+    if cons.r1_min > 0:
+        rows.append(cons.r1_min * s - SQRT2 * n1)
+        t_coef.append(0.0)
+    if cons.r1_min > 0 and math.isfinite(cons.k1_max):
+        rows.append(cons.r1_min * key1 - cons.k1_max * n1)
+        t_coef.append(0.0)
+    elif cons.k1_max == 0:
+        rows.append(key1)
+        t_coef.append(0.0)
+    if math.isfinite(cons.k2_max):
+        rows.append(key2)
+        t_coef.append(-cons.k2_max)
+    return np.array(rows), np.array(t_coef)
+
+
+def _lp_solve(cols, cons: Constraints, eq_row):
+    """HiGHS optimum of min t over (v >= 0, t) with eq_row . v = 1."""
+    a_ub, t_coef = _lp_rows(cols, cons)
+    return linprog(np.append(np.zeros(len(eq_row)), 1.0),
+                   A_ub=np.column_stack([a_ub, t_coef]),
+                   b_ub=np.zeros(len(t_coef)),
+                   A_eq=np.append(eq_row, 0.0)[None, :], b_eq=[1.0],
+                   bounds=(0, None), method="highs", options=_LP_OPTIONS)
+
+
+def _price(prof, coef, cons: Constraints, res, x: int):
+    """(reduced cost, lam) of the cheapest mode at x3 = x under the duals of
+    ``res``.  The reduced cost is convex in lam (a positive multiple of the
+    norm sqrt(chi2) plus linear terms), so a dense scan and a bounded 1-D
+    search around its minimum find the global one."""
+    y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals[0]
+
+    def rc(lam):
+        cols = _mode_columns(prof, coef, lam, x)
+        return -(y_ub @ _lp_rows(cols, cons)[0]) - y_eq * cols[2]
+
+    g = _LP_PRICE_GRID
+    dense = rc(g)
+    i = int(np.argmin(dense))
+    fine = minimize_scalar(lambda l: float(rc(l)), method="bounded",
+                           bounds=(g[max(i - 1, 0)], g[min(i + 1, len(g) - 1)]),
+                           options={"xatol": 1e-12})
+    if fine.fun < dense[i]:
+        return float(fine.fun), float(fine.x)
+    return float(dense[i]), float(g[i])
+
+
+def _key_beta(cap: float, key: float, dd: float) -> float:
+    """Largest beta in (0, 1] with sqrt2 * beta * key / dd <= cap."""
+    if key <= 0 or SQRT2 * key <= cap * dd:
+        return 1.0
+    return cap * dd / (SQRT2 * key)
+
+
+def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
+               max_phases: int):
+    """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
+    Charnes-Cooper LP, or None where the LP gives no plan: non-finite
+    divergences, r2 unbounded (a mode with N2 > 0 the warden cannot see),
+    or more phases than ``max_phases``.  Raises InfeasibleError when the LP
+    is infeasible."""
+    prof = divergence_profile(d, unit)
+    coef = _chi2_coefficients(d)
+    xs = [x for x in (range(d.x3_size) if fixed_x3 is None else (fixed_x3,))
+          if math.isfinite(coef[0, x])]
+    divs = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])[:, xs]
+    if not xs or not np.isfinite(divs).all():
+        return None
+    lam = np.tile(np.linspace(0.0, 1.0, _LP_GRID), len(xs))
+    x = np.repeat(xs, _LP_GRID)
+    cols = _mode_columns(prof, coef, lam, x)
+    # A mode the warden cannot see (chi2 = 0) gets no time share; with
+    # N2 > 0 it would make r2 unbounded.
+    unseen = cols[0] == 0
+    if np.any(unseen & (cols[2] > 0)):
+        return None
+    lam, x = lam[~unseen], x[~unseen]
+    cols = tuple(c[~unseen] for c in cols)
+    # no mode carries user 2: r2 = 0, so normalize D = 1 instead of N2 = 1
+    user2 = bool(np.any(cols[2] > 0))
+    for rnd in range(_LP_MAX_ROUNDS):
+        res = _lp_solve(cols, cons, cols[2] if user2 else cols[0])
+        if res.status == 2:
+            raise InfeasibleError(f"no plan meets {cons}", cons)
+        if res.status != 0:
+            return None
+        if not user2 or rnd == _LP_MAX_ROUNDS - 1:
+            break
+        new_lam, new_x = [], []
+        for xx in xs:
+            val, l = _price(prof, coef, cons, res, xx)
+            if val < -_LP_RC_TOL and not np.any((x == xx)
+                                                & (np.abs(lam - l) <= 1e-12)):
+                new_lam.append(l)
+                new_x.append(xx)
+        if not new_x:
+            break
+        new_lam, new_x = np.array(new_lam), np.array(new_x)
+        new_cols = _mode_columns(prof, coef, new_lam, new_x)
+        if np.any(new_cols[0] == 0):
+            return None
+        lam, x = np.append(lam, new_lam), np.append(x, new_x)
+        cols = tuple(np.append(c, n) for c, n in zip(cols, new_cols))
+    # Modes at one x3 merge into one phase at their mass-weighted lam: the
+    # numerators are linear in (v, v lam) and sqrt(chi2) is convex in lam,
+    # so the merged phase keeps every numerator and does not raise D.
+    v = res.x[:-1]
+    on = v > 1e-12 * v.max()
+    x_on = np.unique(x[on])
+    if len(x_on) > max_phases:
+        return None
+    mass = np.array([v[on & (x == xx)].sum() for xx in x_on])
+    lam_on = np.array([v[on & (x == xx)] @ lam[on & (x == xx)]
+                       for xx in x_on]) / mass
+    lam_on = np.clip(lam_on, 0.0, 1.0)
+    w = mass * _mode_columns(prof, coef, lam_on, x_on)[0]
+    if not np.all(w > 0):
+        return None
+    p = w / w.sum()                     # time shares p ~ v sqrt(chi2)
+    a = mass / mass.sum() / p
+    plan = PhasePlan(
+        p_t=tuple(map(float, p)),
+        p_x3_given_t=tuple(tuple(float(i == xx) for i in range(d.x3_size))
+                           for xx in x_on),
+        rho1=tuple(map(float, lam_on * a)),
+        rho2=tuple(map(float, (1.0 - lam_on) * a)))
+    num, key, dsq, _ = _plan_quantities(d, plan, unit)
+    dd = math.sqrt(dsq)
+    if cons.r1_min > 0:                 # the smallest beta1 that meets r1_min
+        b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
+    else:
+        b1 = _key_beta(cons.k1_max, key[0], dd)
+    b2 = _key_beta(cons.k2_max, key[1], dd)
+    if not (b1 > 0 and b2 > 0):
+        return None
+    plan = replace(plan, beta1=float(b1), beta2=float(b2))
+    rt = rate_tuple(d, plan, unit)
+    if not _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons):
+        return None
+    return plan, rt
+
+
 def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
            unit: str = DEFAULT_UNIT, x3_mode="optimize",
            warm_starts: tuple = ()) -> tuple[PhasePlan, RateTuple]:
-    """Best feasible plan found by multi-start direct search, maximizing r2.
+    """Feasible plan maximizing r2, with its rate tuple.
 
-    Deterministic given ``budget.seed``: starts come from a scrambled Halton
-    sequence and results are reduced by (value, canonical plan key), so the
-    outcome does not depend on scheduling or worker count.  Raises
-    InfeasibleError when no start lands in the feasible set.
+    At ``R3_min == 0`` the problem is a linear-fractional program over
+    one-hot modes (lam, x3); it is solved as a Charnes-Cooper LP (HiGHS)
+    whose lam grid is refined by column generation.  The modes at each x3
+    merge into one phase, so the plan has at most one phase per x3 symbol
+    and a single one in fix mode.  The ``restarts``, ``max_iter``, ``seed``
+    and ``workers`` fields of ``budget`` and ``warm_starts`` are then unused.
+
+    Multi-start Nelder-Mead runs instead when ``R3_min > 0`` (with the
+    R3 = 0 LP plan as one more warm start), when the LP optimum needs more
+    than ``budget.max_phases`` phases, and when the LP cannot bound r2.
+    It is deterministic given ``budget.seed``: starts come from a scrambled
+    Halton sequence and results are reduced by (value, canonical plan key),
+    so the outcome does not depend on scheduling or worker count.
+
+    Raises InfeasibleError when the LP is infeasible or no start lands in
+    the feasible set.
     """
     fixed_x3 = None
     if x3_mode != "optimize":
         _, fixed_x3 = x3_mode
         if not 0 <= fixed_x3 < d.x3_size:
             raise ValueError(f"fixed x3 {fixed_x3} out of range")
-    taus = list(range(1, max(1, min(budget.max_phases, MAX_PHASES)) + 1))
+    max_phases = max(1, min(budget.max_phases, MAX_PHASES))
+    if constraints.R3_min == 0:
+        found = _lp_max_r2(d, constraints, unit, fixed_x3, max_phases)
+        if found is not None:
+            return found
+    else:
+        try:
+            found = _lp_max_r2(d, replace(constraints, R3_min=0.0), unit,
+                               fixed_x3, max_phases)
+        except InfeasibleError:
+            found = None
+        keys = [plan.canonical_key() for plan in warm_starts]
+        if found is not None and found[0].canonical_key() not in keys:
+            warm_starts = tuple(warm_starts) + (found[0],)
+    taus = list(range(1, max_phases + 1))
     tasks = []
     # low phase counts get the larger share of random restarts
     weights = np.array([1.0 / t for t in taus])
@@ -515,9 +730,10 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
                 starts.append(theta)
         for s in starts:
             tasks.append((d, unit, tau, fixed_x3, constraints, s, budget.max_iter))
-    if budget.workers > 1:
+    workers = min(budget.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=budget.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_search_one, tasks, chunksize=4))
     else:
         results = [_search_one(t) for t in tasks]

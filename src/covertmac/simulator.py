@@ -48,10 +48,10 @@ class SimConfig:
     enum_cap: int = 1 << 26
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.omega_n is None:
-            self.omega_n = float(self.n) ** -0.25 if self.n > 0 else 0.0
+            self.omega_n = float(self.n) ** -0.25
         for name in ("m1", "m2", "m3", "k1", "k2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

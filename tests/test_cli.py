@@ -155,7 +155,12 @@ def test_paper_channel_alias(capsys):
     ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "0"],
     ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
      "--trials", "-3"],
-], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials"])
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "0",
+     "--trials", "20"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "0",
+     "--trials", "20", "--exact-delta"],
+], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
+        "simulate-n-zero", "simulate-n-zero-exact-delta"])
 def test_invalid_input_exit_3(capsys, plan_file, argv):
     code, out, err = run(capsys, *[plan_file if a == "PLAN" else a
                                    for a in argv])

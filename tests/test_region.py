@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
+import covertmac.region as region
 from covertmac.infotheory import chi_square, divergence_profile, mutual_info_x3
 from covertmac.region import (Constraints, InfeasibleError, OptBudget,
                               PhasePlan, max_r2, rate_tuple, theorem1_sizing,
-                              trace_r2_R3, curve_r2_vs_k2, _pareto)
+                              trace_r2_R3, curve_r2_vs_k2, _feasible, _pareto)
 
 import lp_oracle
 from conftest import make_dmc
@@ -111,6 +113,17 @@ def test_beta_linearity_exact(paper):
     assert math.isclose(b.r2, 0.25 * a.r2, rel_tol=1e-12)
     assert math.isclose(b.k1, 0.5 * a.k1, rel_tol=1e-12)
     assert math.isclose(b.k2, 0.25 * a.k2, rel_tol=1e-12)
+
+
+def test_rate_tuple_fields_are_python_floats(paper):
+    f = np.float64
+    plan = PhasePlan(p_t=(f(0.6), f(0.4)),
+                     p_x3_given_t=((f(0.7), f(0.3)), (f(0.2), f(0.8))),
+                     rho1=(f(0.9), f(0.3)), rho2=(f(0.4), f(1.1)),
+                     beta1=f(0.9), beta2=f(0.8))
+    rt = rate_tuple(paper, plan)
+    for name in ("r1", "r2", "R3", "k1", "k2"):
+        assert type(getattr(rt, name)) is float, name
 
 
 def test_rate_tuple_capacity_achieving_R3(paper):
@@ -314,6 +327,130 @@ def test_max_r2_monotone_in_budget_and_keys(paper):
                   x3_mode=("fix", 0))
     assert b.r2 >= a.r2 - 1e-9
     assert c.r2 >= b.r2 - 1e-9
+
+
+def random_problem(seed):
+    """A seeded random positive channel with x3_size 2-3 and constraints that
+    a lam = 1 mode at x3 = ``best_x`` can meet: (d, constraints, best_x)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    d = make_dmc(rng.dirichlet(np.ones(int(rng.integers(3, 6))), size=4 * k),
+                 rng.dirichlet(np.ones(int(rng.integers(3, 6))), size=4 * k))
+    dv = lp_oracle.divergences(d)
+    r1_solo = math.sqrt(2) * dv["y1"] / np.sqrt(lp_oracle.chi2_coefficients(d)[0])
+    r1_min = float(rng.uniform(0.1, 0.5) * r1_solo.max())
+    key_ratio = max(0.0, float(((dv["z1"] - dv["y1"]) / dv["y1"]).max()))
+    k1_max = float(r1_min * key_ratio * rng.uniform(1.0, 2.0)
+                   + rng.uniform(0.0, 0.2))
+    cons = Constraints(r1_min=r1_min, k1_max=k1_max,
+                       k2_max=float(rng.uniform(0.05, 1.0)))
+    return d, cons, int(np.argmax(r1_solo))
+
+
+@pytest.fixture
+def direct_searches(monkeypatch):
+    """List that gains one entry per Nelder-Mead run."""
+    calls = []
+    inner = region.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(region, "minimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [5, 8, 9])
+def test_max_r2_lp_between_oracle_grids(seed, direct_searches):
+    """On R3 = 0 problems max_r2 solves the LP: no direct search, an r2
+    between the 2001-point oracle grid and (up to 1e-6) the 8001-point one,
+    caps met at 1e-9, at most max_phases phases, one-hot rows in fix mode,
+    the same bytes again and with two workers."""
+    d, cons, best_x = random_problem(seed)
+    budget = OptBudget()
+    for mode, fix_x3 in (("optimize", None), (("fix", best_x), best_x)):
+        plan, rt = max_r2(d, cons, budget, x3_mode=mode)
+        lo, hi = (lp_oracle.max_r2(d, cons.r1_min, cons.k1_max, cons.k2_max,
+                                   fix_x3=fix_x3, n_lambda=n)
+                  for n in (2001, 8001))
+        assert lo * (1 - 1e-9) <= rt.r2 <= hi * (1 + 1e-6)
+        assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+        assert plan.tau <= budget.max_phases
+        if fix_x3 is not None:
+            for q in plan.p_x3_given_t:
+                assert q[fix_x3] == 1.0 and sum(q) == 1.0
+        again, _ = max_r2(d, cons, replace(budget, workers=2), x3_mode=mode)
+        assert again.to_json() == plan.to_json()
+    assert not direct_searches
+
+
+def test_max_r2_key_limited_fix0_single_phase(paper):
+    """The LP's modes at one x3 merge into one phase, so the key-limited
+    fix0 optimum fits a single phase."""
+    prof = divergence_profile(paper, "bits")
+    limit = 0.05 * prof.d_y2[0] / prof.d_zy2[0]
+    cons = Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.05)
+    plan, rt = max_r2(paper, cons, replace(BUDGET, max_phases=1),
+                      x3_mode=("fix", 0))
+    assert plan.tau == 1 and plan.p_x3_given_t == ((1.0, 0.0),)
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert limit * (1 - 1e-9) <= rt.r2 <= limit * (1 + 1e-9)
+
+
+def test_max_r2_falls_back_when_lp_needs_more_phases(direct_searches):
+    """The LP optimum of this problem uses two x3 symbols; with one phase
+    allowed, Nelder-Mead runs and returns a feasible one-phase plan."""
+    d, cons, _ = random_problem(1)
+    two, best = max_r2(d, cons, OptBudget())
+    assert len({q.index(1.0) for q in two.p_x3_given_t}) == 2
+    assert not direct_searches
+    plan, rt = max_r2(d, cons, OptBudget(restarts=8, max_iter=800, seed=0,
+                                         max_phases=1))
+    assert direct_searches and plan.tau == 1
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert 0 < rt.r2 <= best.r2 + 1e-9
+
+
+def test_max_r2_falls_back_when_lp_unbounded(direct_searches):
+    """A warden that cannot see the covert users leaves r2 unbounded in the
+    LP; direct search runs instead, and finds no plan of finite rates."""
+    gz = [[1.0 / 6] * 6] * 8
+    d = make_dmc(cm.paper_channel().gamma_y, gz)
+    with pytest.raises(InfeasibleError):
+        max_r2(d, Constraints(r1_min=0.1),
+               OptBudget(restarts=4, max_iter=100, seed=0, max_phases=1))
+    assert direct_searches
+
+
+def test_optimizer_pool_clamped_to_tasks_and_cores(paper, monkeypatch):
+    """A huge worker count opens a pool of min(tasks, cores) processes; the
+    fake pool runs the searches in this process."""
+    import concurrent.futures
+    seen = {}
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            seen["tasks"] = len(tasks)
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(region.os, "cpu_count", lambda: 3)
+    budget = OptBudget(restarts=4, max_iter=200, seed=0, max_phases=1,
+                       workers=10**6)
+    cons = Constraints(r1_min=0.1, R3_min=0.05, k1_max=0.8, k2_max=0.8)
+    max_r2(paper, cons, budget)
+    assert seen["tasks"] > 3 and seen["max_workers"] == 3
 
 
 def test_pareto_filter():
