@@ -1,6 +1,6 @@
 """Asymptotic rate/key tuples over multi-phase coding plans, finite-blocklength
-sizing, and boundary tracing: a linear program at R3 = 0, multi-start direct
-search otherwise.
+sizing, and boundary tracing by column-generated linear programs, with
+multi-start direct search as the fallback.
 
 A plan multiplexes up to six phases.  Phase t runs for a fraction p_t of the
 blocklength, gives the non-covert user symbol frequencies p_x3_given_t, and
@@ -25,9 +25,17 @@ time shares p ~ v sqrt(chi2) minimize D to sum v sqrt(chi2)
 (Cauchy-Schwarz).  Normalizing N2 = 1 (Charnes-Cooper, 1962) turns
 1 / r2 into the optimum of a linear program over a lam grid, which column
 generation refines.
+
+At R3 > 0 the time shares matter (R3 = sum p I(q)), so the columns are
+whole phases (lam, q, a), a = rho1 + rho2, and the only LP variables are
+their time shares p: the numerators, G = D^2 and R3 are all linear in p.
+Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
+ratios, solved by a Dinkelbach-type iteration; new columns come from a
+closed-form minimum of the reduced cost over a and a scan over (lam, q).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,8 +46,8 @@ from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.stats import qmc
 
 from .channel import Dmc, SIDE_Y
-from .infotheory import (DEFAULT_UNIT, chi_square, divergence_profile,
-                         mutual_info_x3, unit_factor)
+from .infotheory import (DEFAULT_UNIT, capacity_x3, chi_square,
+                         divergence_profile, mutual_info_x3, unit_factor)
 
 MAX_PHASES = 6
 SQRT2 = math.sqrt(2.0)
@@ -255,8 +263,9 @@ class Constraints:
     k2_max: float = math.inf
 
     def __post_init__(self):
-        if min(self.r1_min, self.R3_min) < 0 or min(self.k1_max, self.k2_max) < 0:
-            raise ValueError("constraints must be non-negative")
+        caps = (self.r1_min, self.R3_min, self.k1_max, self.k2_max)
+        if any(math.isnan(v) for v in caps) or min(caps) < 0:
+            raise ValueError("constraints must be non-negative numbers")
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,10 @@ class OptBudget:
     seed: int = 0
     max_phases: int = MAX_PHASES
     workers: int = 1
+
+    def __post_init__(self):
+        if self.max_phases < 1:
+            raise ValueError("max_phases must be at least 1")
 
 
 _FEAS_SLACK = 1e-9
@@ -584,13 +597,12 @@ def _key_beta(cap: float, key: float, dd: float) -> float:
     return cap * dd / (SQRT2 * key)
 
 
-def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
-               max_phases: int):
-    """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
-    Charnes-Cooper LP, or None where the LP gives no plan: non-finite
-    divergences, r2 unbounded (a mode with N2 > 0 the warden cannot see),
-    or more phases than ``max_phases``.  Raises InfeasibleError when the LP
-    is infeasible."""
+def _lp_modes(d: Dmc, unit: str, fixed_x3: int | None):
+    """(prof, coef, xs, lam, x, cols): the divergence profile, the chi2
+    coefficients, the x3 symbols the warden's support allows, and the
+    starting one-hot modes (lam, x) with their columns.  None where the
+    LP gives no plan: non-finite divergences, or r2 unbounded (a mode
+    with N2 > 0 the warden cannot see)."""
     prof = divergence_profile(d, unit)
     coef = _chi2_coefficients(d)
     xs = [x for x in (range(d.x3_size) if fixed_x3 is None else (fixed_x3,))
@@ -606,8 +618,41 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
     unseen = cols[0] == 0
     if np.any(unseen & (cols[2] > 0)):
         return None
-    lam, x = lam[~unseen], x[~unseen]
-    cols = tuple(c[~unseen] for c in cols)
+    return (prof, coef, xs, lam[~unseen], x[~unseen],
+            tuple(c[~unseen] for c in cols))
+
+
+def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
+    """(plan, rates) with beta1, beta2 set from the plan's own numerators:
+    the smallest beta1 that meets r1_min (or the largest under the k1 cap
+    when r1_min = 0) and the largest beta2 under the k2 cap; None when a
+    beta would be 0 or the plan misses a cap by more than _FEAS_SLACK."""
+    num, key, dsq, _ = _plan_quantities(d, plan, unit)
+    dd = math.sqrt(dsq)
+    if cons.r1_min > 0:                 # the smallest beta1 that meets r1_min
+        b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
+    else:
+        b1 = _key_beta(cons.k1_max, key[0], dd)
+    b2 = _key_beta(cons.k2_max, key[1], dd)
+    if not (b1 > 0 and b2 > 0):
+        return None
+    plan = replace(plan, beta1=float(b1), beta2=float(b2))
+    rt = rate_tuple(d, plan, unit)
+    if not _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons):
+        return None
+    return plan, rt
+
+
+def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
+               max_phases: int):
+    """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
+    Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes)
+    or needs more phases than ``max_phases``.  Raises InfeasibleError when
+    the LP is infeasible."""
+    modes = _lp_modes(d, unit, fixed_x3)
+    if modes is None:
+        return None
+    prof, coef, xs, lam, x, cols = modes
     # no mode carries user 2: r2 = 0, so normalize D = 1 instead of N2 = 1
     user2 = bool(np.any(cols[2] > 0))
     for rnd in range(_LP_MAX_ROUNDS):
@@ -656,20 +701,354 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
                            for xx in x_on),
         rho1=tuple(map(float, lam_on * a)),
         rho2=tuple(map(float, (1.0 - lam_on) * a)))
-    num, key, dsq, _ = _plan_quantities(d, plan, unit)
-    dd = math.sqrt(dsq)
-    if cons.r1_min > 0:                 # the smallest beta1 that meets r1_min
-        b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
+    return _with_betas(d, plan, cons, unit)
+
+
+# ---------------------------------------------------------------------------
+# R3_min > 0: a column-generated LP over phases (lam, q, a)
+
+
+_R3_SCAN = 201           # lam points of the pricing scan, q points at x3_size 2
+_R3_SCAN_Q = 500         # most laws of the scan's simplex lattice
+_R3_SEED_Q = (10, 15)    # seed lattice: most steps per unit, most laws
+_R3_ZOOM = 6             # local refinements of a scan minimum, 10x finer each
+_R3_BLOCK = 40           # lam rows of the scan priced at a time
+_R3_STARTS = 4           # scan minima refined per round
+_R3_APART = 0.05         # least (lam, q) max-norm distance between them
+_R3_U_MAX = 1e3          # cap on a sqrt(chi2) of a priced column
+_R3_S_TOL = 1e-12        # Dinkelbach stops once max s is below this
+_R3_MAX_ROUNDS = 300
+_R3_MERGE = 1e-3         # support q rows this close (max-norm) share a phase
+
+
+def _xlogx(v):
+    return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
+
+
+def _simplex_grid(k: int, res: int, most: int):
+    """(laws, 1/r): every law over k symbols with probabilities in
+    multiples of 1/r, for the largest r <= res that gives at most ``most``
+    laws."""
+    while res > 1 and math.comb(res + k - 1, k - 1) > most:
+        res -= 1
+    rows = []
+    for bars in itertools.combinations(range(res + k - 1), k - 1):
+        edges = (-1,) + bars + (res + k - 1,)
+        rows.append([edges[i + 1] - edges[i] - 1 for i in range(k)])
+    return np.array(rows, dtype=float) / res, 1.0 / res
+
+
+def _q_neighbours(q, h: float) -> np.ndarray:
+    """q and the laws up to h away along each direction e_i - e_j."""
+    out = [q]
+    for i, j in itertools.permutations(range(len(q)), 2):
+        if min(h, q[j]) > 0:
+            s = np.linspace(0.0, min(h, q[j]), 11)[1:, None]
+            out.extend(q + s * (np.eye(len(q))[i] - np.eye(len(q))[j]))
+    return np.array(out)
+
+
+class _PhaseTerms:
+    """Terms of phase columns (lam, q, a) on one channel.
+
+    A column is a phase of time p, x3 law q and covert density a, with
+    rho1 = a lam and rho2 = a (1 - lam).  It adds p a n1, p a n2, p a key1,
+    p a key2 to the numerators, p a^2 chi to G = D^2 and p I(q) to R3.
+    Symbols where the warden's support is violated get zero divergences;
+    a law that sends them can only be silent.
+    """
+
+    def __init__(self, d: Dmc, unit: str, prof, coef):
+        self.ok = np.isfinite(coef[0])
+        self.divs = np.where(self.ok, np.array([prof.d_y1, prof.d_y2,
+                                                prof.d_zy1, prof.d_zy2]), 0.0)
+        self.coef = np.where(self.ok, coef, 0.0)
+        self.sub = np.array([d.row(SIDE_Y, 0, 0, x) for x in range(d.x3_size)])
+        self.neg_h = _xlogx(self.sub).sum(axis=1)
+        self.fac = unit_factor(unit)
+
+    def laws(self, q):
+        """Per law (rows of q): q . divergences, q . (A, B, C), I(q) and
+        whether covert use is allowed."""
+        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
+        return (self.divs @ q.T, self.coef @ q.T,
+                np.maximum(info, 0.0) / self.fac, q[:, ~self.ok].sum(axis=1) == 0)
+
+    @staticmethod
+    def terms(lam, laws):
+        """(n1, n2, key1, key2, chi, info, covert) with lam broadcast
+        against ``laws`` (from .laws); covert is False where chi = 0."""
+        dq, cq, info, ok = laws
+        chi = (lam * lam * cq[0] + 2.0 * lam * (1.0 - lam) * cq[1]
+               + (1.0 - lam) ** 2 * cq[2])
+        return (lam * dq[0], (1.0 - lam) * dq[1], lam * dq[2],
+                (1.0 - lam) * dq[3], chi, info, ok & (chi > 0))
+
+
+def _r3_rows(cons: Constraints, z: float, c2: float, t):
+    """Inequality rows of the LP at Dinkelbach level z, one tuple
+    (const, lin, quad, s, e, rhs) per row: column (lam, q, a) enters with
+    const + a lin + a^2 quad, s is maximized and e is the phase-1 slack.
+
+    Rates are scale-free, so G <= 1 normalizes D.  beta1 drops out as in
+    _lp_rows.  At G = 1, r2 = min(sqrt2 N2, k2_max N2 / K2), so s is
+    bounded by sqrt2 N2 - z and (k2_max N2 - z K2) / c2, with c2 > 0 the
+    K2 of the previous LP point (K2 <= 0 at k2_max = 0).
+    """
+    n1, n2, key1, key2, chi, info, _ = t
+    rows = [(0.0, 0.0, chi, 0.0, 0.0, 1.0)]
+    if cons.r1_min > 0:
+        rows.append((0.0, -SQRT2 * n1, 0.0, 0.0, -1.0, -cons.r1_min))
+    if cons.r1_min > 0 and math.isfinite(cons.k1_max):
+        rows.append((0.0, cons.r1_min * key1 - cons.k1_max * n1, 0.0, 0.0,
+                     -1.0, 0.0))
+    elif cons.k1_max == 0:
+        rows.append((0.0, key1, 0.0, 0.0, -1.0, 0.0))
+    rows.append((-info, 0.0, 0.0, 0.0, -1.0, -cons.R3_min))
+    rows.append((0.0, -SQRT2 * n2, 0.0, 1.0, 0.0, -z))
+    if cons.k2_max == 0:
+        rows.append((0.0, key2, 0.0, 0.0, -1.0, 0.0))
+    elif math.isfinite(cons.k2_max):
+        rows.append((0.0, (z * key2 - cons.k2_max * n2) / c2, 0.0, 1.0, 0.0,
+                     0.0))
+    return rows
+
+
+def _r3_solve(t, a, cons: Constraints, z: float, c2: float, phase1: bool):
+    """HiGHS optimum over (p >= 0, s, e) with sum p = 1: max s with e = 0,
+    or in phase 1 min e."""
+    rows = _r3_rows(cons, z, c2, t)
+    n = len(a)
+    a_ub = np.zeros((len(rows), n + 2))
+    for i, (const, lin, quad, s, e, _) in enumerate(rows):
+        a_ub[i, :n] = const + a * lin + a * a * quad
+        a_ub[i, n:] = s, e
+    cost = np.zeros(n + 2)
+    cost[n + 1 if phase1 else n] = 1.0 if phase1 else -1.0
+    return linprog(cost, A_ub=a_ub, b_ub=[r[5] for r in rows],
+                   A_eq=np.append(np.ones(n), [0.0, 0.0])[None, :], b_eq=[1.0],
+                   bounds=[(0, None)] * n + [(None, None),
+                                             (0, None if phase1 else 0)],
+                   method="highs", options=_LP_OPTIONS)
+
+
+def _r3_price(res, cons: Constraints, z: float, c2: float, t):
+    """(reduced cost, a) of the cheapest column at each (lam, law) of the
+    terms t under the duals of ``res``.  The reduced cost is
+    beta + alpha a + gamma a^2 with gamma >= 0, so a = -alpha / (2 gamma)
+    (capped) when alpha < 0.  Every row is linear in the terms (n1, n2,
+    key1, key2, chi, info), so the rows at unit terms give the
+    coefficients of beta, alpha and gamma."""
+    unit = _r3_rows(cons, z, c2, tuple(np.eye(6)) + (None,))
+    parts = []
+    for k in range(3):                               # const, lin, quad
+        coef = -sum(y * np.broadcast_to(r[k], 6)
+                    for y, r in zip(res.ineqlin.marginals, unit))
+        parts.append(sum((c * v for c, v in zip(coef, t[:6]) if c != 0),
+                         np.float64(0.0)))
+    beta, alpha, gamma = parts
+    beta = beta - res.eqlin.marginals[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(gamma > 0, -alpha / (2.0 * gamma), math.inf)
+        a = np.where(t[6] & (alpha < 0),
+                     np.minimum(a, _R3_U_MAX / np.sqrt(t[4])), 0.0)
+    return beta + alpha * a + gamma * a * a, a
+
+
+def _r3_columns(res, cons: Constraints, z: float, c2: float,
+                tab: _PhaseTerms, scan):
+    """[(reduced cost, lam, q, a)] of cheap columns: up to _R3_STARTS scan
+    minima at least _R3_APART apart, each refined by _R3_ZOOM local grids
+    of 21 lam points by q and its neighbours, all starts in one batch."""
+    lam, q, laws, h = scan
+    rc, a = np.empty((2, len(lam), len(q)))
+    for b in range(0, len(lam), _R3_BLOCK):          # bounds the temporaries
+        rc[b:b + _R3_BLOCK], a[b:b + _R3_BLOCK] = _r3_price(
+            res, cons, z, c2, _PhaseTerms.terms(lam[b:b + _R3_BLOCK, None],
+                                                laws))
+    found = []
+    for _ in range(_R3_STARTS):
+        i, j = np.unravel_index(np.argmin(rc), rc.shape)
+        found.append((float(rc[i, j]), float(lam[i]), q[j], float(a[i, j])))
+        rc[(np.abs(lam - lam[i]) < _R3_APART)[:, None]
+           & (np.abs(q - q[j]).max(axis=1) < _R3_APART)[None, :]] = math.inf
+    h_lam = 1.0 / (len(lam) - 1)
+    for _ in range(_R3_ZOOM):
+        lam_loc = np.array([np.linspace(max(0.0, f[1] - h_lam),
+                                        min(1.0, f[1] + h_lam), 21)
+                            for f in found])
+        q_loc = [_q_neighbours(f[2], h) for f in found]
+        m = max(len(x) for x in q_loc)      # pad with copies of the centre
+        q_loc = np.array([np.vstack([x] + [x[:1]] * (m - len(x)))
+                          for x in q_loc])
+        shape = (len(found), 1, m)
+        laws = [v.reshape(v.shape[:-1] + shape)
+                for v in tab.laws(q_loc.reshape(-1, q.shape[1]))]
+        rc, a = _r3_price(res, cons, z, c2,
+                          _PhaseTerms.terms(lam_loc[:, :, None], laws))
+        for s, f in enumerate(found):
+            k, n = np.unravel_index(np.argmin(rc[s]), rc[s].shape)
+            if rc[s, k, n] < f[0]:
+                found[s] = (float(rc[s, k, n]), float(lam_loc[s, k]),
+                            q_loc[s, n], float(a[s, k, n]))
+        h_lam, h = h_lam / 10.0, h / 10.0
+    return found
+
+
+def _r3_point(t, a, p, cons: Constraints):
+    """(r2, K2) of the LP point p with its densities scaled to G = 1."""
+    n2, key2, g = p @ (a * t[1]), p @ (a * t[3]), p @ (a * a * t[4])
+    if n2 <= 0 or g <= 0:
+        return 0.0, 0.0
+    r2 = SQRT2 * n2 / math.sqrt(g)
+    if key2 > 0:
+        r2 = min(r2, cons.k2_max * n2 / key2)
+    return r2, key2 / math.sqrt(g)
+
+
+def _r3_generate(tab: _PhaseTerms, cons: Constraints, scan, lam, q, a):
+    """Column generation from the columns (lam, q, a), pricing over
+    ``scan``: (p, lam, q, a, bound) of the last LP solved at a level z with
+    its columns priced.  None when HiGHS fails before that; raises
+    InfeasibleError when no columns meet the constraints.
+
+    z moves to the r2 of each LP point (Crouzeix, Ferland and Schaible,
+    1985, with the k2 row scaled by the point's K2 for superlinear
+    convergence) until max s <= _R3_S_TOL and no reduced cost is below
+    -_LP_RC_TOL.  ``bound`` >= r2 over all columns: with sum p = 1, the
+    LP's s plus the most negative reduced cost bounds max s over all
+    columns, and max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
+    """
+    z, c2 = 0.0, 1.0
+    phase1 = was_phase1 = False
+    last = None
+    for _ in range(_R3_MAX_ROUNDS):
+        t = _PhaseTerms.terms(lam, tab.laws(q))
+        res = _r3_solve(t, a, cons, z, c2, phase1)
+        if res.status == 2 and not was_phase1:
+            phase1 = was_phase1 = True      # find a feasible column set first
+            continue
+        if res.status != 0:
+            break
+        if phase1 and res.fun <= _R3_S_TOL:
+            phase1 = False
+            continue
+        cols = _r3_columns(res, cons, z, c2, tab, scan)
+        new = [c for c in cols if c[0] < -_LP_RC_TOL and not np.any(
+            (np.abs(lam - c[1]) <= 1e-12) & (np.abs(a - c[3]) <= 1e-12 * c[3])
+            & (np.abs(q - c[2]).max(axis=1) <= 1e-12))]
+        if phase1 and not new:
+            raise InfeasibleError(f"no plan meets {cons}", cons)
+        if not phase1:
+            rc = min([c[0] for c in cols], default=0.0)
+            w = min(1.0, cons.k2_max / (SQRT2 * c2)) if cons.k2_max > 0 else 1.0
+            last = (res.x[:-2], len(a),
+                    z + max(0.0, res.x[-2] + max(0.0, -rc)) / w)
+            if not new and res.x[-2] <= _R3_S_TOL:
+                break
+            r2, key2 = _r3_point(t, a, res.x[:-2], cons)
+            if r2 > z:
+                z, c2 = r2, (key2 if key2 > 0 else 1.0)
+        lam = np.append(lam, [c[1] for c in new])
+        q = np.vstack([q] + [c[2] for c in new])
+        a = np.append(a, [c[3] for c in new])
+    if last is None:
+        return None
+    p, n, bound = last
+    return p, lam[:n], q[:n], a[:n], bound
+
+
+def _r3_groups(p, q, tol: float) -> list:
+    """Support columns of p grouped by law: within ``tol`` (max-norm) of
+    the group's first column, in column order."""
+    groups = []
+    for j in np.flatnonzero(p > 1e-12 * p.max()):
+        for g in groups:
+            if np.abs(q[j] - q[g[0]]).max() <= tol:
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return groups
+
+
+def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str, max_phases: int):
+    """(plan, rates, bound) maximizing r2 at R3_min > 0, or None where the
+    LP gives no plan (see _lp_modes) or its support needs more than
+    ``max_phases`` laws.  Raises InfeasibleError when the LP is infeasible.
+
+    Column j = (lam, q, a) is a phase with time share p_j, the only LP
+    variable: N1, N2, K1, K2, G and R3 are all linear in p.  Columns come
+    from Dantzig-Wolfe / Gilmore-Gomory pricing (_r3_generate), which scans
+    a (lam, q) grid and refines its minima locally.  At x3_size 2 the scan
+    covers the whole 2-D domain; at x3_size >= 3 it is a heuristic over a
+    simplex lattice.  ``bound`` is an upper bound on r2 over all plans, up
+    to that pricing accuracy.
+
+    Support columns with laws within _R3_MERGE form one phase.  A second
+    generation, over lam only at each group's time-weighted law, makes the
+    columns of a phase share one law; they then merge into one phase at
+    their mass-weighted lam.  The numerators are linear in
+    (p a lam, p a (1 - lam)) and G is convex in (rho1, rho2), so the merge
+    keeps every numerator and does not raise G.
+    """
+    modes = _lp_modes(d, unit, None)
+    if modes is None:
+        return None
+    tab = _PhaseTerms(d, unit, *modes[:2])
+    k = d.x3_size
+    cap, q_cap = capacity_x3(d, unit=unit)
+    if cons.R3_min >= cap:    # only the capacity-achieving law can meet it
+        scan_q, step = q_cap[None, :], 0.0
     else:
-        b1 = _key_beta(cons.k1_max, key[0], dd)
-    b2 = _key_beta(cons.k2_max, key[1], dd)
-    if not (b1 > 0 and b2 > 0):
+        scan_q, step = _simplex_grid(k, _R3_SCAN - 1, _R3_SCAN_Q)
+    scan_lam = np.linspace(0.0, 1.0, _R3_SCAN)
+    scan = (scan_lam, scan_q, tab.laws(scan_q), step)
+    # seed: silent time and a coarse (lam, q) grid at a sqrt(chi2) = 1 on
+    # a q lattice plus the capacity-achieving law
+    seed_q = np.vstack([_simplex_grid(k, *_R3_SEED_Q)[0], q_cap])
+    seed_lam = np.linspace(0.0, 1.0, 5)
+    t = _PhaseTerms.terms(seed_lam[:, None], tab.laws(seed_q))
+    covert = t[6].ravel()
+    lam = np.concatenate([np.zeros(len(seed_q)),
+                          np.repeat(seed_lam, len(seed_q))[covert]])
+    q = np.vstack([seed_q, np.tile(seed_q, (len(seed_lam), 1))[covert]])
+    a = np.concatenate([np.zeros(len(seed_q)),
+                        1.0 / np.sqrt(t[4].ravel()[covert])])
+    found = _r3_generate(tab, cons, scan, lam, q, a)
+    if found is None:
         return None
-    plan = replace(plan, beta1=float(b1), beta2=float(b2))
-    rt = rate_tuple(d, plan, unit)
-    if not _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons):
+    p, lam, q, a, bound = found
+    groups = _r3_groups(p, q, _R3_MERGE)
+    if len(groups) > max_phases:
         return None
-    return plan, rt
+    # Polish: move each support column to its group's time-weighted law and
+    # generate columns over lam at those laws only, so that the columns of
+    # a phase share one law and merge exactly.
+    laws = np.array([p[g] @ q[g] / p[g].sum() for g in groups])
+    sup = np.concatenate(groups)
+    at = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    try:
+        found = _r3_generate(
+            tab, cons, (scan_lam, laws, tab.laws(laws), 0.0),
+            np.append(lam[sup], np.zeros(len(laws))),
+            np.vstack([laws[at], laws]), np.append(a[sup], np.zeros(len(laws))))
+    except InfeasibleError:
+        return None
+    if found is None:
+        return None
+    p, lam, q, a = found[:4]
+    groups = _r3_groups(p, q, 0.0)
+    time = np.array([p[g].sum() for g in groups])
+    plan = PhasePlan(
+        p_t=tuple(map(float, time / time.sum())),
+        p_x3_given_t=tuple(tuple(map(float, q[g[0]])) for g in groups),
+        rho1=tuple(float(p[g] @ (a * lam)[g] / tg)
+                   for g, tg in zip(groups, time)),
+        rho2=tuple(float(p[g] @ (a * (1.0 - lam))[g] / tg)
+                   for g, tg in zip(groups, time)))
+    found = _with_betas(d, plan, cons, unit)
+    return None if found is None else (*found, bound)
 
 
 def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
@@ -681,13 +1060,23 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
     one-hot modes (lam, x3); it is solved as a Charnes-Cooper LP (HiGHS)
     whose lam grid is refined by column generation.  The modes at each x3
     merge into one phase, so the plan has at most one phase per x3 symbol
-    and a single one in fix mode.  The ``restarts``, ``max_iter``, ``seed``
-    and ``workers`` fields of ``budget`` and ``warm_starts`` are then unused.
+    and a single one in fix mode.
 
-    Multi-start Nelder-Mead runs instead when ``R3_min > 0`` (with the
-    R3 = 0 LP plan as one more warm start), when the LP optimum needs more
-    than ``budget.max_phases`` phases, and when the LP cannot bound r2.
-    It is deterministic given ``budget.seed``: starts come from a scrambled
+    At ``R3_min > 0`` (optimize mode only: a fixed x3 symbol carries no R3,
+    so fix mode raises InfeasibleError at once) the LP is over phases
+    (lam, q, a) and their time shares, generated by pricing until no
+    reduced cost is negative; see _lp_max_r2_r3.  At x3_size 2 the pricing
+    covers the whole (lam, q) domain and the LP's upper bound certifies the
+    plan (to within 1e-8 on every channel tried); at x3_size >= 3 the
+    pricing is a heuristic lattice search.  Support phases with nearby x3
+    laws merge, so the plan has one phase per distinct law.
+
+    On both LP paths the ``restarts``, ``max_iter``, ``seed`` and
+    ``workers`` fields of ``budget`` and ``warm_starts`` are unused.
+    Multi-start Nelder-Mead runs instead when the LP optimum needs more
+    than ``budget.max_phases`` phases and when the LP cannot bound r2 (at
+    R3_min > 0 with the R3 = 0 LP plan as one more warm start).  It is
+    deterministic given ``budget.seed``: starts come from a scrambled
     Halton sequence and results are reduced by (value, canonical plan key),
     so the outcome does not depend on scheduling or worker count.
 
@@ -699,12 +1088,18 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
         _, fixed_x3 = x3_mode
         if not 0 <= fixed_x3 < d.x3_size:
             raise ValueError(f"fixed x3 {fixed_x3} out of range")
-    max_phases = max(1, min(budget.max_phases, MAX_PHASES))
+    max_phases = min(budget.max_phases, MAX_PHASES)
     if constraints.R3_min == 0:
         found = _lp_max_r2(d, constraints, unit, fixed_x3, max_phases)
         if found is not None:
             return found
+    elif fixed_x3 is not None:
+        raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
+                              f"meets {constraints}", constraints)
     else:
+        found = _lp_max_r2_r3(d, constraints, unit, max_phases)
+        if found is not None:
+            return found[:2]
         try:
             found = _lp_max_r2(d, replace(constraints, R3_min=0.0), unit,
                                fixed_x3, max_phases)
@@ -784,11 +1179,11 @@ def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
                 grid, budget: OptBudget = OptBudget(),
                 unit: str = DEFAULT_UNIT):
     """Boundary points (r2, R3): max r2 with R3_min swept over ``grid``."""
-    from .infotheory import capacity_x3
     cap, _ = capacity_x3(d, unit=unit)
     grid = sorted(float(g) for g in grid)
-    if grid and (grid[0] < -1e-12 or grid[-1] > cap + 1e-9):
-        raise ValueError(f"R3 grid must lie within [0, capacity={cap:.6f}]")
+    if not grid or not all(-1e-12 <= g <= cap + 1e-9 for g in grid):
+        raise ValueError(f"R3 grid must be non-empty and lie within "
+                         f"[0, capacity={cap:.6f}]")
     pts = []
     warm = ()
     for target in grid:
@@ -804,11 +1199,12 @@ def curve_r2_vs_k2(d: Dmc, r1_fixed: float, k1_max: float, k2_grid,
                    x3_mode="optimize", budget: OptBudget = OptBudget(),
                    unit: str = DEFAULT_UNIT):
     """Curve points (k2, r2): max r2 with the user-2 key rate capped."""
+    k2_grid = sorted(float(v) for v in k2_grid)
+    if not k2_grid or not all(k2 >= 0 for k2 in k2_grid):
+        raise ValueError("k2 grid must be non-empty and non-negative")
     pts = []
     warm = ()
-    for k2 in sorted(float(v) for v in k2_grid):
-        if k2 < 0:
-            raise ValueError("k2 grid must be non-negative")
+    for k2 in k2_grid:
         cons = Constraints(r1_min=r1_fixed, k1_max=k1_max, k2_max=k2)
         plan, rt = max_r2(d, cons, budget, unit, x3_mode=x3_mode,
                           warm_starts=warm)

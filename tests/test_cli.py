@@ -159,8 +159,16 @@ def test_paper_channel_alias(capsys):
      "--trials", "20"],
     ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "0",
      "--trials", "20", "--exact-delta"],
+    ["region", "--channel", "paper", "--r3-grid", "nan"],
+    ["curve", "--channel", "paper", "--r1", "nan", "--k2-grid", "0.5"],
+    ["curve", "--channel", "paper", "--k2-grid", "nan"],
+    ["region", "--channel", "paper", "--r3-grid", "0:0.1:0"],
+    ["curve", "--channel", "paper", "--k2-grid", "0:1:0"],
+    ["region", "--channel", "paper", "--r3-grid", "0", "--max-phases", "0"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
-        "simulate-n-zero", "simulate-n-zero-exact-delta"])
+        "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
+        "curve-nan-r1", "curve-nan-k2", "region-empty-grid",
+        "curve-empty-grid", "max-phases-zero"])
 def test_invalid_input_exit_3(capsys, plan_file, argv):
     code, out, err = run(capsys, *[plan_file if a == "PLAN" else a
                                    for a in argv])

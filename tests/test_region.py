@@ -25,6 +25,14 @@ ORACLE_FIX0_PLATEAU = 0.235901882351458     # r1>=0.1, k1<=0.8, k2<=1.0, x3=0
 ORACLE_OPT_PLATEAU = 1.09525502794079       # r1>=0.1, k1<=0.8, k2<=1.0
 ORACLE_CORNER = 0.807852807569945           # r1>=0.5, k1<=0.8, k2<=0.8
 
+# R3 > 0 optima of the exact column-generated LP (region._lp_max_r2_r3),
+# frozen before the direct search goes.  Each exceeds the direct search's
+# value at the acceptance suite's STRONG budget (recorded in CHANGES.md)
+# and lies within 1e-3 above the grid lower bound of lp_oracle.max_r2_r3.
+ORACLE_R3_CORNER = 0.606688252198   # r1>=0.5, R3>=0.1, k1<=0.8, k2<=0.8
+ORACLE_R3_LOW = 0.852515000651      # r1>=0.1, R3>=0.09, k1<=0.8, k2<=0.8
+ORACLE_R3_KEY = 0.980675917053      # r1>=0.1, R3>=0.05, k1<=0.8, k2<=0.3
+
 BUDGET = OptBudget(restarts=12, max_iter=2000, seed=2, max_phases=3)
 
 REF_PLAN = PhasePlan(p_t=(0.6, 0.4), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
@@ -382,6 +390,93 @@ def test_max_r2_lp_between_oracle_grids(seed, direct_searches):
                 assert q[fix_x3] == 1.0 and sum(q) == 1.0
         again, _ = max_r2(d, cons, replace(budget, workers=2), x3_mode=mode)
         assert again.to_json() == plan.to_json()
+    assert not direct_searches
+
+
+@pytest.fixture
+def lp_bounds(monkeypatch):
+    """List that gains the certified upper bound of every exact R3 > 0
+    solve."""
+    bounds = []
+    inner = region._lp_max_r2_r3
+
+    def recorded(*args):
+        out = inner(*args)
+        if out is not None:
+            bounds.append(out[2])
+        return out
+
+    monkeypatch.setattr(region, "_lp_max_r2_r3", recorded)
+    return bounds
+
+
+@pytest.mark.parametrize("want, cons", [
+    (ORACLE_R3_CORNER, Constraints(r1_min=0.5, R3_min=0.1, k1_max=0.8,
+                                   k2_max=0.8)),
+    (ORACLE_R3_LOW, Constraints(r1_min=0.1, R3_min=0.09, k1_max=0.8,
+                                k2_max=0.8)),
+    (ORACLE_R3_KEY, Constraints(r1_min=0.1, R3_min=0.05, k1_max=0.8,
+                                k2_max=0.3))], ids=["corner", "low", "key"])
+def test_max_r2_r3_reaches_frozen_optimum(paper, want, cons, direct_searches,
+                                          lp_bounds):
+    """R3 > 0 is solved exactly without direct search: the frozen optimum,
+    a certificate gap within 1e-6, and an independent grid lower bound
+    at most r2 and within 1e-3 of it."""
+    plan, rt = max_r2(paper, cons, BUDGET)
+    assert math.isclose(rt.r2, want, rel_tol=1e-6)
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert plan.tau <= BUDGET.max_phases
+    assert rt.r2 * (1 - 1e-9) <= lp_bounds[0] <= rt.r2 * (1 + 1e-6)
+    lower = lp_oracle.max_r2_r3(paper, cons.r1_min, cons.R3_min, cons.k1_max,
+                                cons.k2_max)
+    assert rt.r2 * (1 - 1e-3) <= lower <= rt.r2 * (1 + 1e-9)
+    assert not direct_searches
+
+
+@pytest.mark.parametrize("seed, frac", [(1, 0.3), (2, 0.55), (6, 0.8)])
+def test_max_r2_r3_exact_on_random_channels(seed, frac, direct_searches,
+                                            lp_bounds):
+    """On random channels (x3_size 2 and 3) with R3_min a fraction of the
+    capacity, max_r2 takes the exact path: caps met at 1e-9, at most
+    max_phases phases, r2 at least a grid oracle's lower bound, a
+    certificate gap within 1e-6 at x3_size 2 (the pricing is exhaustive
+    there), and the same bytes again and with two workers."""
+    d, cons, _ = random_problem(seed)
+    cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
+    budget = OptBudget()
+    plan, rt = max_r2(d, cons, budget)
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert plan.tau <= budget.max_phases
+    lower = lp_oracle.max_r2_r3(d, cons.r1_min, cons.R3_min, cons.k1_max,
+                                cons.k2_max, n_lambda=11, q_steps=10,
+                                u_grid=2.0 ** (np.arange(-12, 13) / 4))
+    assert rt.r2 >= lower * (1 - 1e-9)
+    if d.x3_size == 2:
+        assert abs(lp_bounds[0] - rt.r2) <= 1e-6 * rt.r2
+    assert max_r2(d, cons, budget)[0].to_json() == plan.to_json()
+    again, _ = max_r2(d, cons, replace(budget, workers=2))
+    assert again.to_json() == plan.to_json()
+    assert not direct_searches
+
+
+def test_trace_near_capacity_exact(paper, direct_searches, lp_bounds):
+    """The boundary up to capacity comes from the exact path; at capacity
+    only the capacity-achieving law is priced, and the bound still holds
+    to 1e-6."""
+    cap = cm.capacity_x3(paper)[0]
+    pts = trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.5 * cap, 0.99 * cap, cap],
+                      OptBudget(max_phases=3))
+    assert [r3 for _, r3 in pts] == [0.5 * cap, 0.99 * cap, cap]
+    assert pts[0][0] > pts[1][0] > pts[2][0] > 0
+    assert abs(lp_bounds[2] - pts[2][0]) <= 1e-6 * pts[2][0]
+    assert not direct_searches
+
+
+def test_max_r2_fix_mode_with_r3_infeasible_at_once(paper, direct_searches):
+    """One-hot x3 rows carry no R3, so fix mode with R3_min > 0 is
+    infeasible before any search."""
+    with pytest.raises(InfeasibleError):
+        max_r2(paper, Constraints(R3_min=0.05), BUDGET, x3_mode=("fix", 0))
     assert not direct_searches
 
 
