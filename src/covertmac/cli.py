@@ -72,14 +72,7 @@ def _load(args):
 
 
 def _budget(args) -> OptBudget:
-    return OptBudget(restarts=args.restarts, max_iter=args.max_iter,
-                     seed=args.seed, max_phases=args.max_phases,
-                     workers=args.threads)
-
-
-def _budget_fields(b: OptBudget) -> dict:
-    return {"restarts": b.restarts, "max_iter": b.max_iter,
-            "max_phases": b.max_phases}
+    return OptBudget(max_phases=args.max_phases)
 
 
 def _parse_grid(spec: str):
@@ -121,7 +114,7 @@ def cmd_region(args) -> int:
     pts = trace_r2_R3(d, args.r1, args.k1_max, args.k2_max, grid,
                       _budget(args), args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max, "k2_max": args.k2_max,
-             **_budget_fields(_budget(args))}
+             "max_phases": args.max_phases}
     lines = [_manifest(args, d, extra), "r2,R3"]
     lines += [f"{r2:.12g},{r3:.12g}" for r2, r3 in pts]
     _emit(args, lines)
@@ -136,7 +129,7 @@ def cmd_curve(args) -> int:
                          _budget(args), args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max,
              "x3_mode": "optimize" if args.fix_x3 is None else f"fix{args.fix_x3}",
-             **_budget_fields(_budget(args))}
+             "max_phases": args.max_phases}
     lines = [_manifest(args, d, extra), "k2,r2"]
     lines += [f"{k2:.12g},{r2:.12g}" for k2, r2 in pts]
     _emit(args, lines)
@@ -239,10 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        if budget:
-            p.add_argument("--restarts", type=int, default=64)
-            p.add_argument("--max-iter", type=int, default=4000)
-            p.add_argument("--max-phases", type=int, default=6)
+        if budget:      # --restarts and --max-iter are accepted and ignored
+            p.add_argument("--restarts", type=int, default=64,
+                           help=argparse.SUPPRESS)
+            p.add_argument("--max-iter", type=int, default=4000,
+                           help=argparse.SUPPRESS)
+            p.add_argument("--max-phases", type=int, default=6,
+                           help="1, or at least the optimum's phase count")
 
     p = sub.add_parser("profile", help="divergence profile and chi-square table")
     common(p)

@@ -1,6 +1,6 @@
 """Asymptotic rate/key tuples over multi-phase coding plans, finite-blocklength
-sizing, and boundary tracing by column-generated linear programs, with
-multi-start direct search as the fallback.
+sizing, and boundary tracing by column-generated linear programs, with a
+closed-form single-phase search where a plan must have one phase.
 
 A plan multiplexes up to six phases.  Phase t runs for a fraction p_t of the
 blocklength, gives the non-covert user symbol frequencies p_x3_given_t, and
@@ -32,18 +32,18 @@ their time shares p: the numerators, G = D^2 and R3 are all linear in p.
 Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
 ratios, solved by a Dinkelbach-type iteration; new columns come from a
 closed-form minimum of the reduced cost over a and a scan over (lam, q).
+A single phase has r2 in closed form in lam at each law q, searched over q.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog, minimize, minimize_scalar
-from scipy.stats import qmc
+# minimize is unused here; the benchmark's --trace 1 resolves it by name
+from scipy.optimize import linprog, minimize, minimize_scalar  # noqa: F401
 
 from .channel import Dmc, SIDE_Y
 from .infotheory import (DEFAULT_UNIT, capacity_x3, chi_square,
@@ -54,7 +54,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 class InfeasibleError(Exception):
-    """No plan satisfying the constraints was found within the budget."""
+    """No plan meets the constraints."""
 
     def __init__(self, message: str, constraints=None):
         super().__init__(message)
@@ -75,10 +75,6 @@ class PhasePlan:
     @property
     def tau(self) -> int:
         return len(self.p_t)
-
-    @property
-    def no_covert(self) -> bool:
-        return all(r1 + r2 == 0 for r1, r2 in zip(self.rho1, self.rho2))
 
     def validate(self, x3_size: int | None = None) -> None:
         tau = self.tau
@@ -105,13 +101,6 @@ class PhasePlan:
         return replace(self, rho1=tuple(c * r for r in self.rho1),
                        rho2=tuple(c * r for r in self.rho2))
 
-    def canonical_key(self) -> tuple:
-        rnd = lambda x: round(float(x), 12)
-        return (self.tau, tuple(map(rnd, self.p_t)),
-                tuple(tuple(map(rnd, q)) for q in self.p_x3_given_t),
-                tuple(map(rnd, self.rho1)), tuple(map(rnd, self.rho2)),
-                rnd(self.beta1), rnd(self.beta2))
-
     def to_dict(self) -> dict:
         return {"p_t": list(self.p_t),
                 "p_x3_given_t": [list(q) for q in self.p_x3_given_t],
@@ -128,10 +117,6 @@ class PhasePlan:
                    rho1=tuple(doc["rho1"]), rho2=tuple(doc["rho2"]),
                    beta1=float(doc.get("beta1", 1.0)),
                    beta2=float(doc.get("beta2", 1.0)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhasePlan":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def single_phase(cls, p_x3, rho1: float, rho2: float,
@@ -270,11 +255,7 @@ class Constraints:
 
 @dataclass(frozen=True)
 class OptBudget:
-    restarts: int = 64
-    max_iter: int = 4000
-    seed: int = 0
     max_phases: int = MAX_PHASES
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_phases < 1:
@@ -282,9 +263,6 @@ class OptBudget:
 
 
 _FEAS_SLACK = 1e-9
-_PENALTY_L1 = 1e2   # exact penalty: dominates every rate/constraint slope
-_PENALTY_L2 = 1e4   # smooth far-field guidance
-_MARGIN = 1e-6      # penalties aim slightly inside the feasible set
 
 
 def _chi2_coefficients(d: Dmc) -> np.ndarray:
@@ -305,209 +283,9 @@ def _chi2_coefficients(d: Dmc) -> np.ndarray:
     return coef
 
 
-class _PlanSpace:
-    """Maps a flat search vector to plan quantities for one phase count.
-
-    Layout: [p_raw(tau) | a_raw(tau) | lam(tau) | q_raw(tau*K) | b_raw(2)],
-    with q omitted when x3 is pinned.  Raws are folded by abs() and
-    normalized, so Nelder-Mead can roam freely.  The evaluator is scalar
-    Python: the arrays are tiny and numpy overhead dominates otherwise.
-    """
-
-    def __init__(self, d: Dmc, unit: str, tau: int, fixed_x3: int | None = None):
-        self.d = d
-        self.tau = tau
-        self.K = d.x3_size
-        self.fixed_x3 = fixed_x3
-        prof = divergence_profile(d, unit)
-        self.dy1 = prof.d_y1.tolist()
-        self.dy2 = prof.d_y2.tolist()
-        self.dzy1 = prof.d_zy1.tolist()
-        self.dzy2 = prof.d_zy2.tolist()
-        self.fac = unit_factor(unit)
-        self.sub_y = [d.row(SIDE_Y, 0, 0, x).tolist() for x in range(self.K)]
-        self.neg_h = [sum(v * math.log(v) for v in row if v > 0)
-                      for row in self.sub_y]
-        self.chiA, self.chiB, self.chiC = _chi2_coefficients(d).tolist()
-
-    @property
-    def dim(self) -> int:
-        nq = 0 if self.fixed_x3 is not None else self.tau * self.K
-        return 3 * self.tau + nq + 2
-
-    def _split(self, theta):
-        t, K = self.tau, self.K
-        v = [float(x) for x in theta]
-        p = [abs(x) for x in v[:t]]
-        a = [abs(x) for x in v[t:2 * t]]
-        lam = [min(1.0, max(0.0, x)) for x in v[2 * t:3 * t]]
-        if self.fixed_x3 is None:
-            q = []
-            for i in range(t):
-                row = [abs(x) for x in v[3 * t + i * K:3 * t + (i + 1) * K]]
-                s = sum(row)
-                q.append([x / s for x in row] if s > 0 else [1.0 / K] * K)
-        else:
-            row = [0.0] * K
-            row[self.fixed_x3] = 1.0
-            q = [row] * t
-        b = [min(1.0, max(1e-9, abs(x))) for x in v[-2:]]
-        ps = sum(p)
-        p = [x / ps for x in p] if ps > 0 else [1.0 / t] * t
-        scale = sum(pi * ai for pi, ai in zip(p, a))
-        if scale > 0:
-            a = [x / scale for x in a]
-        return p, a, lam, q, b
-
-    def _mi_phase(self, q) -> float:
-        """I(X3;Y) for one phase's x3 law, in nats."""
-        acc = 0.0
-        hy = 0.0
-        ny = len(self.sub_y[0])
-        for j in range(ny):
-            py = 0.0
-            for x in range(self.K):
-                py += q[x] * self.sub_y[x][j]
-            if py > 0:
-                hy -= py * math.log(py)
-        for x in range(self.K):
-            acc += q[x] * self.neg_h[x]
-        return max(0.0, acc + hy)
-
-    def rates(self, theta):
-        p, a, lam, q, b = self._split(theta)
-        dsq = 0.0
-        n1 = n2 = key1 = key2 = 0.0
-        r3 = 0.0
-        for t in range(self.tau):
-            pt, at, lt = p[t], a[t], lam[t]
-            qt = q[t]
-            r3 += pt * self._mi_phase(qt)
-            if at == 0.0 or pt == 0.0:
-                continue
-            d1 = d2 = z1 = z2 = chib = 0.0
-            for x in range(self.K):
-                w = qt[x]
-                if w == 0.0:
-                    continue
-                d1 += w * self.dy1[x]
-                d2 += w * self.dy2[x]
-                z1 += w * self.dzy1[x]
-                z2 += w * self.dzy2[x]
-                chib += w * (self.chiA[x] * lt * lt
-                             + 2.0 * self.chiB[x] * lt * (1.0 - lt)
-                             + self.chiC[x] * (1.0 - lt) * (1.0 - lt))
-            rho1, rho2 = lt * at, (1.0 - lt) * at
-            n1 += pt * rho1 * d1
-            n2 += pt * rho2 * d2
-            key1 += pt * rho1 * z1
-            key2 += pt * rho2 * z2
-            dsq += pt * at * at * chib
-        if not math.isfinite(dsq):
-            return None
-        r3 /= self.fac
-        if dsq == 0.0:
-            if n1 == 0.0 and n2 == 0.0:
-                return 0.0, 0.0, r3, 0.0, 0.0
-            return None
-        dd = math.sqrt(dsq)
-        return (SQRT2 * b[0] * n1 / dd, SQRT2 * b[1] * n2 / dd, r3,
-                max(0.0, SQRT2 * b[0] * key1 / dd),
-                max(0.0, SQRT2 * b[1] * key2 / dd))
-
-    def to_plan(self, theta) -> PhasePlan:
-        p, a, lam, q, b = self._split(theta)
-        return PhasePlan(p_t=tuple(p),
-                         p_x3_given_t=tuple(tuple(row) for row in q),
-                         rho1=tuple(l * x for l, x in zip(lam, a)),
-                         rho2=tuple((1 - l) * x for l, x in zip(lam, a)),
-                         beta1=b[0], beta2=b[1])
-
-
-def _objective(space: _PlanSpace, cons: Constraints):
-    # aim a hair inside the feasible set so converged optima pass the exact check
-    r1_t = cons.r1_min * (1 + _MARGIN)
-    r3_t = cons.R3_min * (1 + _MARGIN)
-    k1_t = cons.k1_max / (1 + _MARGIN) if math.isfinite(cons.k1_max) else cons.k1_max
-    k2_t = cons.k2_max / (1 + _MARGIN) if math.isfinite(cons.k2_max) else cons.k2_max
-
-    def f(theta):
-        out = space.rates(theta)
-        if out is None:
-            return 1e9
-        r1, r2, r3, k1, k2 = out
-        v = (max(0.0, r1_t - r1) + max(0.0, r3_t - r3)
-             + max(0.0, k1 - k1_t) + max(0.0, k2 - k2_t))
-        return -r2 + _PENALTY_L1 * v + _PENALTY_L2 * v * v
-    return f
-
-
 def _feasible(rt, cons: Constraints, slack: float = _FEAS_SLACK) -> bool:
     return (rt[0] >= cons.r1_min - slack and rt[2] >= cons.R3_min - slack
             and rt[3] <= cons.k1_max + slack and rt[4] <= cons.k2_max + slack)
-
-
-def _plan_to_theta(space: _PlanSpace, plan: PhasePlan) -> np.ndarray | None:
-    if plan.tau > space.tau:
-        return None
-    t = space.tau
-    p = np.full(t, 1e-12)
-    a = np.zeros(t)
-    lam = np.full(t, 0.5)
-    q = np.full((t, space.K), 1.0 / space.K)
-    for i in range(plan.tau):
-        p[i] = max(plan.p_t[i], 1e-12)
-        tot = plan.rho1[i] + plan.rho2[i]
-        a[i] = tot
-        lam[i] = plan.rho1[i] / tot if tot > 0 else 0.5
-        q[i] = plan.p_x3_given_t[i]
-    parts = [p, a, lam]
-    if space.fixed_x3 is None:
-        parts.append(q.ravel())
-    parts.append(np.array([plan.beta1, plan.beta2]))
-    return np.concatenate(parts)
-
-
-def _search_one(args):
-    d, unit, tau, fixed_x3, cons, theta0, max_iter = args
-    space = _PlanSpace(d, unit, tau, fixed_x3)
-    obj = _objective(space, cons)
-    x = np.asarray(theta0, dtype=float)
-    best_f = obj(x)
-    for _ in range(2):                       # iterated restart fights NM stalls
-        res = minimize(obj, x, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-9,
-                                "fatol": 1e-12, "adaptive": True})
-        if res.fun >= best_f - 1e-12:
-            x, best_f = res.x, min(best_f, res.fun)
-            break
-        x, best_f = res.x, res.fun
-    out = space.rates(x)
-    if out is None or not _feasible(out, cons):
-        return None
-    return out[1], space.to_plan(x)
-
-
-def _structured_starts(space: _PlanSpace) -> list[np.ndarray]:
-    """Deterministic seeds: per-user phases, mixed phases, one-hot x3 rows."""
-    t, K = space.tau, space.K
-    starts = []
-    lam_patterns = [np.full(t, 0.3),
-                    np.array([1.0 if i % 2 == 0 else 0.0 for i in range(t)])]
-    q_patterns = [np.full((t, K), 1.0 / K)]
-    if K > 1:
-        hot = np.full((t, K), 0.05 / max(1, K - 1))
-        for i in range(t):
-            hot[i, i % K] = 0.95
-        q_patterns.append(hot)
-    for lam in lam_patterns:
-        for q in q_patterns:
-            parts = [np.full(t, 1.0 / t), np.ones(t), lam]
-            if space.fixed_x3 is None:
-                parts.append(q.ravel())
-            parts.append(np.array([0.999, 0.999]))
-            starts.append(np.concatenate(parts))
-    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +369,9 @@ def _price(prof, coef, cons: Constraints, res, x: int):
 
 
 def _key_beta(cap: float, key: float, dd: float) -> float:
-    """Largest beta in (0, 1] with sqrt2 * beta * key / dd <= cap."""
-    if key <= 0 or SQRT2 * key <= cap * dd:
+    """Largest beta in (0, 1] with sqrt2 * beta * key / dd <= cap (every
+    beta when dd = 0: the plan is perfectly covert, with zero key rates)."""
+    if key <= 0 or dd == 0 or SQRT2 * key <= cap * dd:
         return 1.0
     return cap * dd / (SQRT2 * key)
 
@@ -624,12 +403,12 @@ def _lp_modes(d: Dmc, unit: str, fixed_x3: int | None):
 
 def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     """(plan, rates) with beta1, beta2 set from the plan's own numerators:
-    the smallest beta1 that meets r1_min (or the largest under the k1 cap
-    when r1_min = 0) and the largest beta2 under the k2 cap; None when a
-    beta would be 0 or the plan misses a cap by more than _FEAS_SLACK."""
+    the smallest beta1 that meets r1_min (the largest under the k1 cap when
+    r1_min = 0 or r1 = inf) and the largest beta2 under the k2 cap; None
+    when a beta would be 0 or the plan misses a cap by more than 1e-9."""
     num, key, dsq, _ = _plan_quantities(d, plan, unit)
     dd = math.sqrt(dsq)
-    if cons.r1_min > 0:                 # the smallest beta1 that meets r1_min
+    if cons.r1_min > 0 and dd > 0 and math.isfinite(num[0]):
         b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
     else:
         b1 = _key_beta(cons.k1_max, key[0], dd)
@@ -643,12 +422,10 @@ def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     return plan, rt
 
 
-def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
-               max_phases: int):
+def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
     """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
-    Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes)
-    or needs more phases than ``max_phases``.  Raises InfeasibleError when
-    the LP is infeasible."""
+    Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes).
+    Raises InfeasibleError when the LP is infeasible."""
     modes = _lp_modes(d, unit, fixed_x3)
     if modes is None:
         return None
@@ -684,8 +461,6 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None,
     v = res.x[:-1]
     on = v > 1e-12 * v.max()
     x_on = np.unique(x[on])
-    if len(x_on) > max_phases:
-        return None
     mass = np.array([v[on & (x == xx)].sum() for xx in x_on])
     lam_on = np.array([v[on & (x == xx)] @ lam[on & (x == xx)]
                        for xx in x_on]) / mass
@@ -719,6 +494,7 @@ _R3_U_MAX = 1e3          # cap on a sqrt(chi2) of a priced column
 _R3_S_TOL = 1e-12        # Dinkelbach stops once max s is below this
 _R3_MAX_ROUNDS = 300
 _R3_MERGE = 1e-3         # support q rows this close (max-norm) share a phase
+_ONE_STEP_MIN = 1e-10    # a single-phase law search stops below this step
 
 
 def _xlogx(v):
@@ -755,24 +531,34 @@ class _PhaseTerms:
     rho1 = a lam and rho2 = a (1 - lam).  It adds p a n1, p a n2, p a key1,
     p a key2 to the numerators, p a^2 chi to G = D^2 and p I(q) to R3.
     Symbols where the warden's support is violated get zero divergences;
-    a law that sends them can only be silent.
+    a law that sends them can only be silent.  Where the receiver's support
+    is violated (D_Y = inf, D_Z - D_Y = -inf), a law that sends the symbol
+    gets the infinite term.
     """
 
     def __init__(self, d: Dmc, unit: str, prof, coef):
         self.ok = np.isfinite(coef[0])
-        self.divs = np.where(self.ok, np.array([prof.d_y1, prof.d_y2,
-                                                prof.d_zy1, prof.d_zy2]), 0.0)
+        divs = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
+        fin = np.isfinite(divs) | ~self.ok
+        self.divs = np.where(fin & self.ok, divs, 0.0)
+        self.inf = np.where(fin, 0.0, divs)
         self.coef = np.where(self.ok, coef, 0.0)
         self.sub = np.array([d.row(SIDE_Y, 0, 0, x) for x in range(d.x3_size)])
         self.neg_h = _xlogx(self.sub).sum(axis=1)
         self.fac = unit_factor(unit)
 
+    def info(self, q):
+        """I(q) per law (rows of q)."""
+        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
+        return np.maximum(info, 0.0) / self.fac
+
     def laws(self, q):
         """Per law (rows of q): q . divergences, q . (A, B, C), I(q) and
         whether covert use is allowed."""
-        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
-        return (self.divs @ q.T, self.coef @ q.T,
-                np.maximum(info, 0.0) / self.fac, q[:, ~self.ok].sum(axis=1) == 0)
+        dq = np.where((self.inf != 0) @ q.T > 0,
+                      self.inf.sum(axis=1)[:, None], self.divs @ q.T)
+        return (dq, self.coef @ q.T, self.info(q),
+                q[:, ~self.ok].sum(axis=1) == 0)
 
     @staticmethod
     def terms(lam, laws):
@@ -972,10 +758,10 @@ def _r3_groups(p, q, tol: float) -> list:
     return groups
 
 
-def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str, max_phases: int):
+def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     """(plan, rates, bound) maximizing r2 at R3_min > 0, or None where the
-    LP gives no plan (see _lp_modes) or its support needs more than
-    ``max_phases`` laws.  Raises InfeasibleError when the LP is infeasible.
+    LP gives no plan (see _lp_modes).  Raises InfeasibleError when the LP
+    is infeasible.
 
     Column j = (lam, q, a) is a phase with time share p_j, the only LP
     variable: N1, N2, K1, K2, G and R3 are all linear in p.  Columns come
@@ -1020,8 +806,6 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str, max_phases: int):
         return None
     p, lam, q, a, bound = found
     groups = _r3_groups(p, q, _R3_MERGE)
-    if len(groups) > max_phases:
-        return None
     # Polish: move each support column to its group's time-weighted law and
     # generate columns over lam at those laws only, so that the columns of
     # a phase share one law and merge exactly.
@@ -1051,37 +835,119 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str, max_phases: int):
     return None if found is None else (*found, bound)
 
 
+# ---------------------------------------------------------------------------
+# one phase: lam in closed form per x3 law, a pattern search over laws
+
+
+def _one_phase_r2(laws, cons: Constraints):
+    """(r2, lam) of the best single phase at each law of ``laws`` (from
+    _PhaseTerms.laws); r2 = -inf where no lam meets the constraints.
+
+    In u = lam / (1 - lam), r2 = sqrt2 d2 / sqrt(A u^2 + 2B u + C) (capped
+    at k2_max d2 / key2 by beta2) peaks at u = -B / A.  The smallest beta1
+    meeting r1_min gives k1 = r1_min key1 / d1, a law scalar, and beta1 <= 1
+    is C s^2 + 2B s + A - 2 (d1 / r1_min)^2 <= 0 in s = 1 / u: an interval
+    of u.  The peak clipped to it is best; the edges and u = 1 (for
+    infinite terms) are tried too."""
+    (d1, d2, key1, key2), (A, B, C), info, ok = laws
+    r1 = cons.r1_min
+    feas = ok & (info >= cons.R3_min - 1e-3 * _FEAS_SLACK)
+    u_lo, u_hi = np.zeros_like(A), np.full_like(A, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r1 > 0:
+            c0 = A - 2.0 * (d1 / r1) ** 2
+            root = np.sqrt(B * B - C * c0)
+            s_lo = np.where(C > 0, (-B - root) / C, 0.0)
+            s_hi = np.where(C > 0, (-B + root) / C, math.inf)
+            feas &= ((d1 > 0) & ~(r1 * key1 > cons.k1_max * d1)
+                     & np.where(C > 0, s_hi >= 0, c0 <= 0))
+            u_lo, u_hi = 1.0 / s_hi, 1.0 / np.maximum(s_lo, 0.0)
+        elif cons.k1_max == 0:
+            u_hi = np.where(key1 > 0, 0.0, u_hi)
+        u = np.clip([u_lo, u_hi, np.where(A > 0, -B / A, 0.0), A * 0 + 1.0],
+                    u_lo, u_hi)
+        lam = np.where(np.isinf(u), 1.0, u / (1.0 + u))
+        _, n2, _, _, chi, _, _ = _PhaseTerms.terms(lam, laws)
+        r2 = np.where(n2 > 0, SQRT2 * n2 / np.sqrt(np.maximum(chi, 0.0)), 0.0)
+        capped = (key2 > 0) & (n2 > 0) & (chi > 0)
+        r2 = np.where(capped, np.minimum(r2, cons.k2_max * d2 / key2), r2)
+    bad = (~feas | (capped & (cons.k2_max == 0)) | ((r1 > 0) & (lam == 0))
+           | np.isnan(r2))
+    r2 = np.where(bad, -math.inf, r2)
+    best = np.argmax(r2, axis=0), np.arange(r2.shape[1])
+    return r2[best], lam[best]
+
+
+def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
+                      fixed_x3: int | None = None):
+    """(plan, rates) of the best single phase, else InfeasibleError.  lam is
+    exact per law; laws are searched as _r3_columns prices: a lattice and the
+    capacity_x3 law (it alone at R3_min >= capacity), then the best
+    _R3_STARTS laws _R3_APART apart, each refined by a pattern search whose
+    step shrinks only when its centre stops moving (exact at x3_size 2)."""
+    tab = _PhaseTerms(d, unit, divergence_profile(d, unit),
+                      _chi2_coefficients(d))
+    cap, q_cap = capacity_x3(d, unit=unit)
+    if fixed_x3 is not None:            # R3_min = 0 and a one-hot law
+        cap, q_cap = 0.0, np.eye(d.x3_size)[fixed_x3]
+    grid, step = q_cap[None, :], 0.0
+    if cons.R3_min < cap:
+        grid, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
+        grid = np.vstack([grid, q_cap])
+
+    def value(q):
+        """(q, r2), laws short of R3_min moved in place toward q_cap."""
+        low = tab.info(q) < cons.R3_min
+        hi = np.ones((int(low.sum()), 1))
+        for i in range(1, 41 if low.any() else 1):  # bisect: I is concave
+            t = hi - 0.5 ** i
+            hi = np.where(tab.info((1.0 - t) * q[low] + t * q_cap)[:, None]
+                          >= cons.R3_min, t, hi)
+        q[low] = (1.0 - hi) * q[low] + hi * q_cap
+        return q, _one_phase_r2(tab.laws(q), cons)[0]
+
+    grid, r2 = value(grid)
+    starts = []                              # [law, r2, step]
+    while len(starts) < _R3_STARTS and r2.max() > -math.inf:
+        j = int(np.argmax(r2))
+        starts.append([grid[j], r2[j], step])
+        r2[np.abs(grid - grid[j]).max(axis=1) < _R3_APART] = -math.inf
+    for _ in range(400):     # a guard; starts end below _ONE_STEP_MIN
+        live = [s for s in starts if s[2] > _ONE_STEP_MIN]
+        if not live:
+            break
+        near = [_q_neighbours(s[0], s[2]) for s in live]
+        cut = np.cumsum([len(x) for x in near])[:-1]
+        q, val = value(np.vstack(near))
+        for s, qs, vs in zip(live, np.split(q, cut), np.split(val, cut)):
+            j = int(np.argmax(vs))
+            if vs[j] > s[1]:
+                s[0], s[1] = qs[j], vs[j]
+            else:
+                s[2] /= 10.0
+    for q, _, _ in sorted(starts, key=lambda s: -s[1]):
+        lam = float(_one_phase_r2(tab.laws(q[None, :]), cons)[1][0])
+        found = _with_betas(d, PhasePlan.single_phase(
+            tuple(map(float, q)), lam, 1.0 - lam), cons, unit)
+        if found is not None:
+            return found
+    raise InfeasibleError(f"no single-phase plan meets {cons}", cons)
+
+
 def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
-           unit: str = DEFAULT_UNIT, x3_mode="optimize",
-           warm_starts: tuple = ()) -> tuple[PhasePlan, RateTuple]:
-    """Feasible plan maximizing r2, with its rate tuple.
+           unit: str = DEFAULT_UNIT,
+           x3_mode="optimize") -> tuple[PhasePlan, RateTuple]:
+    """Feasible plan maximizing r2, with its rate tuple; InfeasibleError
+    when no plan meets the constraints.
 
-    At ``R3_min == 0`` the problem is a linear-fractional program over
-    one-hot modes (lam, x3); it is solved as a Charnes-Cooper LP (HiGHS)
-    whose lam grid is refined by column generation.  The modes at each x3
-    merge into one phase, so the plan has at most one phase per x3 symbol
-    and a single one in fix mode.
-
-    At ``R3_min > 0`` (optimize mode only: a fixed x3 symbol carries no R3,
-    so fix mode raises InfeasibleError at once) the LP is over phases
-    (lam, q, a) and their time shares, generated by pricing until no
-    reduced cost is negative; see _lp_max_r2_r3.  At x3_size 2 the pricing
-    covers the whole (lam, q) domain and the LP's upper bound certifies the
-    plan (to within 1e-8 on every channel tried); at x3_size >= 3 the
-    pricing is a heuristic lattice search.  Support phases with nearby x3
-    laws merge, so the plan has one phase per distinct law.
-
-    On both LP paths the ``restarts``, ``max_iter``, ``seed`` and
-    ``workers`` fields of ``budget`` and ``warm_starts`` are unused.
-    Multi-start Nelder-Mead runs instead when the LP optimum needs more
-    than ``budget.max_phases`` phases and when the LP cannot bound r2 (at
-    R3_min > 0 with the R3 = 0 LP plan as one more warm start).  It is
-    deterministic given ``budget.seed``: starts come from a scrambled
-    Halton sequence and results are reduced by (value, canonical plan key),
-    so the outcome does not depend on scheduling or worker count.
-
-    Raises InfeasibleError when the LP is infeasible or no start lands in
-    the feasible set.
+    The exact plan is an LP optimum over one-hot modes at R3_min = 0
+    (_lp_max_r2: a phase per x3 symbol used) or over phases (lam, q, a) at
+    R3_min > 0 (_lp_max_r2_r3: optimize mode only; certified at x3_size 2).
+    It is returned when its tau* phases fit ``budget.max_phases``; at
+    max_phases = 1 the best single phase (_one_phase_max_r2) is returned,
+    and a cap from 2 to tau* - 1 raises ValueError.  The single-phase search
+    also runs where the LP gives no plan: an infinite divergence, or a mode
+    the warden cannot see, which makes r2 unbounded (r2 = inf).
     """
     fixed_x3 = None
     if x3_mode != "optimize":
@@ -1090,89 +956,30 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
             raise ValueError(f"fixed x3 {fixed_x3} out of range")
     max_phases = min(budget.max_phases, MAX_PHASES)
     if constraints.R3_min == 0:
-        found = _lp_max_r2(d, constraints, unit, fixed_x3, max_phases)
-        if found is not None:
-            return found
+        found = _lp_max_r2(d, constraints, unit, fixed_x3)
     elif fixed_x3 is not None:
         raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
                               f"meets {constraints}", constraints)
     else:
-        found = _lp_max_r2_r3(d, constraints, unit, max_phases)
-        if found is not None:
-            return found[:2]
-        try:
-            found = _lp_max_r2(d, replace(constraints, R3_min=0.0), unit,
-                               fixed_x3, max_phases)
-        except InfeasibleError:
-            found = None
-        keys = [plan.canonical_key() for plan in warm_starts]
-        if found is not None and found[0].canonical_key() not in keys:
-            warm_starts = tuple(warm_starts) + (found[0],)
-    taus = list(range(1, max_phases + 1))
-    tasks = []
-    # low phase counts get the larger share of random restarts
-    weights = np.array([1.0 / t for t in taus])
-    shares = np.maximum(4, np.round(budget.restarts * weights / weights.sum()))
-    for tau, share in zip(taus, shares):
-        space = _PlanSpace(d, unit, tau, fixed_x3)
-        halton = qmc.Halton(d=space.dim, scramble=True,
-                            seed=np.random.default_rng((budget.seed, tau)))
-        starts = list(0.02 + 0.96 * halton.random(int(share)))
-        starts += _structured_starts(space)
-        for plan in warm_starts:
-            theta = _plan_to_theta(space, plan)
-            if theta is not None:
-                starts.append(theta)
-        for s in starts:
-            tasks.append((d, unit, tau, fixed_x3, constraints, s, budget.max_iter))
-    workers = min(budget.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_search_one, tasks, chunksize=4))
-    else:
-        results = [_search_one(t) for t in tasks]
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        val, plan = res
-        key = (round(val, 12), plan.canonical_key())
-        if best is None or key > best[0]:
-            best = (key, plan)
-    if best is None:
-        raise InfeasibleError(
-            f"no feasible plan found within budget for {constraints}",
-            constraints)
-    # one more polishing pass from the incumbent
-    space = _PlanSpace(d, unit, best[1].tau, fixed_x3)
-    theta = _plan_to_theta(space, best[1])
-    polished = _search_one((d, unit, best[1].tau, fixed_x3, constraints,
-                            theta, budget.max_iter))
-    if polished is not None:
-        val, plan = polished
-        key = (round(val, 12), plan.canonical_key())
-        if key > best[0]:
-            best = (key, plan)
-    plan = best[1]
-    return plan, rate_tuple(d, plan, unit)
+        found = _lp_max_r2_r3(d, constraints, unit)
+    if found is not None and found[0].tau <= max_phases:
+        return found[:2]
+    if found is None or max_phases == 1:
+        return _one_phase_max_r2(d, constraints, unit, fixed_x3)
+    tau = found[0].tau
+    raise ValueError(f"the optimum needs {tau} phases; max_phases must be 1 "
+                     f"or at least {tau}")
 
 
 def _pareto(points):
-    """Sort by R3, enforce non-increasing r2, drop dominated duplicates."""
-    pts = sorted(points, key=lambda p: p[1])
-    best = -math.inf
-    out = []
-    for r2, r3 in reversed(pts):     # descending R3: running max of r2
-        best = max(best, r2)
-        out.append((best, r3))
-    out.reverse()
-    filtered = []
-    for i, (r2, r3) in enumerate(out):
-        if i + 1 < len(out) and out[i + 1][0] == r2:
-            continue                 # same r2 at higher R3 dominates this one
-        filtered.append((r2, r3))
-    return filtered
+    """The points, by R3, whose r2 beats that of every point of higher R3:
+    r2 non-increasing, with no dominated duplicates."""
+    out, best = [], -math.inf
+    for r2, r3 in reversed(sorted(points, key=lambda p: p[1])):
+        if r2 > best:
+            out.append((r2, r3))
+            best = r2
+    return out[::-1]
 
 
 def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
@@ -1185,13 +992,10 @@ def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
         raise ValueError(f"R3 grid must be non-empty and lie within "
                          f"[0, capacity={cap:.6f}]")
     pts = []
-    warm = ()
     for target in grid:
         cons = Constraints(r1_min=r1_fixed, R3_min=min(target, cap),
                            k1_max=k1_max, k2_max=k2_max)
-        plan, rt = max_r2(d, cons, budget, unit, warm_starts=warm)
-        warm = (plan,)
-        pts.append((rt.r2, target))
+        pts.append((max_r2(d, cons, budget, unit)[1].r2, target))
     return _pareto(pts)
 
 
@@ -1203,11 +1007,7 @@ def curve_r2_vs_k2(d: Dmc, r1_fixed: float, k1_max: float, k2_grid,
     if not k2_grid or not all(k2 >= 0 for k2 in k2_grid):
         raise ValueError("k2 grid must be non-empty and non-negative")
     pts = []
-    warm = ()
     for k2 in k2_grid:
         cons = Constraints(r1_min=r1_fixed, k1_max=k1_max, k2_max=k2)
-        plan, rt = max_r2(d, cons, budget, unit, x3_mode=x3_mode,
-                          warm_starts=warm)
-        warm = (plan,)
-        pts.append((k2, rt.r2))
+        pts.append((k2, max_r2(d, cons, budget, unit, x3_mode)[1].r2))
     return pts

@@ -27,7 +27,7 @@ CAPACITY_REF = 0.197534            # criterion 1, +-1e-3
 CURVE_K2 = (0.05, 0.3, 1.0)        # criterion 2 grid, +-2% of the LP oracle
 FIX0_REF = 0.235812824459213       # criterion 3 plateau, +-2%
 
-STRONG = OptBudget(restarts=24, max_iter=2000, seed=11, max_phases=3)
+STRONG = OptBudget(max_phases=3)
 
 
 def report(num, ok, detail):
@@ -61,7 +61,7 @@ def test_criterion_2_optimized_curve(paper, monkeypatch):
 
     monkeypatch.setattr(region, "max_r2", recording_max_r2)
     pts = dict(curve_r2_vs_k2(paper, 0.1, 0.8, CURVE_K2,
-                              "optimize", OptBudget(seed=11)))
+                              "optimize", OptBudget()))
     rows = []
     ok = True
     for k2 in CURVE_K2:

@@ -5,6 +5,7 @@ import pytest
 
 import covertmac as cm
 from covertmac.cli import main
+from test_region import random_problem
 
 
 @pytest.fixture()
@@ -150,6 +151,16 @@ def test_paper_channel_alias(capsys):
     assert code == 0 and "d_y1" in out
 
 
+def _capped_region_argv():
+    """region on random_problem(5) at R3 = 0.3 x capacity, whose optimum
+    needs three phases, with at most two allowed."""
+    d, cons, _ = random_problem(5)
+    r3 = 0.3 * cm.capacity_x3(d)[0]
+    return ["region", "--channel", "CHAN5", "--r1", repr(cons.r1_min),
+            "--k1-max", repr(cons.k1_max), "--k2-max", repr(cons.k2_max),
+            "--r3-grid", repr(r3), "--max-phases", "2"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-asymptotics", "--channel", "paper", "--rho1", "1", "--x3", "5"],
     ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "0"],
@@ -165,12 +176,15 @@ def test_paper_channel_alias(capsys):
     ["region", "--channel", "paper", "--r3-grid", "0:0.1:0"],
     ["curve", "--channel", "paper", "--k2-grid", "0:1:0"],
     ["region", "--channel", "paper", "--r3-grid", "0", "--max-phases", "0"],
+    _capped_region_argv(),
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
         "curve-nan-r1", "curve-nan-k2", "region-empty-grid",
-        "curve-empty-grid", "max-phases-zero"])
-def test_invalid_input_exit_3(capsys, plan_file, argv):
-    code, out, err = run(capsys, *[plan_file if a == "PLAN" else a
-                                   for a in argv])
+        "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum"])
+def test_invalid_input_exit_3(capsys, plan_file, tmp_path, argv):
+    chan5 = tmp_path / "chan5.json"
+    cm.save_channel(random_problem(5)[0], chan5)
+    files = {"PLAN": plan_file, "CHAN5": str(chan5)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
