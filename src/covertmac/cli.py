@@ -71,10 +71,6 @@ def _load(args):
     return load_channel(args.channel)
 
 
-def _budget(args) -> OptBudget:
-    return OptBudget(max_phases=args.max_phases)
-
-
 def _parse_grid(spec: str):
     """Either comma-separated values or start:stop:count."""
     if ":" in spec:
@@ -94,11 +90,7 @@ def cmd_profile(args) -> int:
     lines.append("x3,lambda,chi2")
     for x3 in range(d.x3_size):
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            try:
-                c = chi_square(d, lam, 1.0 - lam, x3)
-            except ValueError:
-                c = float("nan")
-            lines.append(f"{x3},{lam},{c:.12g}")
+            lines.append(f"{x3},{lam},{chi_square(d, lam, 1.0 - lam, x3):.12g}")
     if d.ac_violations:
         lines.append(f"# absolute-continuity violations at x3: "
                      f"{list(d.ac_violations)}")
@@ -112,7 +104,7 @@ def cmd_region(args) -> int:
     grid = _parse_grid(args.r3_grid) if args.r3_grid else \
         np.linspace(0.0, cap, args.grid_points).tolist()
     pts = trace_r2_R3(d, args.r1, args.k1_max, args.k2_max, grid,
-                      _budget(args), args.unit)
+                      OptBudget(args.max_phases), args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max, "k2_max": args.k2_max,
              "max_phases": args.max_phases}
     lines = [_manifest(args, d, extra), "r2,R3"]
@@ -126,7 +118,7 @@ def cmd_curve(args) -> int:
     mode = "optimize" if args.fix_x3 is None else ("fix", args.fix_x3)
     grid = _parse_grid(args.k2_grid)
     pts = curve_r2_vs_k2(d, args.r1, args.k1_max, grid, mode,
-                         _budget(args), args.unit)
+                         OptBudget(args.max_phases), args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max,
              "x3_mode": "optimize" if args.fix_x3 is None else f"fix{args.fix_x3}",
              "max_phases": args.max_phases}

@@ -81,12 +81,6 @@ class DivergenceProfile:
         self.d_zy2 = self.d_z2 - self.d_y2
         self.unit = unit
 
-    def d_y(self, user: int) -> np.ndarray:
-        return self.d_y1 if user == 1 else self.d_y2
-
-    def d_zy(self, user: int) -> np.ndarray:
-        return self.d_zy1 if user == 1 else self.d_zy2
-
     def rows(self):
         for x3 in range(len(self.d_y1)):
             yield (x3, self.d_y1[x3], self.d_y2[x3], self.d_z1[x3],
@@ -128,16 +122,20 @@ def chi_square(d: Dmc, rho1: float, rho2: float, x3: int) -> float:
     return float(np.sum(diff * diff / q00[support]))
 
 
+def _output_divergences(sub: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(row_x || p @ sub) in nats for every row x of ``sub``."""
+    py = p @ sub
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
+    return np.sum(sub * lg, axis=1)
+
+
 def mutual_info_x3(d: Dmc, p_x3, unit: str = DEFAULT_UNIT) -> float:
     """I(X3; Y) through the receiver rows with both covert users silent."""
     p = _check_distribution("p_x3", p_x3)
     if p.shape != (d.x3_size,):
         raise ValueError(f"p_x3 must have length {d.x3_size}")
-    sub = np.vstack([d.row(SIDE_Y, 0, 0, x3) for x3 in range(d.x3_size)])
-    py = p @ sub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
-    val = float(p @ np.sum(sub * lg, axis=1))
+    val = float(p @ _output_divergences(d.gamma_y[:d.x3_size], p))
     return max(0.0, val) / unit_factor(unit)
 
 
@@ -150,16 +148,13 @@ def capacity_x3(d: Dmc, tol: float = 1e-10, max_iter: int = 10_000,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sub = np.vstack([d.row(SIDE_Y, 0, 0, x3) for x3 in range(d.x3_size)])
+    sub = d.gamma_y[:d.x3_size]           # the (0, 0, x3) rows
     m = d.x3_size
     r = np.full(m, 1.0 / m)
     fac = unit_factor(unit)
     lower = 0.0
     for _ in range(max_iter):
-        py = r @ sub
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
-        dkl = np.sum(sub * lg, axis=1)           # D(row_x || output marginal)
+        dkl = _output_divergences(sub, r)
         upper = float(dkl.max()) / fac
         lower = float(r @ dkl) / fac
         if upper - lower < tol:

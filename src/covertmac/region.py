@@ -33,9 +33,14 @@ Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
 ratios, solved by a Dinkelbach-type iteration; new columns come from a
 closed-form minimum of the reduced cost over a and a scan over (lam, q).
 A single phase has r2 in closed form in lam at each law q, searched over q.
+
+Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
+capacity_x3) from one _ChannelTerms table per (Dmc, unit), built on first
+use and kept on the frozen Dmc.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -45,9 +50,9 @@ import numpy as np
 # minimize is unused here; the benchmark's --trace 1 resolves it by name
 from scipy.optimize import linprog, minimize, minimize_scalar  # noqa: F401
 
-from .channel import Dmc, SIDE_Y
-from .infotheory import (DEFAULT_UNIT, capacity_x3, chi_square,
-                         divergence_profile, mutual_info_x3, unit_factor)
+from .channel import Dmc, SIDE_Z
+from .infotheory import (DEFAULT_UNIT, _output_divergences, capacity_x3,
+                         divergence_profile, unit_factor)
 
 MAX_PHASES = 6
 SQRT2 = math.sqrt(2.0)
@@ -153,36 +158,123 @@ class Theorem1Sizing:
     unit: str = DEFAULT_UNIT
 
 
+def _xlogx(v):
+    return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
+
+
+class _ChannelTerms:
+    """Per-x3 terms of one channel in one unit, in read-only arrays.
+
+    ``div``: rows D_Y1, D_Y2, D_Z1 - D_Y1, D_Z2 - D_Y2, split for the LPs
+    into finite ``divs`` and infinite ``inf``, both zero where the warden's
+    support is violated (``ok`` False; a law sending it must be silent).
+    ``coef``: (A, B, C), chi2(lam, x3) = A lam^2 + 2B lam(1-lam) +
+    C (1-lam)^2.  ``warden[x3]``: rows G00, G10, G01 on the support of G00.
+    ``sub``: the receiver rows with both covert users off."""
+
+    def __init__(self, d: Dmc, unit: str):
+        self.fac = unit_factor(unit)
+        self._d, self._unit = d, unit
+        prof = divergence_profile(d, unit)
+        self.div = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
+        self.ok = ~np.isin(np.arange(d.x3_size), d.ac_violations)
+        self.warden = [None] * d.x3_size
+        self.coef = np.zeros((3, d.x3_size))
+        for x in np.flatnonzero(self.ok):
+            sup = d.row(SIDE_Z, 0, 0, x) > 0
+            self.warden[x] = w = tuple(d.row(SIDE_Z, *on, x)[sup]
+                                       for on in ((0, 0), (1, 0), (0, 1)))
+            b = w[1] / w[0] - 1.0, w[2] / w[0] - 1.0
+            self.coef[:, x] = [float(np.sum(w[0] * b[i] * b[j]))
+                               for i, j in ((0, 0), (0, 1), (1, 1))]
+        fin = np.isfinite(self.div) | ~self.ok
+        self.divs = np.where(fin & self.ok, self.div, 0.0)
+        self.inf = np.where(fin, 0.0, self.div)
+        self.sub = d.gamma_y[:d.x3_size]
+        self.neg_h = _xlogx(self.sub).sum(axis=1)
+        self.one_hot = self.laws(np.eye(d.x3_size))
+        for v in (*vars(self).values(), *self.one_hot,
+                  *(a for w in self.warden if w for a in w)):
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+
+    @functools.cached_property
+    def capacity(self):
+        """capacity_x3 at its default tolerance: (capacity, input law)."""
+        cap, law = capacity_x3(self._d, unit=self._unit)
+        law.setflags(write=False)
+        return cap, law
+
+    def chi_square(self, rho1, rho2, x: int) -> float:
+        """chi_square(d, rho1, rho2, x) for rho1 + rho2 > 0."""
+        if self.warden[x] is None:
+            return math.inf
+        q00, g10, g01 = self.warden[x]
+        diff = (rho1 * g10 + rho2 * g01) / (rho1 + rho2) - q00
+        return float(np.sum(diff * diff / q00))
+
+    def mutual_info(self, q) -> float:
+        """mutual_info_x3(d, q) of one law q, without its checks."""
+        return max(0.0, float(q @ _output_divergences(self.sub, q))) / self.fac
+
+    def info(self, q):
+        """I(q) per law (rows of q)."""
+        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
+        return np.maximum(info, 0.0) / self.fac
+
+    def laws(self, q):
+        """Per law (rows of q): q . divergences (infinite where q sends a
+        symbol with an infinite one), q . (A, B, C), I(q), covert allowed."""
+        dq = np.where((self.inf != 0) @ q.T > 0,
+                      self.inf.sum(axis=1)[:, None], self.divs @ q.T)
+        return (dq, self.coef @ q.T, self.info(q),
+                q[:, ~self.ok].sum(axis=1) == 0)
+
+
+def _channel_terms(d: Dmc, unit: str) -> _ChannelTerms:
+    """The terms of d in ``unit``, built on first use and kept on d."""
+    key = "_terms_" + unit
+    if key not in d.__dict__:
+        object.__setattr__(d, key, _ChannelTerms(d, unit))
+    return d.__dict__[key]
+
+
+def _terms(lam, laws):
+    """(n1, n2, key1, key2, chi, info, covert) of phase columns (lam, q, a)
+    with lam broadcast against ``laws`` (_ChannelTerms.laws): a phase of
+    time p, rho1 = a lam and rho2 = a (1 - lam) adds p a n1 to N1, ...,
+    p a^2 chi to G = D^2 and p info to R3; covert is False where chi = 0."""
+    dq, cq, info, ok = laws
+    chi = (lam * lam * cq[0] + 2.0 * lam * (1.0 - lam) * cq[1]
+           + (1.0 - lam) ** 2 * cq[2])
+    return (lam * dq[0], (1.0 - lam) * dq[1], lam * dq[2],
+            (1.0 - lam) * dq[3], chi, info, ok & (chi > 0))
+
+
 def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
-    """(num1, num2, keynum1, keynum2, Dsq, R3); numerators without beta/sqrt2."""
-    prof = divergence_profile(d, unit)
-    num = [0.0, 0.0]
-    key = [0.0, 0.0]
-    dsq = 0.0
-    r3 = 0.0
-    for t in range(plan.tau):
-        p = plan.p_t[t]
-        q = np.asarray(plan.p_x3_given_t[t], dtype=float)
-        r3 += p * mutual_info_x3(d, q, unit)
-        a = plan.rho1[t] + plan.rho2[t]
+    """(num1, num2, keynum1, keynum2, Dsq, R3) without beta/sqrt2; validates."""
+    plan.validate(d.x3_size)
+    tab = _channel_terms(d, unit)
+    nk = [0.0] * 4            # num1, num2, keynum1, keynum2
+    dsq = r3 = 0.0
+    for p, q, rho1, rho2 in zip(plan.p_t, plan.p_x3_given_t, plan.rho1,
+                                plan.rho2):
+        q = np.asarray(q, dtype=float)
+        r3 += p * tab.mutual_info(q)
+        a = rho1 + rho2
         if a == 0 or p == 0:
             continue
         m = q > 0          # 0 * inf = 0 for symbols the phase never sends
-        num[0] += p * plan.rho1[t] * float(q[m] @ prof.d_y1[m])
-        num[1] += p * plan.rho2[t] * float(q[m] @ prof.d_y2[m])
-        key[0] += p * plan.rho1[t] * float(q[m] @ prof.d_zy1[m])
-        key[1] += p * plan.rho2[t] * float(q[m] @ prof.d_zy2[m])
-        chi = 0.0
-        for x3 in range(d.x3_size):
-            if q[x3] > 0:     # an infinite chi-square makes dsq infinite
-                chi += q[x3] * chi_square(d, plan.rho1[t], plan.rho2[t], x3)
+        for i, rho in enumerate((rho1, rho2) * 2):
+            nk[i] += p * rho * float(q[m] @ tab.div[i, m])
+        chi = sum(q[x] * tab.chi_square(rho1, rho2, x)
+                  for x in np.flatnonzero(m))
         dsq += p * a * a * chi
-    return num, key, dsq, r3
+    return nk[:2], nk[2:], dsq, r3
 
 
 def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
     """Evaluate the asymptotic rate/key tuple of a plan."""
-    plan.validate(d.x3_size)
     num, key, dsq, r3 = _plan_quantities(d, plan, unit)
     r3 = float(r3)              # plans may hold numpy scalars
     if math.isinf(dsq):
@@ -210,7 +302,6 @@ def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
     larger beta takes the longer fraction beta_max^2 of each phase, the other
     beta_l * beta_max; when beta2 > beta1 the role switch is recorded.
     """
-    plan.validate(d.x3_size)
     xi = tuple(float(v) for v in xi)
     if len(xi) != 6 or any(not 0 < v < 1 for v in xi):
         raise ValueError("xi must be six slack values in (0, 1)")
@@ -265,24 +356,6 @@ class OptBudget:
 _FEAS_SLACK = 1e-9
 
 
-def _chi2_coefficients(d: Dmc) -> np.ndarray:
-    """Rows (A, B, C) over x3 with
-    chi2(lam, x3) = A lam^2 + 2B lam(1-lam) + C (1-lam)^2, lam = rho1/(rho1+rho2);
-    all three are inf at an absolute-continuity violation."""
-    coef = np.full((3, d.x3_size), math.inf)
-    for x in range(d.x3_size):
-        if x in d.ac_violations:
-            continue
-        q00 = d.row("Z", 0, 0, x)
-        sup = q00 > 0
-        b1 = d.row("Z", 1, 0, x)[sup] / q00[sup] - 1.0
-        b2 = d.row("Z", 0, 1, x)[sup] / q00[sup] - 1.0
-        w = q00[sup]
-        coef[:, x] = (float(np.sum(w * b1 * b1)), float(np.sum(w * b1 * b2)),
-                      float(np.sum(w * b2 * b2)))
-    return coef
-
-
 def _feasible(rt, cons: Constraints, slack: float = _FEAS_SLACK) -> bool:
     return (rt[0] >= cons.r1_min - slack and rt[2] >= cons.R3_min - slack
             and rt[3] <= cons.k1_max + slack and rt[4] <= cons.k2_max + slack)
@@ -301,14 +374,11 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 
-def _mode_columns(prof, coef, lam, x):
-    """Per unit covert mass v of mode (lam, x3): sqrt(chi2), the numerators
-    n1, n2 and the key numerators key1, key2."""
-    A, B, C = coef[:, x]
-    chi = A * lam * lam + 2.0 * B * lam * (1.0 - lam) + C * (1.0 - lam) ** 2
-    return (np.sqrt(np.maximum(chi, 0.0)), lam * prof.d_y1[x],
-            (1.0 - lam) * prof.d_y2[x], lam * prof.d_zy1[x],
-            (1.0 - lam) * prof.d_zy2[x])
+def _modes(tab: _ChannelTerms, lam, x):
+    """(sqrt(chi2), n1, n2, key1, key2) per unit covert mass v of the modes
+    (lam, x3 = x): the _terms of phases at the one-hot law."""
+    n1, n2, key1, key2, chi = _terms(lam, [v[..., x] for v in tab.one_hot])[:5]
+    return np.sqrt(np.maximum(chi, 0.0)), n1, n2, key1, key2
 
 
 def _lp_rows(cols, cons: Constraints):
@@ -346,7 +416,7 @@ def _lp_solve(cols, cons: Constraints, eq_row):
                    bounds=(0, None), method="highs", options=_LP_OPTIONS)
 
 
-def _price(prof, coef, cons: Constraints, res, x: int):
+def _price(tab: _ChannelTerms, cons: Constraints, res, x: int):
     """(reduced cost, lam) of the cheapest mode at x3 = x under the duals of
     ``res``.  The reduced cost is convex in lam (a positive multiple of the
     norm sqrt(chi2) plus linear terms), so a dense scan and a bounded 1-D
@@ -354,7 +424,7 @@ def _price(prof, coef, cons: Constraints, res, x: int):
     y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals[0]
 
     def rc(lam):
-        cols = _mode_columns(prof, coef, lam, x)
+        cols = _modes(tab, lam, x)
         return -(y_ub @ _lp_rows(cols, cons)[0]) - y_eq * cols[2]
 
     g = _LP_PRICE_GRID
@@ -376,29 +446,24 @@ def _key_beta(cap: float, key: float, dd: float) -> float:
     return cap * dd / (SQRT2 * key)
 
 
-def _lp_modes(d: Dmc, unit: str, fixed_x3: int | None):
-    """(prof, coef, xs, lam, x, cols): the divergence profile, the chi2
-    coefficients, the x3 symbols the warden's support allows, and the
-    starting one-hot modes (lam, x) with their columns.  None where the
+def _lp_modes(tab: _ChannelTerms, fixed_x3: int | None):
+    """(xs, lam, x, cols): the x3 symbols the warden's support allows, and
+    the starting one-hot modes (lam, x) with their columns.  None where the
     LP gives no plan: non-finite divergences, or r2 unbounded (a mode
     with N2 > 0 the warden cannot see)."""
-    prof = divergence_profile(d, unit)
-    coef = _chi2_coefficients(d)
-    xs = [x for x in (range(d.x3_size) if fixed_x3 is None else (fixed_x3,))
-          if math.isfinite(coef[0, x])]
-    divs = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])[:, xs]
-    if not xs or not np.isfinite(divs).all():
+    xs = [x for x in (range(len(tab.ok)) if fixed_x3 is None else (fixed_x3,))
+          if tab.ok[x]]
+    if not xs or not np.isfinite(tab.div[:, xs]).all():
         return None
     lam = np.tile(np.linspace(0.0, 1.0, _LP_GRID), len(xs))
     x = np.repeat(xs, _LP_GRID)
-    cols = _mode_columns(prof, coef, lam, x)
+    cols = _modes(tab, lam, x)
     # A mode the warden cannot see (chi2 = 0) gets no time share; with
     # N2 > 0 it would make r2 unbounded.
     unseen = cols[0] == 0
     if np.any(unseen & (cols[2] > 0)):
         return None
-    return (prof, coef, xs, lam[~unseen], x[~unseen],
-            tuple(c[~unseen] for c in cols))
+    return xs, lam[~unseen], x[~unseen], tuple(c[~unseen] for c in cols)
 
 
 def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
@@ -426,10 +491,11 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
     """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
     Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes).
     Raises InfeasibleError when the LP is infeasible."""
-    modes = _lp_modes(d, unit, fixed_x3)
+    tab = _channel_terms(d, unit)
+    modes = _lp_modes(tab, fixed_x3)
     if modes is None:
         return None
-    prof, coef, xs, lam, x, cols = modes
+    xs, lam, x, cols = modes
     # no mode carries user 2: r2 = 0, so normalize D = 1 instead of N2 = 1
     user2 = bool(np.any(cols[2] > 0))
     for rnd in range(_LP_MAX_ROUNDS):
@@ -442,7 +508,7 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
             break
         new_lam, new_x = [], []
         for xx in xs:
-            val, l = _price(prof, coef, cons, res, xx)
+            val, l = _price(tab, cons, res, xx)
             if val < -_LP_RC_TOL and not np.any((x == xx)
                                                 & (np.abs(lam - l) <= 1e-12)):
                 new_lam.append(l)
@@ -450,7 +516,7 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
         if not new_x:
             break
         new_lam, new_x = np.array(new_lam), np.array(new_x)
-        new_cols = _mode_columns(prof, coef, new_lam, new_x)
+        new_cols = _modes(tab, new_lam, new_x)
         if np.any(new_cols[0] == 0):
             return None
         lam, x = np.append(lam, new_lam), np.append(x, new_x)
@@ -465,7 +531,7 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
     lam_on = np.array([v[on & (x == xx)] @ lam[on & (x == xx)]
                        for xx in x_on]) / mass
     lam_on = np.clip(lam_on, 0.0, 1.0)
-    w = mass * _mode_columns(prof, coef, lam_on, x_on)[0]
+    w = mass * _modes(tab, lam_on, x_on)[0]
     if not np.all(w > 0):
         return None
     p = w / w.sum()                     # time shares p ~ v sqrt(chi2)
@@ -497,10 +563,6 @@ _R3_MERGE = 1e-3         # support q rows this close (max-norm) share a phase
 _ONE_STEP_MIN = 1e-10    # a single-phase law search stops below this step
 
 
-def _xlogx(v):
-    return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-
-
 def _simplex_grid(k: int, res: int, most: int):
     """(laws, 1/r): every law over k symbols with probabilities in
     multiples of 1/r, for the largest r <= res that gives at most ``most``
@@ -522,53 +584,6 @@ def _q_neighbours(q, h: float) -> np.ndarray:
             s = np.linspace(0.0, min(h, q[j]), 11)[1:, None]
             out.extend(q + s * (np.eye(len(q))[i] - np.eye(len(q))[j]))
     return np.array(out)
-
-
-class _PhaseTerms:
-    """Terms of phase columns (lam, q, a) on one channel.
-
-    A column is a phase of time p, x3 law q and covert density a, with
-    rho1 = a lam and rho2 = a (1 - lam).  It adds p a n1, p a n2, p a key1,
-    p a key2 to the numerators, p a^2 chi to G = D^2 and p I(q) to R3.
-    Symbols where the warden's support is violated get zero divergences;
-    a law that sends them can only be silent.  Where the receiver's support
-    is violated (D_Y = inf, D_Z - D_Y = -inf), a law that sends the symbol
-    gets the infinite term.
-    """
-
-    def __init__(self, d: Dmc, unit: str, prof, coef):
-        self.ok = np.isfinite(coef[0])
-        divs = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
-        fin = np.isfinite(divs) | ~self.ok
-        self.divs = np.where(fin & self.ok, divs, 0.0)
-        self.inf = np.where(fin, 0.0, divs)
-        self.coef = np.where(self.ok, coef, 0.0)
-        self.sub = np.array([d.row(SIDE_Y, 0, 0, x) for x in range(d.x3_size)])
-        self.neg_h = _xlogx(self.sub).sum(axis=1)
-        self.fac = unit_factor(unit)
-
-    def info(self, q):
-        """I(q) per law (rows of q)."""
-        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
-        return np.maximum(info, 0.0) / self.fac
-
-    def laws(self, q):
-        """Per law (rows of q): q . divergences, q . (A, B, C), I(q) and
-        whether covert use is allowed."""
-        dq = np.where((self.inf != 0) @ q.T > 0,
-                      self.inf.sum(axis=1)[:, None], self.divs @ q.T)
-        return (dq, self.coef @ q.T, self.info(q),
-                q[:, ~self.ok].sum(axis=1) == 0)
-
-    @staticmethod
-    def terms(lam, laws):
-        """(n1, n2, key1, key2, chi, info, covert) with lam broadcast
-        against ``laws`` (from .laws); covert is False where chi = 0."""
-        dq, cq, info, ok = laws
-        chi = (lam * lam * cq[0] + 2.0 * lam * (1.0 - lam) * cq[1]
-               + (1.0 - lam) ** 2 * cq[2])
-        return (lam * dq[0], (1.0 - lam) * dq[1], lam * dq[2],
-                (1.0 - lam) * dq[3], chi, info, ok & (chi > 0))
 
 
 def _r3_rows(cons: Constraints, z: float, c2: float, t):
@@ -642,7 +657,7 @@ def _r3_price(res, cons: Constraints, z: float, c2: float, t):
 
 
 def _r3_columns(res, cons: Constraints, z: float, c2: float,
-                tab: _PhaseTerms, scan):
+                tab: _ChannelTerms, scan):
     """[(reduced cost, lam, q, a)] of cheap columns: up to _R3_STARTS scan
     minima at least _R3_APART apart, each refined by _R3_ZOOM local grids
     of 21 lam points by q and its neighbours, all starts in one batch."""
@@ -650,8 +665,7 @@ def _r3_columns(res, cons: Constraints, z: float, c2: float,
     rc, a = np.empty((2, len(lam), len(q)))
     for b in range(0, len(lam), _R3_BLOCK):          # bounds the temporaries
         rc[b:b + _R3_BLOCK], a[b:b + _R3_BLOCK] = _r3_price(
-            res, cons, z, c2, _PhaseTerms.terms(lam[b:b + _R3_BLOCK, None],
-                                                laws))
+            res, cons, z, c2, _terms(lam[b:b + _R3_BLOCK, None], laws))
     found = []
     for _ in range(_R3_STARTS):
         i, j = np.unravel_index(np.argmin(rc), rc.shape)
@@ -671,7 +685,7 @@ def _r3_columns(res, cons: Constraints, z: float, c2: float,
         laws = [v.reshape(v.shape[:-1] + shape)
                 for v in tab.laws(q_loc.reshape(-1, q.shape[1]))]
         rc, a = _r3_price(res, cons, z, c2,
-                          _PhaseTerms.terms(lam_loc[:, :, None], laws))
+                          _terms(lam_loc[:, :, None], laws))
         for s, f in enumerate(found):
             k, n = np.unravel_index(np.argmin(rc[s]), rc[s].shape)
             if rc[s, k, n] < f[0]:
@@ -692,7 +706,7 @@ def _r3_point(t, a, p, cons: Constraints):
     return r2, key2 / math.sqrt(g)
 
 
-def _r3_generate(tab: _PhaseTerms, cons: Constraints, scan, lam, q, a):
+def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
     """Column generation from the columns (lam, q, a), pricing over
     ``scan``: (p, lam, q, a, bound) of the last LP solved at a level z with
     its columns priced.  None when HiGHS fails before that; raises
@@ -709,7 +723,7 @@ def _r3_generate(tab: _PhaseTerms, cons: Constraints, scan, lam, q, a):
     phase1 = was_phase1 = False
     last = None
     for _ in range(_R3_MAX_ROUNDS):
-        t = _PhaseTerms.terms(lam, tab.laws(q))
+        t = _terms(lam, tab.laws(q))
         res = _r3_solve(t, a, cons, z, c2, phase1)
         if res.status == 2 and not was_phase1:
             phase1 = was_phase1 = True      # find a feasible column set first
@@ -778,23 +792,21 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     (p a lam, p a (1 - lam)) and G is convex in (rho1, rho2), so the merge
     keeps every numerator and does not raise G.
     """
-    modes = _lp_modes(d, unit, None)
-    if modes is None:
+    tab = _channel_terms(d, unit)
+    if _lp_modes(tab, None) is None:
         return None
-    tab = _PhaseTerms(d, unit, *modes[:2])
-    k = d.x3_size
-    cap, q_cap = capacity_x3(d, unit=unit)
+    cap, q_cap = tab.capacity
     if cons.R3_min >= cap:    # only the capacity-achieving law can meet it
         scan_q, step = q_cap[None, :], 0.0
     else:
-        scan_q, step = _simplex_grid(k, _R3_SCAN - 1, _R3_SCAN_Q)
+        scan_q, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
     scan_lam = np.linspace(0.0, 1.0, _R3_SCAN)
     scan = (scan_lam, scan_q, tab.laws(scan_q), step)
     # seed: silent time and a coarse (lam, q) grid at a sqrt(chi2) = 1 on
     # a q lattice plus the capacity-achieving law
-    seed_q = np.vstack([_simplex_grid(k, *_R3_SEED_Q)[0], q_cap])
+    seed_q = np.vstack([_simplex_grid(d.x3_size, *_R3_SEED_Q)[0], q_cap])
     seed_lam = np.linspace(0.0, 1.0, 5)
-    t = _PhaseTerms.terms(seed_lam[:, None], tab.laws(seed_q))
+    t = _terms(seed_lam[:, None], tab.laws(seed_q))
     covert = t[6].ravel()
     lam = np.concatenate([np.zeros(len(seed_q)),
                           np.repeat(seed_lam, len(seed_q))[covert]])
@@ -841,7 +853,7 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
 
 def _one_phase_r2(laws, cons: Constraints):
     """(r2, lam) of the best single phase at each law of ``laws`` (from
-    _PhaseTerms.laws); r2 = -inf where no lam meets the constraints.
+    _ChannelTerms.laws); r2 = -inf where no lam meets the constraints.
 
     In u = lam / (1 - lam), r2 = sqrt2 d2 / sqrt(A u^2 + 2B u + C) (capped
     at k2_max d2 / key2 by beta2) peaks at u = -B / A.  The smallest beta1
@@ -867,7 +879,7 @@ def _one_phase_r2(laws, cons: Constraints):
         u = np.clip([u_lo, u_hi, np.where(A > 0, -B / A, 0.0), A * 0 + 1.0],
                     u_lo, u_hi)
         lam = np.where(np.isinf(u), 1.0, u / (1.0 + u))
-        _, n2, _, _, chi, _, _ = _PhaseTerms.terms(lam, laws)
+        _, n2, _, _, chi, _, _ = _terms(lam, laws)
         r2 = np.where(n2 > 0, SQRT2 * n2 / np.sqrt(np.maximum(chi, 0.0)), 0.0)
         capped = (key2 > 0) & (n2 > 0) & (chi > 0)
         r2 = np.where(capped, np.minimum(r2, cons.k2_max * d2 / key2), r2)
@@ -885,12 +897,11 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
     capacity_x3 law (it alone at R3_min >= capacity), then the best
     _R3_STARTS laws _R3_APART apart, each refined by a pattern search whose
     step shrinks only when its centre stops moving (exact at x3_size 2)."""
-    tab = _PhaseTerms(d, unit, divergence_profile(d, unit),
-                      _chi2_coefficients(d))
-    cap, q_cap = capacity_x3(d, unit=unit)
+    tab = _channel_terms(d, unit)
+    cap, q_cap = tab.capacity
     if fixed_x3 is not None:            # R3_min = 0 and a one-hot law
         cap, q_cap = 0.0, np.eye(d.x3_size)[fixed_x3]
-    grid, step = q_cap[None, :], 0.0
+    grid, step = np.array([q_cap]), 0.0     # value() moves laws in place
     if cons.R3_min < cap:
         grid, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
         grid = np.vstack([grid, q_cap])
@@ -986,7 +997,7 @@ def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
                 grid, budget: OptBudget = OptBudget(),
                 unit: str = DEFAULT_UNIT):
     """Boundary points (r2, R3): max r2 with R3_min swept over ``grid``."""
-    cap, _ = capacity_x3(d, unit=unit)
+    cap = _channel_terms(d, unit).capacity[0]
     grid = sorted(float(g) for g in grid)
     if not grid or not all(-1e-12 <= g <= cap + 1e-9 for g in grid):
         raise ValueError(f"R3 grid must be non-empty and lie within "

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import pytest
 
 import covertmac as cm
 from covertmac.cli import main
+from conftest import make_dmc
 from test_region import random_problem
 
 
@@ -188,3 +190,70 @@ def test_invalid_input_exit_3(capsys, plan_file, tmp_path, argv):
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_profile_ac_violation_rows(capsys, tmp_path):
+    """A warden-side absolute-continuity violation at x3 = 0 gives inf
+    chi-square rows there, finite ones at x3 = 1, a comment line naming the
+    symbol, and exit 0."""
+    from test_region import GZ_AC
+    p = tmp_path / "ac.json"
+    cm.save_channel(make_dmc([[0.5, 0.3, 0.2]] * 8, GZ_AC), p)
+    code, out, _ = run(capsys, "profile", "--channel", str(p))
+    assert code == 0
+    lines = out.splitlines()
+    chi = [l.split(",") for l in lines[lines.index("x3,lambda,chi2") + 1:]
+           if not l.startswith("#")]
+    assert [c[2] for c in chi if c[0] == "0"] == ["inf"] * 5
+    assert all(math.isfinite(float(c[2])) for c in chi if c[0] == "1")
+    assert lines[-1] == "# absolute-continuity violations at x3: [0]"
+
+
+# The benchmark's three solve commands at the test-suite budget, and their
+# outputs before the channel terms moved into one table per channel.
+SOLVE_ARGV = ["--channel", "paper", "--seed", "0", "--restarts", "12",
+              "--max-iter", "2000", "--max-phases", "3", "--threads", "1"]
+MANIFEST = ("# subcommand={} channel=5b3277737d308b0a unit=bits seed=0 "
+            "version={} timestamp=2023-11-14T22:13:20Z ")
+
+
+@pytest.mark.parametrize("argv, tail, rows", [
+    (["curve", "--fix-x3", "0", "--r1", "0.1", "--k1-max", "0.8",
+      "--k2-grid", "1.0"], "r1=0.1 k1_max=0.8 x3_mode=fix0 max_phases=3",
+     ["k2,r2", "1,0.235901882351"]),
+    (["curve", "--r1", "0.1", "--k1-max", "0.8", "--k2-grid", "1.0"],
+     "r1=0.1 k1_max=0.8 x3_mode=optimize max_phases=3",
+     ["k2,r2", "1,1.09525502794"]),
+    (["region", "--r1", "0.5", "--k1-max", "0.8", "--k2-max", "0.8",
+      "--r3-grid", "0,0.1"], "r1=0.5 k1_max=0.8 k2_max=0.8 max_phases=3",
+     ["r2,R3", "0.807852807557,0", "0.606688252195,0.1"]),
+], ids=["curve-fix0", "curve-opt", "region-corner"])
+def test_solve_outputs_pinned(capsys, monkeypatch, argv, tail, rows):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    code, out, _ = run(capsys, *argv, *SOLVE_ARGV)
+    assert code == 0
+    head = MANIFEST.format(argv[0], cm.__version__) + tail
+    assert out == "\n".join([head] + rows) + "\n"
+
+
+def test_sizing_json_pinned(capsys, monkeypatch, tmp_path):
+    """The sizing report of REF_PLAN at n = 10^6, byte for byte."""
+    from test_region import REF_PLAN
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    plan = tmp_path / "ref.json"
+    plan.write_text(REF_PLAN.to_json())
+    code, out, _ = run(capsys, "sizing", "--channel", "paper", "--plan",
+                       str(plan), "--n", "1000000")
+    assert code == 0
+    head = MANIFEST.format("sizing", cm.__version__)
+    assert out == (
+        '{\n "manifest": "' + head + 'n=1000000 omega_n=0.03162277660168379",'
+        '\n "phi1": 0.81,\n "phi2": 0.7200000000000001,\n "swapped": false,'
+        '\n "log_m1": 15.582300859913124,\n "log_m2": 10.814900763032625,'
+        '\n "log_m3": 139083.75039848353,\n "log_k1": 0.0,'
+        '\n "log_k2": 7.825516289317798,'
+        '\n "divergence_bound": 0.005170463324635028,'
+        '\n "asymptotic_rates": {\n  "r1": 0.30332482591740323,'
+        '\n  "r2": 0.21052268986155048,\n  "R3": 0.1545375004427595,'
+        '\n  "k1": 0.0,\n  "k2": 0.15233137824193943\n },'
+        '\n "unit": "bits"\n}\n')

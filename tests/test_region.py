@@ -575,3 +575,130 @@ def test_curve_fix_mode_and_shape(paper):
     pts = curve_r2_vs_k2(paper, 0.1, 0.8, [0.2, 0.6], ("fix", 0), small)
     assert [k for k, _ in pts] == [0.2, 0.6]
     assert pts[1][1] >= pts[0][1] - 1e-9
+
+
+# ---- the per-channel term table ------------------------------------------
+
+
+def _reference_quantities(d, plan, unit):
+    """_plan_quantities rebuilt per (phase, x3) from the public functions."""
+    prof = divergence_profile(d, unit)
+    divs = (prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2)
+    nk, dsq, r3 = [0.0] * 4, 0.0, 0.0
+    for p, q, rho1, rho2 in zip(plan.p_t, plan.p_x3_given_t, plan.rho1,
+                                plan.rho2):
+        q = np.asarray(q, dtype=float)
+        r3 += p * mutual_info_x3(d, q, unit)
+        a = rho1 + rho2
+        if a == 0 or p == 0:
+            continue
+        m = q > 0
+        for i, rho in enumerate((rho1, rho2, rho1, rho2)):
+            nk[i] += p * rho * float(q[m] @ divs[i][m])
+        chi = 0.0
+        for x in range(d.x3_size):
+            if q[x] > 0:
+                chi += q[x] * chi_square(d, rho1, rho2, x)
+        dsq += p * a * a * chi
+    return nk[:2], nk[2:], dsq, r3
+
+
+def _random_plans(k, seed, count=6):
+    """Seeded plans over k symbols: 1-3 phases, some laws with a zero entry,
+    some silent phases."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        tau = int(rng.integers(1, 4))
+        p = rng.dirichlet(np.ones(tau))
+        laws = []
+        for _ in range(tau):
+            q = rng.dirichlet(np.ones(k))
+            if rng.random() < 0.4:
+                q[rng.integers(k)] = 0.0
+                q /= q.sum()
+            q[-1] = 1.0 - q[:-1].sum()
+            laws.append(tuple(map(float, q)))
+        rho = rng.uniform(0.0, 2.0, (2, tau)) * (rng.random(tau) > 0.2)
+        p_t = tuple(map(float, p[:-1])) + (1.0 - float(p[:-1].sum()),)
+        out.append(PhasePlan(p_t=p_t, p_x3_given_t=tuple(laws),
+                             rho1=tuple(map(float, rho[0])),
+                             rho2=tuple(map(float, rho[1])),
+                             beta1=float(rng.uniform(0.1, 1.0)),
+                             beta2=float(rng.uniform(0.1, 1.0))))
+    return out
+
+
+def _unused_x3_channel(paper):
+    """The channel of test_auto_thresholds_ignore_unused_x3: D_Y = inf at
+    x3 = 1."""
+    gy = np.array(paper.gamma_y)
+    gy[1] = [0.0, 0.2, 0.2, 0.2, 0.2, 0.2]
+    gy[5] = [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]
+    return make_dmc(gy, paper.gamma_z)
+
+
+@pytest.mark.parametrize("case", ["ref", "unused-x3", "rp3", "rp4", "rp7"])
+def test_evaluators_match_public_reference(paper, monkeypatch, case):
+    """rate_tuple, theorem1_sizing and auto_thresholds read the table yet
+    equal, bit for bit, the same evaluators on a per-(phase, x3) reference
+    built from divergence_profile, chi_square and mutual_info_x3."""
+    from covertmac import simulator
+    if case == "ref":
+        d, plans = paper, [REF_PLAN]
+    elif case == "unused-x3":
+        d = _unused_x3_channel(paper)
+        plans = [PhasePlan.single_phase((1.0, 0.0), 0.5, 0.5)]
+    else:
+        d = random_problem(int(case[2:]))[0]
+        plans = _random_plans(d.x3_size, int(case[2:]))
+
+    def evaluate():
+        return [(rate_tuple(d, plan, unit),
+                 theorem1_sizing(d, plan, 10**6, 1e-2, (0.1,) * 6, unit),
+                 simulator.auto_thresholds(d, plan, 1000, 1000 ** -0.25))
+                for plan in plans for unit in ("bits", "nats")]
+
+    got = evaluate()
+    monkeypatch.setattr(region, "_plan_quantities", _reference_quantities)
+    monkeypatch.setattr(simulator, "_plan_quantities", _reference_quantities)
+    assert got == evaluate()
+
+
+def test_channel_terms_built_once_per_channel_and_unit(monkeypatch):
+    """One divergence_profile and one capacity_x3 per (Dmc, unit), however
+    many evaluations and solves read them."""
+    calls = {"divergence_profile": 0, "capacity_x3": 0}
+    for name in calls:
+        inner = getattr(region, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(region, name, counted)
+    d = cm.paper_channel()                       # a fresh Dmc
+    for _ in range(100):
+        rate_tuple(d, REF_PLAN)
+    assert calls == {"divergence_profile": 1, "capacity_x3": 0}
+    trace_r2_R3(d, 0.1, 0.8, 0.8, [0.0, 0.09], OptBudget(max_phases=1))
+    assert calls == {"divergence_profile": 1, "capacity_x3": 1}
+    rate_tuple(d, REF_PLAN, "nats")
+    assert calls == {"divergence_profile": 2, "capacity_x3": 1}
+
+
+def test_channel_terms_read_only_and_equal_to_public(paper):
+    """The table's arrays cannot be written, and its capacity, chi-square
+    and I(X3; Y) are the public functions' values."""
+    tab = region._channel_terms(paper, "nats")
+    assert tab is region._channel_terms(paper, "nats")
+    cap, law = cm.capacity_x3(paper, unit="nats")
+    assert tab.capacity[0] == cap and np.array_equal(tab.capacity[1], law)
+    for arr in (tab.div, tab.divs, tab.coef, tab.sub, tab.capacity[1],
+                tab.warden[0][0], tab.one_hot[0]):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    q = np.array([0.3, 0.7])
+    assert tab.mutual_info(q) == mutual_info_x3(paper, q, "nats")
+    for x in range(paper.x3_size):
+        assert tab.chi_square(0.3, 1.1, x) == chi_square(paper, 0.3, 1.1, x)

@@ -248,6 +248,14 @@ def test_auto_thresholds_ignore_unused_x3(paper):
     assert rep.stage_errors["w1"] < 50 and rep.stage_errors["w2"] < 50
 
 
+def test_auto_thresholds_reject_plan_of_other_x3_size(paper):
+    """A plan over three x3 symbols on a two-symbol channel is a validation
+    error naming the length, as in rate_tuple."""
+    plan = PhasePlan.single_phase((0.5, 0.3, 0.2), 0.5, 0.5)
+    with pytest.raises(ValueError, match="must have length 2"):
+        auto_thresholds(paper, plan, 1000, 1000 ** -0.25)
+
+
 def test_run_trials_pe0_zero_when_m3_one(paper):
     cfg = SimConfig(n=24, plan=PLAN_Q, m3=1, trials=50, seed=4)
     rep = run_trials(cfg, paper)
