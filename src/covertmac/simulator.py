@@ -179,18 +179,31 @@ def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
 
 def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
     """Memoryless outputs (y, z); the two sides are sampled independently."""
+    rows = _input_rows(d, x1, x2, x3)
+    if len(rows) == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    y = _sample_rows(d.gamma_y, rows, rng)
+    z = _sample_rows(d.gamma_z, rows, rng)
+    return y, z
+
+
+def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
+    """The y of channel_sample(d, x1, x2, x3, rng): z's uniforms are drawn and
+    dropped, so rng ends in the same state."""
+    rows = _input_rows(d, x1, x2, x3)
+    y = _sample_rows(d.gamma_y, rows, rng)
+    rng.random(len(rows))
+    return y
+
+
+def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
+    """Channel matrix row of each input triple."""
     x1 = np.asarray(x1, dtype=int)
     x2 = np.asarray(x2, dtype=int)
     x3 = np.asarray(x3, dtype=int)
     if not (len(x1) == len(x2) == len(x3)):
         raise ValueError("input sequences must have equal length")
-    n = len(x1)
-    if n == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    rows = x1 * (2 * d.x3_size) + x2 * d.x3_size + x3
-    y = _sample_rows(d.gamma_y, rows, rng)
-    z = _sample_rows(d.gamma_z, rows, rng)
-    return y, z
+    return x1 * (2 * d.x3_size) + x2 * d.x3_size + x3
 
 
 def _sample_rows(mat: np.ndarray, rows: np.ndarray,
@@ -295,14 +308,14 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         w3 = int(rng.integers(cfg.m3))
         # hypothesis 0
         x1, x2, x3 = encode(ens, 0, w1, s1, w2, s2, w3, rng)
-        y, _ = channel_sample(d, x1, x2, x3, rng)
+        y = _receiver_sample(d, x1, x2, x3, rng)
         res0 = decode(ens, d, y, s1, s2, 0, eta1, eta2)
         if res0.w3 != w3:
             e0 += 1
             stage["w3_h0"] += 1
         # hypothesis 1
         x1, x2, x3 = encode(ens, 1, w1, s1, w2, s2, w3, rng)
-        y, _ = channel_sample(d, x1, x2, x3, rng)
+        y = _receiver_sample(d, x1, x2, x3, rng)
         res1 = decode(ens, d, y, s1, s2, 1, eta1, eta2)
         bad3 = res1.w3 != w3
         bad1 = res1.w1 != w1
@@ -353,7 +366,11 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
 
     Enumerates all |Z|^n output sequences and all (message, key) pairs;
     refuses when that exceeds the configured cap.  The shorter user's padding
-    segment enters as an exact per-symbol Bernoulli mixture.
+    segment enters as an exact per-symbol Bernoulli mixture.  Both laws are
+    held in the reversed layout of ``_product_law`` (z_0 varies fastest);
+    each (mixture, reference) pair of probabilities is the same as in
+    lexicographic order, and the KL terms are summed by ``_exact_sum``,
+    which is correctly rounded and so returns the same value in any order.
     """
     cfg = ens.cfg
     n = ens.n
@@ -368,22 +385,83 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     pad, p = ens.pad_idx, ens.pad_p[:, None]
     pad_step = 2 * k if ens.swapped else k
     qhat = np.zeros_like(ref)
+    law = np.empty_like(ref)
     for x1 in ens.x1.reshape(cfg.m1 * cfg.k1, n).astype(int):
         for x2 in ens.x2.reshape(cfg.m2 * cfg.k2, n).astype(int):
             idx = x1 * (2 * k) + x2 * k + x3
             rows = gz[idx]
             rows[pad] = (1 - p) * rows[pad] + p * gz[idx[pad] + pad_step]
-            qhat += _product_law(rows)
+            qhat += _product_law(rows, law)
     qhat /= cfg.pair_count()
-    mask = qhat > 0
-    if np.any(ref[mask] == 0):
+    if not qhat.all():              # drop the 0 log 0 terms
+        mask = qhat > 0
+        qhat, ref = qhat[mask], ref[mask]
+    if not ref.all():
         return math.inf
-    terms = qhat[mask] * np.log(qhat[mask] / ref[mask])
-    return math.fsum(terms.tolist()) / unit_factor(unit)
+    terms = np.divide(qhat, ref, out=law[:len(qhat)])
+    np.log(terms, out=terms)
+    terms *= qhat
+    return _exact_sum(terms) / unit_factor(unit)
 
 
-def _product_law(rows) -> np.ndarray:
-    out = np.ones(1)
+def _product_law(rows, out=None) -> np.ndarray:
+    """Product law of independent symbols with laws ``rows``, in reversed
+    layout: z = (z_0, ..., z_{n-1}) sits at sum_i z_i |Z|^i.  Each entry is
+    the left-to-right product ((1 * r_0[z_0]) * r_1[z_1]) * ..., bit for bit
+    the entry of the lexicographic kron chain.  Every outer product runs its
+    inner loop over the long axis and writes into ``out`` in place."""
+    if out is None:
+        out = np.empty(math.prod(len(r) for r in rows))
+    out[0] = 1.0
+    size = 1
     for r in rows:
-        out = np.kron(out, r)
+        # block j = r[j] * out[:size]; block 0, last, is the only one read
+        for j in range(len(r) - 1, -1, -1):
+            np.multiply(r[j], out[:size], out=out[j * size:(j + 1) * size])
+        size *= len(r)
     return out
+
+
+_SUM_CHUNK = 1 << 16
+_EXP_OFFSET = 1074                  # np.frexp exponents lie in [-1073, 1024]
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()), bit for bit, without making Python floats
+    (short of fsum's overflow errors, raised here only for a sum too large).
+
+    Each finite a_i is M_i 2^(e_i - 53) with an integer |M_i| < 2^53
+    (np.frexp).  The 26-bit halves of M_i are summed per exponent by
+    np.bincount, in chunks small enough that the partial sums stay below
+    2^53 and so are exact.  The buckets are then combined as Python ints
+    and rounded once: the result is the correctly rounded sum, the same for
+    any order of a.
+    """
+    a = np.asarray(a, dtype=float)
+    special = ~np.isfinite(a)
+    if special.any():               # fsum's inf/nan rules ignore finite terms
+        return math.fsum(a[special].tolist())
+    size = 2 * _EXP_OFFSET
+    hi_sum = np.zeros(size, dtype=np.int64)
+    lo_sum = np.zeros(size, dtype=np.int64)
+    chunk = min(_SUM_CHUNK, len(a))
+    m_buf, e_buf, hi_buf = np.empty(chunk), np.empty(chunk, np.int32), np.empty(chunk)
+    for start in range(0, len(a), _SUM_CHUNK):
+        part = a[start:start + _SUM_CHUNK]
+        m, e, hi = m_buf[:len(part)], e_buf[:len(part)], hi_buf[:len(part)]
+        np.frexp(part, out=(m, e))
+        np.ldexp(m, 53, out=m)      # the integer mantissa M, held exactly
+        np.multiply(m, 2.0 ** -26, out=hi)
+        np.floor(hi, out=hi)
+        m -= hi * 2.0 ** 26         # M = hi 2^26 + m with 0 <= m < 2^26
+        e += _EXP_OFFSET
+        hi_sum += np.bincount(e, weights=hi, minlength=size).astype(np.int64)
+        lo_sum += np.bincount(e, weights=m, minlength=size).astype(np.int64)
+    used = np.flatnonzero(hi_sum | lo_sum).tolist()
+    base = used[0] if used else 0
+    total = sum(((int(hi_sum[b]) << 26) + int(lo_sum[b])) << (b - base)
+                for b in used)
+    if total == 0:                  # -0.0 only when every term is -0.0
+        return math.fsum([-0.0]) if len(a) and np.signbit(a).all() else 0.0
+    shift = base - _EXP_OFFSET - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)

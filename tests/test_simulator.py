@@ -1,12 +1,17 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import covertmac as cm
+from covertmac.infotheory import unit_factor
 from covertmac.region import PhasePlan
-from covertmac.simulator import (EnumerationCapError, SimConfig,
+from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
+                                 _exact_sum, _receiver_sample,
                                  auto_thresholds, build_codebooks,
                                  channel_sample, decode, encode, exact_delta,
                                  phase_lengths, run_trials, wilson_interval)
@@ -133,6 +138,15 @@ def test_channel_sample_empirical(paper):
     for j in range(6):
         sigma = math.sqrt(row[j] * (1 - row[j]) / n)
         assert abs(counts[j] - row[j]) < 3.5 * sigma
+
+
+def test_receiver_sample_is_channel_sample_y(paper):
+    rng = rng_for(12)
+    x1, x2, x3 = (rng.integers(2, size=50) for _ in range(3))
+    a, b = rng_for(13), rng_for(13)
+    y, _ = channel_sample(paper, x1, x2, x3, a)
+    np.testing.assert_array_equal(_receiver_sample(paper, x1, x2, x3, b), y)
+    assert a.random() == b.random()       # the same stream position after
 
 
 def test_channel_sample_empty(paper):
@@ -341,6 +355,19 @@ def test_exact_delta_cap_refusal(paper):
         exact_delta(ens, paper, 0)
 
 
+def test_exact_delta_cap_is_outputs_times_pairs(paper):
+    work = 6 ** 3 * 16                    # |Z|^n x pairs at n = 3
+    for cap, refused in ((work, False), (work - 1, True)):
+        cfg = SimConfig(n=3, plan=PLAN_Q, m1=2, m2=2, m3=1, k1=2, k2=2,
+                        trials=0, enum_cap=cap)
+        ens = build_codebooks(cfg, rng_for(35), d=paper)
+        if refused:
+            with pytest.raises(EnumerationCapError, match=str(work)):
+                exact_delta(ens, paper, 0)
+        else:
+            assert exact_delta(ens, paper, 0) >= 0
+
+
 def test_exact_delta_padding_segment_exact(paper):
     """With beta2 < beta1 the padding mixture must keep delta exact: compare
     against a direct enumeration that marginalizes the padding symbols."""
@@ -367,6 +394,109 @@ def test_exact_delta_padding_segment_exact(paper):
         ref = np.kron(ref, paper.row("Z", 0, 0, int(x3[i])))
     want = float(np.sum(qhat * np.log(qhat / ref)))
     assert abs(exact_delta(ens, paper, 0, "nats") - want) < 1e-12
+
+
+def _reference_exact_delta(ens, d, w3, unit="nats"):
+    """The kron + math.fsum kernel exact_delta replaced, kept verbatim."""
+    cfg = ens.cfg
+    n = ens.n
+    work = d.z_size ** n * cfg.pair_count() if n > 0 else 0
+    if work > cfg.enum_cap:
+        raise EnumerationCapError(
+            f"|Z|^n * pairs = {work} exceeds enumeration cap {cfg.enum_cap}")
+    x3 = ens.x3[w3]
+    gz, k = d.gamma_z, d.x3_size
+    ref = _reference_product_law(gz[x3])
+    # padding positions mix the short user's symbols 0 and 1 at its density
+    pad, p = ens.pad_idx, ens.pad_p[:, None]
+    pad_step = 2 * k if ens.swapped else k
+    qhat = np.zeros_like(ref)
+    for x1 in ens.x1.reshape(cfg.m1 * cfg.k1, n).astype(int):
+        for x2 in ens.x2.reshape(cfg.m2 * cfg.k2, n).astype(int):
+            idx = x1 * (2 * k) + x2 * k + x3
+            rows = gz[idx]
+            rows[pad] = (1 - p) * rows[pad] + p * gz[idx[pad] + pad_step]
+            qhat += _reference_product_law(rows)
+    qhat /= cfg.pair_count()
+    mask = qhat > 0
+    if np.any(ref[mask] == 0):
+        return math.inf
+    terms = qhat[mask] * np.log(qhat[mask] / ref[mask])
+    return math.fsum(terms.tolist()) / unit_factor(unit)
+
+
+def _reference_product_law(rows) -> np.ndarray:
+    out = np.ones(1)
+    for r in rows:
+        out = np.kron(out, r)
+    return out
+
+
+KERNEL_PLANS = {
+    # beta2 < beta1: user 2 pads
+    "user2-pads": PhasePlan.single_phase((0.535, 0.465), rho1=1.5, rho2=1.0,
+                                         beta1=1.0, beta2=0.6),
+    # beta1 < beta2: user 1 pads
+    "user1-pads": PhasePlan.single_phase((0.535, 0.465), rho1=1.0, rho2=1.5,
+                                         beta1=0.7, beta2=1.0),
+    "dense-two-phase": PhasePlan(p_t=(0.5, 0.5),
+                                 p_x3_given_t=((0.6, 0.4), (0.3, 0.7)),
+                                 rho1=(2.0, 1.5), rho2=(1.5, 2.0),
+                                 beta1=1.0, beta2=0.8),
+    "all-zero": PhasePlan.single_phase((0.535, 0.465), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PLANS))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_exact_delta_bits_match_reference_kernel(paper, name, n):
+    cfg = SimConfig(n=n, plan=KERNEL_PLANS[name], m1=2, m2=2, m3=2, k1=1,
+                    k2=1, trials=0)
+    ens = build_codebooks(cfg, rng_for(44, n), d=paper)
+    for w3, unit in enumerate(("nats", "bits")):
+        assert (exact_delta(ens, paper, w3, unit).hex()
+                == _reference_exact_delta(ens, paper, w3, unit).hex())
+
+
+def _same_sum(a):
+    a = np.asarray(a, dtype=float)
+    assert _exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+# |a_i| <= 1e300 keeps fsum clear of intermediate overflow
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FINITE, max_size=60))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0])
+@example([5e-324])
+@example([1e300, -1e300, 5e-324])
+def test_exact_sum_matches_fsum(xs):
+    _same_sum(xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=40),
+       st.lists(st.floats(min_value=-1e-300, max_value=1e-300), max_size=4),
+       st.randoms(use_true_random=False))
+def test_exact_sum_cancellation(xs, tail, rnd: random.Random):
+    a = xs + [-x for x in xs] + tail
+    rnd.shuffle(a)
+    _same_sum(a)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 3 * _SUM_CHUNK + 5), st.integers(0, 2**32 - 1),
+       st.floats(-320, -1), st.floats(1, 300))
+def test_exact_sum_over_chunks(length, seed, lo, hi):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal(length) * 10.0 ** gen.uniform(lo, hi, length)
+    _same_sum(a)
+    _same_sum(np.concatenate([a, -a[::-1], a[:7]]))
 
 
 PIN_PLAN = dict(p_t=(0.4, 0.6), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
