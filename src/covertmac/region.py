@@ -24,7 +24,9 @@ covert mass v = p (rho1 + rho2); the numerators are linear in v, and the
 time shares p ~ v sqrt(chi2) minimize D to sum v sqrt(chi2)
 (Cauchy-Schwarz).  Normalizing N2 = 1 (Charnes-Cooper, 1962) turns
 1 / r2 into the optimum of a linear program over a lam grid, which column
-generation refines.
+generation refines by exact pricing (a quadratic in lam per x3); where no
+plan has N2 > 0 (k2_max = 0, say), D = 1 instead gives r2 = 0.  With x3
+pinned (fix mode) all modes merge into one phase, solved as below.
 
 At R3 > 0 the time shares matter (R3 = sum p I(q)), so the columns are
 whole phases (lam, q, a), a = rho1 + rho2, and the only LP variables are
@@ -48,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 # minimize is unused here; the benchmark's --trace 1 resolves it by name
-from scipy.optimize import linprog, minimize, minimize_scalar  # noqa: F401
+from scipy.optimize import linprog, minimize  # noqa: F401
 
 from .channel import Dmc, SIDE_Z
 from .infotheory import (DEFAULT_UNIT, _output_divergences, capacity_x3,
@@ -275,7 +277,11 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
 
 def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
     """Evaluate the asymptotic rate/key tuple of a plan."""
-    num, key, dsq, r3 = _plan_quantities(d, plan, unit)
+    return _rates(plan, unit, *_plan_quantities(d, plan, unit))
+
+
+def _rates(plan: PhasePlan, unit: str, num, key, dsq, r3) -> RateTuple:
+    """rate_tuple from the plan's _plan_quantities (free of its betas)."""
     r3 = float(r3)              # plans may hold numpy scalars
     if math.isinf(dsq):
         raise ValueError("chi-square is infinite at an active (phase, x3); "
@@ -366,7 +372,6 @@ def _feasible(rt, cons: Constraints, slack: float = _FEAS_SLACK) -> bool:
 
 
 _LP_GRID = 201                                  # starting lam grid per x3
-_LP_PRICE_GRID = np.linspace(0.0, 1.0, 1001)    # dense pricing evaluation
 _LP_RC_TOL = 1e-10                              # pricing stops above -tol
 _LP_MAX_ROUNDS = 50
 # below HiGHS' 1e-7 defaults, so that no basic column prices under -tol
@@ -418,48 +423,48 @@ def _lp_solve(cols, cons: Constraints, eq_row):
 
 def _price(tab: _ChannelTerms, cons: Constraints, res, x: int):
     """(reduced cost, lam) of the cheapest mode at x3 = x under the duals of
-    ``res``.  The reduced cost is convex in lam (a positive multiple of the
-    norm sqrt(chi2) plus linear terms), so a dense scan and a bounded 1-D
-    search around its minimum find the global one."""
-    y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals[0]
-
-    def rc(lam):
-        cols = _modes(tab, lam, x)
-        return -(y_ub @ _lp_rows(cols, cons)[0]) - y_eq * cols[2]
-
-    g = _LP_PRICE_GRID
-    dense = rc(g)
-    i = int(np.argmin(dense))
-    fine = minimize_scalar(lambda l: float(rc(l)), method="bounded",
-                           bounds=(g[max(i - 1, 0)], g[min(i + 1, len(g) - 1)]),
-                           options={"xatol": 1e-12})
-    if fine.fun < dense[i]:
-        return float(fine.fun), float(fine.x)
-    return float(dense[i]), float(g[i])
+    ``res``.  The LP rows are linear in the mode terms, so the reduced cost
+    is c sqrt(chi2) + b lam + const; with chi2 = a2 lam^2 + 2 a1 lam + C its
+    minimum is at 0, 1 or a root of c^2 (a2 lam + a1)^2 = b^2 chi2."""
+    eye = np.eye(5)                     # reduced cost per unit mode term
+    w = (-(res.ineqlin.marginals @ _lp_rows(tuple(eye), cons)[0])
+         - res.eqlin.marginals[0] * eye[2])
+    # n1, key1 grow with lam and n2, key2 with 1 - lam
+    c, b = w[0], w[1:] @ (tab.one_hot[0][:, x] * [1.0, -1.0, 1.0, -1.0])
+    A, B, C = tab.coef[:, x]
+    a2, a1 = A - 2.0 * B + C, B - C
+    k = c * c * a2 - b * b              # qa lam^2 + 2 h lam + qc = 0
+    qa, h, qc = k * a2, k * a1, c * c * a1 * a1 - b * b * C
+    q = -(h + math.copysign(math.sqrt(max(h * h - qa * qc, 0.0)), h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.clip([0.0, 1.0, *np.divide([q, qc], [qa, q])], 0.0, 1.0)
+    lam = lam[~np.isnan(lam)]
+    val = w @ np.array(_modes(tab, lam, x))
+    i = int(np.argmin(val))
+    return float(val[i]), float(lam[i])
 
 
 def _key_beta(cap: float, key: float, dd: float) -> float:
     """Largest beta in (0, 1] with sqrt2 * beta * key / dd <= cap (every
-    beta when dd = 0: the plan is perfectly covert, with zero key rates)."""
-    if key <= 0 or dd == 0 or SQRT2 * key <= cap * dd:
+    beta when dd = 0: the plan is perfectly covert, with zero key rates).
+    A zero cap counts as _FEAS_SLACK: an LP plan's K2 is 0 up to rounding."""
+    if key <= 0 or dd == 0 or SQRT2 * key <= (cap or _FEAS_SLACK) * dd:
         return 1.0
     return cap * dd / (SQRT2 * key)
 
 
-def _lp_modes(tab: _ChannelTerms, fixed_x3: int | None):
+def _lp_modes(tab: _ChannelTerms):
     """(xs, lam, x, cols): the x3 symbols the warden's support allows, and
     the starting one-hot modes (lam, x) with their columns.  None where the
     LP gives no plan: non-finite divergences, or r2 unbounded (a mode
     with N2 > 0 the warden cannot see)."""
-    xs = [x for x in (range(len(tab.ok)) if fixed_x3 is None else (fixed_x3,))
-          if tab.ok[x]]
+    xs = [x for x in range(len(tab.ok)) if tab.ok[x]]
     if not xs or not np.isfinite(tab.div[:, xs]).all():
         return None
     lam = np.tile(np.linspace(0.0, 1.0, _LP_GRID), len(xs))
     x = np.repeat(xs, _LP_GRID)
     cols = _modes(tab, lam, x)
-    # A mode the warden cannot see (chi2 = 0) gets no time share; with
-    # N2 > 0 it would make r2 unbounded.
+    # a mode the warden cannot see (chi2 = 0) gets no time share
     unseen = cols[0] == 0
     if np.any(unseen & (cols[2] > 0)):
         return None
@@ -471,7 +476,7 @@ def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     the smallest beta1 that meets r1_min (the largest under the k1 cap when
     r1_min = 0 or r1 = inf) and the largest beta2 under the k2 cap; None
     when a beta would be 0 or the plan misses a cap by more than 1e-9."""
-    num, key, dsq, _ = _plan_quantities(d, plan, unit)
+    num, key, dsq, r3 = _plan_quantities(d, plan, unit)
     dd = math.sqrt(dsq)
     if cons.r1_min > 0 and dd > 0 and math.isfinite(num[0]):
         b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
@@ -481,41 +486,39 @@ def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     if not (b1 > 0 and b2 > 0):
         return None
     plan = replace(plan, beta1=float(b1), beta2=float(b2))
-    rt = rate_tuple(d, plan, unit)
+    rt = _rates(plan, unit, num, key, dsq, r3)
     if not _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons):
         return None
     return plan, rt
 
 
-def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
+def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
     """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
     Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes).
-    Raises InfeasibleError when the LP is infeasible."""
+    Where no plan with N2 > 0 meets the caps it normalizes D = 1 instead
+    (r2 = 0); InfeasibleError when that LP is infeasible too."""
     tab = _channel_terms(d, unit)
-    modes = _lp_modes(tab, fixed_x3)
+    modes = _lp_modes(tab)
     if modes is None:
         return None
     xs, lam, x, cols = modes
-    # no mode carries user 2: r2 = 0, so normalize D = 1 instead of N2 = 1
-    user2 = bool(np.any(cols[2] > 0))
     for rnd in range(_LP_MAX_ROUNDS):
-        res = _lp_solve(cols, cons, cols[2] if user2 else cols[0])
+        res = _lp_solve(cols, cons, cols[2])
+        r2_zero = res.status == 2
+        if r2_zero:                     # no plan has N2 > 0: normalize D = 1
+            res = _lp_solve(cols, cons, cols[0])
         if res.status == 2:
             raise InfeasibleError(f"no plan meets {cons}", cons)
         if res.status != 0:
             return None
-        if not user2 or rnd == _LP_MAX_ROUNDS - 1:
+        if r2_zero or rnd == _LP_MAX_ROUNDS - 1:
             break
-        new_lam, new_x = [], []
-        for xx in xs:
-            val, l = _price(tab, cons, res, xx)
-            if val < -_LP_RC_TOL and not np.any((x == xx)
-                                                & (np.abs(lam - l) <= 1e-12)):
-                new_lam.append(l)
-                new_x.append(xx)
-        if not new_x:
+        priced = [(*_price(tab, cons, res, xx), xx) for xx in xs]
+        new = [(l, xx) for val, l, xx in priced if val < -_LP_RC_TOL
+               and not np.any((x == xx) & (np.abs(lam - l) <= 1e-12))]
+        if not new:
             break
-        new_lam, new_x = np.array(new_lam), np.array(new_x)
+        new_lam, new_x = map(np.array, zip(*new))
         new_cols = _modes(tab, new_lam, new_x)
         if np.any(new_cols[0] == 0):
             return None
@@ -528,9 +531,8 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str, fixed_x3: int | None):
     on = v > 1e-12 * v.max()
     x_on = np.unique(x[on])
     mass = np.array([v[on & (x == xx)].sum() for xx in x_on])
-    lam_on = np.array([v[on & (x == xx)] @ lam[on & (x == xx)]
-                       for xx in x_on]) / mass
-    lam_on = np.clip(lam_on, 0.0, 1.0)
+    lam_on = np.clip([v[on & (x == xx)] @ lam[on & (x == xx)]
+                      for xx in x_on] / mass, 0.0, 1.0)
     w = mass * _modes(tab, lam_on, x_on)[0]
     if not np.all(w > 0):
         return None
@@ -793,7 +795,7 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     keeps every numerator and does not raise G.
     """
     tab = _channel_terms(d, unit)
-    if _lp_modes(tab, None) is None:
+    if _lp_modes(tab) is None:
         return None
     cap, q_cap = tab.capacity
     if cons.R3_min >= cap:    # only the capacity-achieving law can meet it
@@ -896,11 +898,11 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
     exact per law; laws are searched as _r3_columns prices: a lattice and the
     capacity_x3 law (it alone at R3_min >= capacity), then the best
     _R3_STARTS laws _R3_APART apart, each refined by a pattern search whose
-    step shrinks only when its centre stops moving (exact at x3_size 2)."""
+    step shrinks only when its centre stops moving (exact at x3_size 2).
+    With ``fixed_x3`` (R3_min = 0) the one law is that one-hot law."""
     tab = _channel_terms(d, unit)
-    cap, q_cap = tab.capacity
-    if fixed_x3 is not None:            # R3_min = 0 and a one-hot law
-        cap, q_cap = 0.0, np.eye(d.x3_size)[fixed_x3]
+    cap, q_cap = (tab.capacity if fixed_x3 is None
+                  else (0.0, np.eye(d.x3_size)[fixed_x3]))
     grid, step = np.array([q_cap]), 0.0     # value() moves laws in place
     if cons.R3_min < cap:
         grid, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
@@ -951,32 +953,34 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
     """Feasible plan maximizing r2, with its rate tuple; InfeasibleError
     when no plan meets the constraints.
 
-    The exact plan is an LP optimum over one-hot modes at R3_min = 0
-    (_lp_max_r2: a phase per x3 symbol used) or over phases (lam, q, a) at
-    R3_min > 0 (_lp_max_r2_r3: optimize mode only; certified at x3_size 2).
-    It is returned when its tau* phases fit ``budget.max_phases``; at
-    max_phases = 1 the best single phase (_one_phase_max_r2) is returned,
-    and a cap from 2 to tau* - 1 raises ValueError.  The single-phase search
-    also runs where the LP gives no plan: an infinite divergence, or a mode
-    the warden cannot see, which makes r2 unbounded (r2 = inf).
+    In fix mode, x3_mode = ("fix", x), the modes of any plan merge into one
+    phase at the one-hot law, so the single-phase closed form is exact and
+    no LP runs; R3_min > 0 raises InfeasibleError at once.  Otherwise the
+    exact plan is an LP optimum over one-hot modes at R3_min = 0
+    (_lp_max_r2: a phase per x3 symbol used; r2 = 0 where no plan with
+    r2 > 0 meets the k2 cap) or over phases (lam, q, a) at R3_min > 0
+    (_lp_max_r2_r3: certified at x3_size 2).  It is returned when its tau*
+    phases fit ``budget.max_phases``; at max_phases = 1 the best single
+    phase (_one_phase_max_r2) is returned, and a cap from 2 to tau* - 1
+    raises ValueError.  The single-phase search also runs where the LP
+    gives no plan: an infinite divergence, or a mode the warden cannot
+    see, which makes r2 unbounded (r2 = inf).
     """
-    fixed_x3 = None
     if x3_mode != "optimize":
-        _, fixed_x3 = x3_mode
-        if not 0 <= fixed_x3 < d.x3_size:
-            raise ValueError(f"fixed x3 {fixed_x3} out of range")
+        _, x = x3_mode
+        if not 0 <= x < d.x3_size:
+            raise ValueError(f"fixed x3 {x} out of range")
+        if constraints.R3_min > 0:
+            raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
+                                  f"meets {constraints}", constraints)
+        return _one_phase_max_r2(d, constraints, unit, x)
     max_phases = min(budget.max_phases, MAX_PHASES)
-    if constraints.R3_min == 0:
-        found = _lp_max_r2(d, constraints, unit, fixed_x3)
-    elif fixed_x3 is not None:
-        raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
-                              f"meets {constraints}", constraints)
-    else:
-        found = _lp_max_r2_r3(d, constraints, unit)
+    found = (_lp_max_r2 if constraints.R3_min == 0 else _lp_max_r2_r3)(
+        d, constraints, unit)
     if found is not None and found[0].tau <= max_phases:
         return found[:2]
     if found is None or max_phases == 1:
-        return _one_phase_max_r2(d, constraints, unit, fixed_x3)
+        return _one_phase_max_r2(d, constraints, unit)
     tau = found[0].tau
     raise ValueError(f"the optimum needs {tau} phases; max_phases must be 1 "
                      f"or at least {tau}")

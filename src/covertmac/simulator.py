@@ -38,8 +38,6 @@ class SimConfig:
     k1: int = 1
     k2: int = 1
     omega_n: float | None = None        # default n**-0.25
-    eta1: float | str = "auto"
-    eta2: float | str = "auto"
     mu: float = 0.5                     # auto-threshold backoff
     trials: int = 1000
     seed: int = 0
@@ -289,11 +287,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     otherwise each trial draws a fresh ensemble (random-coding average).
     """
     t0 = time.perf_counter()
-    eta1, eta2 = cfg.eta1, cfg.eta2
-    if eta1 == "auto" or eta2 == "auto":
-        a1, a2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n, cfg.mu)
-        eta1 = a1 if eta1 == "auto" else float(eta1)
-        eta2 = a2 if eta2 == "auto" else float(eta2)
+    eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n, cfg.mu)
     fixed_ens = None
     if cfg.fixed_codebook:
         rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))

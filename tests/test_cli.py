@@ -236,6 +236,15 @@ def test_solve_outputs_pinned(capsys, monkeypatch, argv, tail, rows):
     assert out == "\n".join([head] + rows) + "\n"
 
 
+def test_curve_fix_x3_zero_key_cap(capsys):
+    """The README's fix-x3 0 curve starts at k2 = 0, where the plan keeps
+    user 2 silent (r2 = 0) instead of exiting 4."""
+    code, out, _ = run(capsys, "curve", "--channel", "paper", "--r1", "0.1",
+                       "--k1-max", "0.8", "--fix-x3", "0")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["k2,r2", "0,0"]
+
+
 def test_sizing_json_pinned(capsys, monkeypatch, tmp_path):
     """The sizing report of REF_PLAN at n = 10^6, byte for byte."""
     from test_region import REF_PLAN

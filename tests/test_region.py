@@ -467,6 +467,79 @@ def test_max_r2_key_limited_fix0_single_phase(paper):
     assert limit * (1 - 1e-9) <= rt.r2 <= limit * (1 + 1e-9)
 
 
+def test_max_r2_fix_mode_is_one_closed_form_phase(paper, monkeypatch):
+    """Fix mode solves its single merged phase in closed form: no LP runs,
+    and r2 is the frozen fix0 optimum to 1e-12."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("fix mode ran an LP")
+
+    monkeypatch.setattr(region, "linprog", no_lp)
+    plan, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
+                      BUDGET, x3_mode=("fix", 0))
+    assert plan.tau == 1 and plan.p_x3_given_t == ((1.0, 0.0),)
+    assert math.isclose(rt.r2, ORACLE_FIX0_PLATEAU, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [None, 2, 6, 9])
+def test_price_is_exact(paper, monkeypatch, seed):
+    """Under the duals of every LP round of a real R3 = 0 solve (the paper
+    corner, three random problems), _price's reduced cost is at most the
+    minimum of a 10001-point scan of the reduced cost, and it is the
+    reduced cost at its lam."""
+    if seed is None:
+        d, cons = paper, Constraints(r1_min=0.5, k1_max=0.8, k2_max=0.8)
+    else:
+        d, cons, _ = random_problem(seed)
+    calls, inner = [], region._price
+
+    def recorded(tab, c, res, x):
+        calls.append((tab, res, x, inner(tab, c, res, x)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(region, "_price", recorded)
+    max_r2(d, cons)
+    scan = np.linspace(0.0, 1.0, 10001)
+    for tab, res, x, (val, lam) in calls:
+        y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals[0]
+
+        def rc(l):
+            cols = region._modes(tab, l, x)
+            return -(y_ub @ region._lp_rows(cols, cons)[0]) - y_eq * cols[2]
+
+        tol = 1e-14 * (np.abs(y_ub).sum() + abs(y_eq))      # rounding
+        assert val <= rc(scan).min() + tol
+        assert abs(val - rc(np.array([lam]))[0]) <= tol
+    assert len(calls) > d.x3_size                # more than one round
+
+
+def test_max_r2_zero_key_cap_gives_r2_zero(paper):
+    """A k2 cap of 0 at R3 = 0 gives a feasible plan with r2 = 0 where no
+    plan with N2 > 0 meets it, not InfeasibleError: random_problem(3) in
+    optimize mode and the paper channel with x3 fixed to 0."""
+    d, cons, _ = random_problem(3)
+    for d, cons, mode in (
+            (d, replace(cons, k2_max=0.0), "optimize"),
+            (paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.0),
+             ("fix", 0))):
+        plan, rt = max_r2(d, cons, BUDGET, x3_mode=mode)
+        assert rt.r2 == 0.0
+        assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+        assert rate_tuple(d, plan) == rt
+
+
+def test_max_r2_zero_key_cap_keeps_lp_plan():
+    """At k2_max = 0 the LP plan of random_problem(18) mixes a phase with
+    K2 < 0 and one with K2 > 0 to K2 = 0 up to rounding; it is kept
+    (beta2 = 1), not replaced by the much lower single-phase plan."""
+    d, cons, _ = random_problem(18)
+    cons = replace(cons, k2_max=0.0)
+    plan, rt = max_r2(d, cons)
+    _, one = max_r2(d, cons, OptBudget(max_phases=1))
+    assert plan.tau == 2 and plan.beta2 == 1.0
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert rt.r2 > 2 * one.r2
+
+
 def test_max_r2_falls_back_when_lp_needs_more_phases():
     """The LP optimum of this problem uses two x3 symbols; with one phase
     allowed, the single-phase search returns a feasible one-phase plan."""
