@@ -163,6 +163,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify_asymptotics(args) -> int:
     d = _load(args)
     alphas = [float(a) for a in args.alpha.split(",")]
+    if not all(math.isfinite(a) and a > 0 for a in alphas):
+        raise ValueError("--alpha values must be finite and > 0")
     rng = np.random.default_rng(args.seed)
     cases = []
     if args.rho1 is not None:

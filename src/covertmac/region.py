@@ -49,8 +49,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# minimize is unused here; the benchmark's --trace 1 resolves it by name
-from scipy.optimize import linprog, minimize  # noqa: F401
 
 from .channel import Dmc, SIDE_Z
 from .infotheory import (DEFAULT_UNIT, _output_divergences, capacity_x3,
@@ -379,6 +377,23 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP: a process that
+    solves no LP (simulate, sizing, rate evaluation) never loads
+    scipy.optimize, which is most of a cold start's time and memory."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def __getattr__(name):
+    # The benchmark's --trace 1 looks up region.minimize by name; this goes
+    # when ROADMAP item 5 drops that span.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _modes(tab: _ChannelTerms, lam, x):
     """(sqrt(chi2), n1, n2, key1, key2) per unit covert mass v of the modes
     (lam, x3 = x): the _terms of phases at the one-hot law."""
@@ -635,22 +650,27 @@ def _r3_solve(t, a, cons: Constraints, z: float, c2: float, phase1: bool):
                    method="highs", options=_LP_OPTIONS)
 
 
-def _r3_price(res, cons: Constraints, z: float, c2: float, t):
-    """(reduced cost, a) of the cheapest column at each (lam, law) of the
-    terms t under the duals of ``res``.  The reduced cost is
-    beta + alpha a + gamma a^2 with gamma >= 0, so a = -alpha / (2 gamma)
-    (capped) when alpha < 0.  Every row is linear in the terms (n1, n2,
-    key1, key2, chi, info), so the rows at unit terms give the
-    coefficients of beta, alpha and gamma."""
+def _r3_duals(res, cons: Constraints, z: float, c2: float):
+    """(coef, y_eq): the reduced cost of a column under the duals of
+    ``res``.  Every row is linear in the terms (n1, n2, key1, key2, chi,
+    info), so the rows at unit terms give, per part (const, lin, quad), a
+    coefficient of each term; y_eq is the dual of sum p = 1."""
     unit = _r3_rows(cons, z, c2, tuple(np.eye(6)) + (None,))
-    parts = []
-    for k in range(3):                               # const, lin, quad
-        coef = -sum(y * np.broadcast_to(r[k], 6)
-                    for y, r in zip(res.ineqlin.marginals, unit))
-        parts.append(sum((c * v for c, v in zip(coef, t[:6]) if c != 0),
-                         np.float64(0.0)))
-    beta, alpha, gamma = parts
-    beta = beta - res.eqlin.marginals[0]
+    coef = [-sum(y * np.broadcast_to(r[k], 6)
+                 for y, r in zip(res.ineqlin.marginals, unit))
+            for k in range(3)]
+    return coef, res.eqlin.marginals[0]
+
+
+def _r3_price(duals, t):
+    """(reduced cost, a) of the cheapest column at each (lam, law) of the
+    terms t under ``duals`` (_r3_duals).  The reduced cost is
+    beta + alpha a + gamma a^2 with gamma >= 0, so a = -alpha / (2 gamma)
+    (capped) when alpha < 0."""
+    coef, y_eq = duals
+    beta, alpha, gamma = (sum((c * v for c, v in zip(part, t[:6]) if c != 0),
+                              np.float64(0.0)) for part in coef)
+    beta = beta - y_eq
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(gamma > 0, -alpha / (2.0 * gamma), math.inf)
         a = np.where(t[6] & (alpha < 0),
@@ -660,14 +680,17 @@ def _r3_price(res, cons: Constraints, z: float, c2: float, t):
 
 def _r3_columns(res, cons: Constraints, z: float, c2: float,
                 tab: _ChannelTerms, scan):
-    """[(reduced cost, lam, q, a)] of cheap columns: up to _R3_STARTS scan
-    minima at least _R3_APART apart, each refined by _R3_ZOOM local grids
-    of 21 lam points by q and its neighbours, all starts in one batch."""
+    """[(reduced cost, lam, q, a)] of cheap columns under the duals of
+    ``res``: up to _R3_STARTS scan minima at least _R3_APART apart, each
+    refined by _R3_ZOOM local grids of 21 lam points by q and its
+    neighbours, all starts in one batch.  The reduced-cost coefficients
+    (_r3_duals) are computed once and price every block and zoom round."""
     lam, q, laws, h = scan
+    duals = _r3_duals(res, cons, z, c2)
     rc, a = np.empty((2, len(lam), len(q)))
     for b in range(0, len(lam), _R3_BLOCK):          # bounds the temporaries
         rc[b:b + _R3_BLOCK], a[b:b + _R3_BLOCK] = _r3_price(
-            res, cons, z, c2, _terms(lam[b:b + _R3_BLOCK, None], laws))
+            duals, _terms(lam[b:b + _R3_BLOCK, None], laws))
     found = []
     for _ in range(_R3_STARTS):
         i, j = np.unravel_index(np.argmin(rc), rc.shape)
@@ -686,8 +709,7 @@ def _r3_columns(res, cons: Constraints, z: float, c2: float,
         shape = (len(found), 1, m)
         laws = [v.reshape(v.shape[:-1] + shape)
                 for v in tab.laws(q_loc.reshape(-1, q.shape[1]))]
-        rc, a = _r3_price(res, cons, z, c2,
-                          _terms(lam_loc[:, :, None], laws))
+        rc, a = _r3_price(duals, _terms(lam_loc[:, :, None], laws))
         for s, f in enumerate(found):
             k, n = np.unravel_index(np.argmin(rc[s]), rc[s].shape)
             if rc[s, k, n] < f[0]:

@@ -50,6 +50,8 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if self.omega_n is None:
             self.omega_n = float(self.n) ** -0.25
+        if not (math.isfinite(self.omega_n) and self.omega_n > 0):
+            raise ValueError("omega_n must be finite and positive")
         for name in ("m1", "m2", "m3", "k1", "k2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -179,10 +179,20 @@ def _capped_region_argv():
     ["curve", "--channel", "paper", "--k2-grid", "0:1:0"],
     ["region", "--channel", "paper", "--r3-grid", "0", "--max-phases", "0"],
     _capped_region_argv(),
+    ["verify-asymptotics", "--channel", "paper", "--alpha", "0"],
+    ["verify-asymptotics", "--channel", "paper", "--alpha", "1e-3,nan"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
+     "--omega", "0"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
+     "--omega", "-1"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
+     "--omega", "nan"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
         "curve-nan-r1", "curve-nan-k2", "region-empty-grid",
-        "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum"])
+        "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
+        "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
+        "omega-nan"])
 def test_invalid_input_exit_3(capsys, plan_file, tmp_path, argv):
     chan5 = tmp_path / "chan5.json"
     cm.save_channel(random_problem(5)[0], chan5)

@@ -435,6 +435,32 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
     assert max_r2(d, cons, budget)[0].to_json() == plan.to_json()
 
 
+@pytest.mark.parametrize("seed, want", [
+    (0, "(PhasePlan(p_t=(0.41187057159487317, 0.5881294284051268), "
+        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.1561445644682374, "
+        "0.8438554355317628)), rho1=(0.0, 0.6759350217453562), "
+        "rho2=(2.1412034814326963, 0.0), beta1=0.9999999999988838, "
+        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950388166, "
+        "R3=0.061976906274739604, k1=0.0, k2=0.0, unit='bits', "
+        "perfectly_covert=False))"),
+    (25, "(PhasePlan(p_t=(0.8761114646765492, 0.12388853532345082), "
+         "p_x3_given_t=((0.0, 0.9490702096760728, 0.050929790323927186), "
+         "(0.0, 0.9545874, 0.04541259999999999)), "
+         "rho1=(0.3934055888660844, 0.4135026345808997), "
+         "rho2=(0.9334816250761244, 0.9229213399461479), "
+         "beta1=0.9999997725552328, beta2=1.0), "
+         "RateTuple(r1=2.9882048995946704, r2=6.988203011812317, "
+         "R3=0.13423244862093917, k1=0.0, k2=0.0, unit='bits', "
+         "perfectly_covert=False))")])
+def test_max_r2_r3_x3_size_3_pinned(seed, want):
+    """The R3 > 0 path at x3_size 3 (the simplex-lattice scan), byte for
+    byte: random_problem(seed) at R3_min = 0.3 x capacity."""
+    d, cons, _ = random_problem(seed)
+    assert d.x3_size == 3
+    cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
+    assert repr(max_r2(d, cons)) == want
+
+
 def test_trace_near_capacity_exact(paper, lp_bounds):
     """The boundary up to capacity comes from the exact path; at capacity
     only the capacity-achieving law is priced, and the bound still holds
