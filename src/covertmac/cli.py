@@ -27,6 +27,11 @@ from .region import (Constraints, InfeasibleError, OptBudget, PhasePlan,
                      theorem1_sizing, trace_r2_R3)
 from .simulator import EnumerationCapError, SimConfig, exact_delta, run_trials
 
+# A chi-square at or below this is rounding noise (0 or about 4e-33 on a
+# channel whose warden rows are all equal), not a warden that can see the
+# covert users; on the paper channel chi-square is at least about 0.7.
+CHI2_ZERO = 1e-20
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
@@ -179,6 +184,10 @@ def cmd_verify_asymptotics(args) -> int:
     lines = [_manifest(args, d), "rho1,rho2,x3,alpha,ratio"]
     for rho1, rho2, x3 in cases:
         c2 = chi_square(d, rho1, rho2, x3)
+        if c2 <= CHI2_ZERO:
+            raise ValueError(f"chi-square is 0 at rho1={rho1:.6g}, "
+                             f"rho2={rho2:.6g}, x3={x3}: the warden cannot "
+                             f"see the covert users, so no ratio exists")
         for a in alphas:
             # second-order identity is natural-log based; ratio is unit-free
             num = mixture_kl(d, rho1, rho2, x3, a, unit="nats")

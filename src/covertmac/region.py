@@ -32,9 +32,12 @@ At R3 > 0 the time shares matter (R3 = sum p I(q)), so the columns are
 whole phases (lam, q, a), a = rho1 + rho2, and the only LP variables are
 their time shares p: the numerators, G = D^2 and R3 are all linear in p.
 Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
-ratios, solved by a Dinkelbach-type iteration; new columns come from a
-closed-form minimum of the reduced cost over a and a scan over (lam, q).
-A single phase has r2 in closed form in lam at each law q, searched over q.
+ratios, solved by a Dinkelbach-type iteration.  A new column's lam and a
+minimize its reduced cost in closed form at each law q, so pricing is a
+search over laws alone.  A single phase has r2 in closed form in lam at
+each law q too, and one search over laws (_best_laws: a lattice, then a
+pattern search from its best points) serves both.  That search is local,
+so the LP's upper bound on r2 is measured, not proven.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
 capacity_x3) from one _ChannelTerms table per (Dmc, unit), built on first
@@ -566,13 +569,11 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
 # R3_min > 0: a column-generated LP over phases (lam, q, a)
 
 
-_R3_SCAN = 201           # lam points of the pricing scan, q points at x3_size 2
-_R3_SCAN_Q = 500         # most laws of the scan's simplex lattice
+_R3_SCAN = 201           # laws of the law lattice at x3_size 2
+_R3_SCAN_Q = 500         # most laws of the law lattice
 _R3_SEED_Q = (10, 15)    # seed lattice: most steps per unit, most laws
-_R3_ZOOM = 6             # local refinements of a scan minimum, 10x finer each
-_R3_BLOCK = 40           # lam rows of the scan priced at a time
-_R3_STARTS = 4           # scan minima refined per round
-_R3_APART = 0.05         # least (lam, q) max-norm distance between them
+_R3_STARTS = 4           # lattice maxima refined by a law search
+_R3_APART = 0.05         # least max-norm distance between their laws
 _R3_U_MAX = 1e3          # cap on a sqrt(chi2) of a priced column
 _R3_S_TOL = 1e-12        # Dinkelbach stops once max s is below this
 _R3_MAX_ROUNDS = 300
@@ -593,14 +594,67 @@ def _simplex_grid(k: int, res: int, most: int):
     return np.array(rows, dtype=float) / res, 1.0 / res
 
 
+@functools.cache
+def _directions(k: int):
+    """(j, e_i - e_j) over the ordered pairs i != j of k symbols, in
+    read-only arrays (every caller shares them)."""
+    i, j = np.array(list(itertools.permutations(range(k), 2))).T
+    move = np.eye(k)[i] - np.eye(k)[j]
+    for v in (j, move):
+        v.setflags(write=False)
+    return j, move
+
+
 def _q_neighbours(q, h: float) -> np.ndarray:
-    """q and the laws up to h away along each direction e_i - e_j."""
-    out = [q]
-    for i, j in itertools.permutations(range(len(q)), 2):
-        if min(h, q[j]) > 0:
-            s = np.linspace(0.0, min(h, q[j]), 11)[1:, None]
-            out.extend(q + s * (np.eye(len(q))[i] - np.eye(len(q))[j]))
-    return np.array(out)
+    """q and the laws up to h away along each direction e_i - e_j: ten
+    points each, placed as np.linspace(0, reach, 11)[1:] places them."""
+    j, move = _directions(len(q))
+    reach = np.minimum(h, q[j])
+    on = reach > 0
+    s = np.arange(1, 11) * (reach[on] / 10)[:, None]
+    s[:, -1] = reach[on]
+    return np.vstack([q, (q + s[:, :, None] * move[on, None, :]).reshape(
+        -1, len(q))])
+
+
+def _best_laws(score, grid, step: float, floor: float) -> list:
+    """[[law, value, step]] of the best _R3_STARTS laws of ``grid`` that lie
+    _R3_APART apart, each refined by a pattern search over _q_neighbours
+    whose step, starting at ``step``, shrinks 10x only when its centre
+    stops moving, until it is at most ``floor``; best first.  score(q)
+    gives (laws, values) for the rows of q and may move them (the single
+    phase moves laws short of R3_min)."""
+    grid, val = score(grid)
+    starts = []
+    while len(starts) < _R3_STARTS and val.max() > -math.inf:
+        j = int(np.argmax(val))
+        starts.append([grid[j], val[j], step])
+        val[np.abs(grid - grid[j]).max(axis=1) < _R3_APART] = -math.inf
+    for _ in range(400):     # a guard; starts end at most at ``floor``
+        live = [s for s in starts if s[2] > floor]
+        if not live:
+            break
+        near = [_q_neighbours(s[0], s[2]) for s in live]
+        q, val = score(np.vstack(near))
+        size = [len(x) for x in near]
+        for s, hi, n in zip(live, np.cumsum(size), size):
+            lo = hi - n
+            j = lo + int(np.argmax(val[lo:hi]))
+            if val[j] > s[1]:
+                s[0], s[1] = q[j], val[j]
+            else:
+                s[2] /= 10.0
+    return sorted(starts, key=lambda s: -s[1])
+
+
+def _law_lattice(cons: Constraints, cap: float, q_cap):
+    """(laws, step) where a law search starts: a simplex lattice and the
+    capacity-achieving law q_cap, or q_cap alone at R3_min >= cap, where
+    only it can meet R3_min.  The laws are a fresh, writable array."""
+    if cons.R3_min >= cap:
+        return np.array([q_cap]), 0.0
+    grid, step = _simplex_grid(len(q_cap), _R3_SCAN - 1, _R3_SCAN_Q)
+    return np.vstack([grid, q_cap]), step
 
 
 def _r3_rows(cons: Constraints, z: float, c2: float, t):
@@ -662,61 +716,57 @@ def _r3_duals(res, cons: Constraints, z: float, c2: float):
     return coef, res.eqlin.marginals[0]
 
 
-def _r3_price(duals, t):
-    """(reduced cost, a) of the cheapest column at each (lam, law) of the
-    terms t under ``duals`` (_r3_duals).  The reduced cost is
-    beta + alpha a + gamma a^2 with gamma >= 0, so a = -alpha / (2 gamma)
-    (capped) when alpha < 0."""
+def _r3_price(duals, laws):
+    """(reduced cost, lam, a) of the cheapest column at each law of
+    ``laws`` (_ChannelTerms.laws) under ``duals`` (_r3_duals).
+
+    _r3_rows puts I(q) in the constant part, the numerators in the linear
+    part and chi in the quadratic one, so the reduced cost is
+    beta + alpha a + g chi a^2: beta depends on the law only, alpha is
+    affine in lam, and g >= 0 is the dual of G <= 1.  In s = a sqrt(chi),
+    s in [0, _R3_U_MAX], its minimum is non-decreasing in
+    r = alpha / sqrt(chi), so the best lam minimizes r: at 0, 1 or the one
+    root of r' = 0, which is linear in lam.  Then s = -r / (2 g) (capped)
+    where r < 0.  A law the warden forbids, or a lam at which it sees
+    nothing (chi = 0), gets a = 0."""
     coef, y_eq = duals
-    beta, alpha, gamma = (sum((c * v for c, v in zip(part, t[:6]) if c != 0),
-                              np.float64(0.0)) for part in coef)
-    beta = beta - y_eq
+    dq, (A, B, C), info, ok = laws
+    y, g = coef[1][:4], coef[2][4]
+    b0 = y[1::2] @ dq[1::2]                     # alpha = b0 + b1 lam
+    b1 = y[0::2] @ dq[0::2] - b0
+    a2, a1 = A - 2.0 * B + C, B - C     # chi = a2 lam^2 + 2 a1 lam + C
+    lam = np.empty((3, len(C)))
+    lam[0], lam[1] = 0.0, 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(gamma > 0, -alpha / (2.0 * gamma), math.inf)
-        a = np.where(t[6] & (alpha < 0),
-                     np.minimum(a, _R3_U_MAX / np.sqrt(t[4])), 0.0)
-    return beta + alpha * a + gamma * a * a, a
+        root = (b0 * a1 - b1 * C) / (b1 * a1 - b0 * a2)
+        lam[2] = np.fmax(np.fmin(root, 1.0), 0.0)        # NaN gives 1
+        mu = 1.0 - lam
+        chi = lam * lam * A + 2.0 * lam * mu * B + mu * mu * C   # as _terms
+        r = np.where(ok & (chi > 0), (b0 + b1 * lam) / np.sqrt(chi), math.inf)
+        best = np.argmin(r, axis=0), np.arange(len(C))
+        r = np.minimum(r[best], 0.0)             # r >= 0 (or inf): a = 0
+        lam, chi = lam[best], chi[best]
+        s = np.where(r < 0, np.minimum(-r / (2.0 * g), _R3_U_MAX)
+                     if g > 0 else _R3_U_MAX, 0.0)
+        a = np.where(s > 0, s / np.sqrt(chi), 0.0)
+    return coef[0][5] * info - y_eq + (r * s + g * s * s), lam, a
 
 
 def _r3_columns(res, cons: Constraints, z: float, c2: float,
                 tab: _ChannelTerms, scan):
     """[(reduced cost, lam, q, a)] of cheap columns under the duals of
-    ``res``: up to _R3_STARTS scan minima at least _R3_APART apart, each
-    refined by _R3_ZOOM local grids of 21 lam points by q and its
-    neighbours, all starts in one batch.  The reduced-cost coefficients
-    (_r3_duals) are computed once and price every block and zoom round."""
-    lam, q, laws, h = scan
+    ``res``: the laws _best_laws finds from the lattice ``scan`` =
+    (laws, step), with lam and a in closed form (_r3_price).  Its search
+    stops at a step of 1e-7: a law off by h moves a reduced cost by
+    O(h^2)."""
     duals = _r3_duals(res, cons, z, c2)
-    rc, a = np.empty((2, len(lam), len(q)))
-    for b in range(0, len(lam), _R3_BLOCK):          # bounds the temporaries
-        rc[b:b + _R3_BLOCK], a[b:b + _R3_BLOCK] = _r3_price(
-            duals, _terms(lam[b:b + _R3_BLOCK, None], laws))
-    found = []
-    for _ in range(_R3_STARTS):
-        i, j = np.unravel_index(np.argmin(rc), rc.shape)
-        found.append((float(rc[i, j]), float(lam[i]), q[j], float(a[i, j])))
-        rc[(np.abs(lam - lam[i]) < _R3_APART)[:, None]
-           & (np.abs(q - q[j]).max(axis=1) < _R3_APART)[None, :]] = math.inf
-    h_lam = 1.0 / (len(lam) - 1)
-    for _ in range(_R3_ZOOM):
-        lam_loc = np.array([np.linspace(max(0.0, f[1] - h_lam),
-                                        min(1.0, f[1] + h_lam), 21)
-                            for f in found])
-        q_loc = [_q_neighbours(f[2], h) for f in found]
-        m = max(len(x) for x in q_loc)      # pad with copies of the centre
-        q_loc = np.array([np.vstack([x] + [x[:1]] * (m - len(x)))
-                          for x in q_loc])
-        shape = (len(found), 1, m)
-        laws = [v.reshape(v.shape[:-1] + shape)
-                for v in tab.laws(q_loc.reshape(-1, q.shape[1]))]
-        rc, a = _r3_price(duals, _terms(lam_loc[:, :, None], laws))
-        for s, f in enumerate(found):
-            k, n = np.unravel_index(np.argmin(rc[s]), rc[s].shape)
-            if rc[s, k, n] < f[0]:
-                found[s] = (float(rc[s, k, n]), float(lam_loc[s, k]),
-                            q_loc[s, n], float(a[s, k, n]))
-        h_lam, h = h_lam / 10.0, h / 10.0
-    return found
+
+    def score(q):
+        return q, -_r3_price(duals, tab.laws(q))[0]
+
+    q = np.array([s[0] for s in _best_laws(score, *scan, 1e-7)])
+    rc, lam, a = _r3_price(duals, tab.laws(q))
+    return list(zip(rc.tolist(), lam.tolist(), q, a.tolist()))
 
 
 def _r3_point(t, a, p, cons: Constraints):
@@ -731,17 +781,20 @@ def _r3_point(t, a, p, cons: Constraints):
 
 
 def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
-    """Column generation from the columns (lam, q, a), pricing over
-    ``scan``: (p, lam, q, a, bound) of the last LP solved at a level z with
-    its columns priced.  None when HiGHS fails before that; raises
-    InfeasibleError when no columns meet the constraints.
+    """Column generation from the columns (lam, q, a), pricing from the
+    laws and step ``scan`` (_law_lattice): (p, lam, q, a, bound) of the
+    last LP solved at a level z with its columns priced.  None when HiGHS
+    fails before that; raises InfeasibleError when no columns meet the
+    constraints.
 
     z moves to the r2 of each LP point (Crouzeix, Ferland and Schaible,
     1985, with the k2 row scaled by the point's K2 for superlinear
     convergence) until max s <= _R3_S_TOL and no reduced cost is below
-    -_LP_RC_TOL.  ``bound`` >= r2 over all columns: with sum p = 1, the
-    LP's s plus the most negative reduced cost bounds max s over all
-    columns, and max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
+    -_LP_RC_TOL min(1, z) (reduced costs are in units of r2), or until a
+    round adds no column and leaves z where it was.  ``bound`` >= r2 over
+    all columns: with sum p = 1, the LP's s plus the most negative reduced
+    cost bounds max s over all columns, and
+    max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
     """
     z, c2 = 0.0, 1.0
     phase1 = was_phase1 = False
@@ -758,7 +811,8 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
             phase1 = False
             continue
         cols = _r3_columns(res, cons, z, c2, tab, scan)
-        new = [c for c in cols if c[0] < -_LP_RC_TOL and not np.any(
+        tol = _LP_RC_TOL * min(1.0, z or 1.0)   # relative to r2 below 1
+        new = [c for c in cols if c[0] < -tol and not np.any(
             (np.abs(lam - c[1]) <= 1e-12) & (np.abs(a - c[3]) <= 1e-12 * c[3])
             & (np.abs(q - c[2]).max(axis=1) <= 1e-12))]
         if phase1 and not new:
@@ -773,6 +827,8 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
             r2, key2 = _r3_point(t, a, res.x[:-2], cons)
             if r2 > z:
                 z, c2 = r2, (key2 if key2 > 0 else 1.0)
+            elif not new:           # every later round would be this one
+                break
         lam = np.append(lam, [c[1] for c in new])
         q = np.vstack([q] + [c[2] for c in new])
         a = np.append(a, [c[3] for c in new])
@@ -803,11 +859,13 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
 
     Column j = (lam, q, a) is a phase with time share p_j, the only LP
     variable: N1, N2, K1, K2, G and R3 are all linear in p.  Columns come
-    from Dantzig-Wolfe / Gilmore-Gomory pricing (_r3_generate), which scans
-    a (lam, q) grid and refines its minima locally.  At x3_size 2 the scan
-    covers the whole 2-D domain; at x3_size >= 3 it is a heuristic over a
-    simplex lattice.  ``bound`` is an upper bound on r2 over all plans, up
-    to that pricing accuracy.
+    from Dantzig-Wolfe / Gilmore-Gomory pricing (_r3_generate): lam and a
+    in closed form per law (_r3_price), laws by _best_laws from a lattice
+    and the capacity-achieving law.  ``bound`` is an upper bound on r2
+    over all plans if that law search finds the cheapest law.  It is
+    local, so bound >= r2 is measured (on seeded random channels at
+    x3_size 2 and 3), not proven; a branch-and-bound over laws would
+    prove it.
 
     Support columns with laws within _R3_MERGE form one phase.  A second
     generation, over lam only at each group's time-weighted law, makes the
@@ -820,12 +878,6 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     if _lp_modes(tab) is None:
         return None
     cap, q_cap = tab.capacity
-    if cons.R3_min >= cap:    # only the capacity-achieving law can meet it
-        scan_q, step = q_cap[None, :], 0.0
-    else:
-        scan_q, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
-    scan_lam = np.linspace(0.0, 1.0, _R3_SCAN)
-    scan = (scan_lam, scan_q, tab.laws(scan_q), step)
     # seed: silent time and a coarse (lam, q) grid at a sqrt(chi2) = 1 on
     # a q lattice plus the capacity-achieving law
     seed_q = np.vstack([_simplex_grid(d.x3_size, *_R3_SEED_Q)[0], q_cap])
@@ -837,7 +889,8 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     q = np.vstack([seed_q, np.tile(seed_q, (len(seed_lam), 1))[covert]])
     a = np.concatenate([np.zeros(len(seed_q)),
                         1.0 / np.sqrt(t[4].ravel()[covert])])
-    found = _r3_generate(tab, cons, scan, lam, q, a)
+    found = _r3_generate(tab, cons, _law_lattice(cons, cap, q_cap), lam, q,
+                         a)
     if found is None:
         return None
     p, lam, q, a, bound = found
@@ -850,9 +903,9 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     at = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     try:
         found = _r3_generate(
-            tab, cons, (scan_lam, laws, tab.laws(laws), 0.0),
-            np.append(lam[sup], np.zeros(len(laws))),
-            np.vstack([laws[at], laws]), np.append(a[sup], np.zeros(len(laws))))
+            tab, cons, (laws, 0.0), np.append(lam[sup], np.zeros(len(laws))),
+            np.vstack([laws[at], laws]),
+            np.append(a[sup], np.zeros(len(laws))))
     except InfeasibleError:
         return None
     if found is None:
@@ -872,7 +925,7 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
 
 
 # ---------------------------------------------------------------------------
-# one phase: lam in closed form per x3 law, a pattern search over laws
+# one phase: lam in closed form per x3 law, the law search over laws
 
 
 def _one_phase_r2(laws, cons: Constraints):
@@ -917,18 +970,14 @@ def _one_phase_r2(laws, cons: Constraints):
 def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
                       fixed_x3: int | None = None):
     """(plan, rates) of the best single phase, else InfeasibleError.  lam is
-    exact per law; laws are searched as _r3_columns prices: a lattice and the
-    capacity_x3 law (it alone at R3_min >= capacity), then the best
-    _R3_STARTS laws _R3_APART apart, each refined by a pattern search whose
-    step shrinks only when its centre stops moving (exact at x3_size 2).
-    With ``fixed_x3`` (R3_min = 0) the one law is that one-hot law."""
+    exact per law; laws come from the law search that pricing uses
+    (_best_laws from _law_lattice), down to a step of _ONE_STEP_MIN, with
+    laws short of R3_min moved onto I = R3_min.  The search is local: exact
+    up to its step at x3_size 2, a heuristic beyond.  With ``fixed_x3``
+    (R3_min = 0) the one law is that one-hot law."""
     tab = _channel_terms(d, unit)
     cap, q_cap = (tab.capacity if fixed_x3 is None
                   else (0.0, np.eye(d.x3_size)[fixed_x3]))
-    grid, step = np.array([q_cap]), 0.0     # value() moves laws in place
-    if cons.R3_min < cap:
-        grid, step = _simplex_grid(d.x3_size, _R3_SCAN - 1, _R3_SCAN_Q)
-        grid = np.vstack([grid, q_cap])
 
     def value(q):
         """(q, r2), laws short of R3_min moved in place toward q_cap."""
@@ -941,26 +990,8 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
         q[low] = (1.0 - hi) * q[low] + hi * q_cap
         return q, _one_phase_r2(tab.laws(q), cons)[0]
 
-    grid, r2 = value(grid)
-    starts = []                              # [law, r2, step]
-    while len(starts) < _R3_STARTS and r2.max() > -math.inf:
-        j = int(np.argmax(r2))
-        starts.append([grid[j], r2[j], step])
-        r2[np.abs(grid - grid[j]).max(axis=1) < _R3_APART] = -math.inf
-    for _ in range(400):     # a guard; starts end below _ONE_STEP_MIN
-        live = [s for s in starts if s[2] > _ONE_STEP_MIN]
-        if not live:
-            break
-        near = [_q_neighbours(s[0], s[2]) for s in live]
-        cut = np.cumsum([len(x) for x in near])[:-1]
-        q, val = value(np.vstack(near))
-        for s, qs, vs in zip(live, np.split(q, cut), np.split(val, cut)):
-            j = int(np.argmax(vs))
-            if vs[j] > s[1]:
-                s[0], s[1] = qs[j], vs[j]
-            else:
-                s[2] /= 10.0
-    for q, _, _ in sorted(starts, key=lambda s: -s[1]):
+    for q, _, _ in _best_laws(value, *_law_lattice(cons, cap, q_cap),
+                              _ONE_STEP_MIN):
         lam = float(_one_phase_r2(tab.laws(q[None, :]), cons)[1][0])
         found = _with_betas(d, PhasePlan.single_phase(
             tuple(map(float, q)), lam, 1.0 - lam), cons, unit)
@@ -981,12 +1012,12 @@ def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
     exact plan is an LP optimum over one-hot modes at R3_min = 0
     (_lp_max_r2: a phase per x3 symbol used; r2 = 0 where no plan with
     r2 > 0 meets the k2 cap) or over phases (lam, q, a) at R3_min > 0
-    (_lp_max_r2_r3: certified at x3_size 2).  It is returned when its tau*
-    phases fit ``budget.max_phases``; at max_phases = 1 the best single
-    phase (_one_phase_max_r2) is returned, and a cap from 2 to tau* - 1
-    raises ValueError.  The single-phase search also runs where the LP
-    gives no plan: an infinite divergence, or a mode the warden cannot
-    see, which makes r2 unbounded (r2 = inf).
+    (_lp_max_r2_r3: its bound is measured, not proven).  It is returned
+    when its tau* phases fit ``budget.max_phases``; at max_phases = 1 the
+    best single phase (_one_phase_max_r2) is returned, and a cap from 2 to
+    tau* - 1 raises ValueError.  The single-phase search also runs where
+    the LP gives no plan: an infinite divergence, or a mode the warden
+    cannot see, which makes r2 unbounded (r2 = inf).
     """
     if x3_mode != "optimize":
         _, x = x3_mode

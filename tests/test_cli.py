@@ -187,16 +187,19 @@ def _capped_region_argv():
      "--omega", "-1"],
     ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
      "--omega", "nan"],
+    ["verify-asymptotics", "--channel", "UNIFORM", "--random", "2"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
         "curve-nan-r1", "curve-nan-k2", "region-empty-grid",
         "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
         "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
-        "omega-nan"])
-def test_invalid_input_exit_3(capsys, plan_file, tmp_path, argv):
-    chan5 = tmp_path / "chan5.json"
+        "omega-nan", "warden-blind"])
+def test_invalid_input_exit_3(capsys, plan_file, tmp_path, uniform_channel,
+                              argv):
+    chan5, uniform = tmp_path / "chan5.json", tmp_path / "uniform.json"
     cm.save_channel(random_problem(5)[0], chan5)
-    files = {"PLAN": plan_file, "CHAN5": str(chan5)}
+    cm.save_channel(uniform_channel, uniform)
+    files = {"PLAN": plan_file, "CHAN5": str(chan5), "UNIFORM": str(uniform)}
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -236,7 +239,7 @@ MANIFEST = ("# subcommand={} channel=5b3277737d308b0a unit=bits seed=0 "
      ["k2,r2", "1,1.09525502794"]),
     (["region", "--r1", "0.5", "--k1-max", "0.8", "--k2-max", "0.8",
       "--r3-grid", "0,0.1"], "r1=0.5 k1_max=0.8 k2_max=0.8 max_phases=3",
-     ["r2,R3", "0.807852807557,0", "0.606688252195,0.1"]),
+     ["r2,R3", "0.807852807557,0", "0.606688252189,0.1"]),
 ], ids=["curve-fix0", "curve-opt", "region-corner"])
 def test_solve_outputs_pinned(capsys, monkeypatch, argv, tail, rows):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

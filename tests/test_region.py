@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -418,8 +419,8 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
     """On random channels (x3_size 2 and 3) with R3_min a fraction of the
     capacity, max_r2 takes the exact path: caps met at 1e-9, at most
     max_phases phases, r2 at least a grid oracle's lower bound, a
-    certificate gap within 1e-6 at x3_size 2 (the pricing is exhaustive
-    there), and the same bytes again."""
+    certificate gap within 1e-6 at x3_size 2 (the law search is
+    one-dimensional there), and the same bytes again."""
     d, cons, _ = random_problem(seed)
     cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
     budget = OptBudget()
@@ -436,25 +437,23 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
 
 
 @pytest.mark.parametrize("seed, want", [
-    (0, "(PhasePlan(p_t=(0.41187057159487317, 0.5881294284051268), "
-        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.1561445644682374, "
-        "0.8438554355317628)), rho1=(0.0, 0.6759350217453562), "
-        "rho2=(2.1412034814326963, 0.0), beta1=0.9999999999988838, "
-        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950388166, "
-        "R3=0.061976906274739604, k1=0.0, k2=0.0, unit='bits', "
+    (0, "(PhasePlan(p_t=(0.41187222024916514, 0.5881277797508349), "
+        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.1561452532709983, "
+        "0.8438547467290018)), rho1=(0.0, 0.6759372943277627), "
+        "rho2=(2.14119491055067, 0.0), beta1=0.9999999999976432, "
+        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950329735, "
+        "R3=0.06197690627473962, k1=0.0, k2=0.0, unit='bits', "
         "perfectly_covert=False))"),
-    (25, "(PhasePlan(p_t=(0.8761114646765492, 0.12388853532345082), "
-         "p_x3_given_t=((0.0, 0.9490702096760728, 0.050929790323927186), "
-         "(0.0, 0.9545874, 0.04541259999999999)), "
-         "rho1=(0.3934055888660844, 0.4135026345808997), "
-         "rho2=(0.9334816250761244, 0.9229213399461479), "
-         "beta1=0.9999997725552328, beta2=1.0), "
-         "RateTuple(r1=2.9882048995946704, r2=6.988203011812317, "
-         "R3=0.13423244862093917, k1=0.0, k2=0.0, unit='bits', "
-         "perfectly_covert=False))")])
+    (25, "(PhasePlan(p_t=(1.0,), "
+         "p_x3_given_t=((0.0, 0.9497685664435684, 0.05023143355643163),), "
+         "rho1=(0.3959003668932346,), rho2=(0.9321714294505015,), "
+         "beta1=0.9999999999959778, beta2=1.0), "
+         "RateTuple(r1=2.9882048995946704, r2=6.9883058866081065, "
+         "R3=0.13423244862183678, k1=0.0, k2=0.0, unit='bits', "
+         "perfectly_covert=False))")], ids=["0", "25"])
 def test_max_r2_r3_x3_size_3_pinned(seed, want):
-    """The R3 > 0 path at x3_size 3 (the simplex-lattice scan), byte for
-    byte: random_problem(seed) at R3_min = 0.3 x capacity."""
+    """The R3 > 0 path at x3_size 3 (law search from a simplex lattice),
+    byte for byte: random_problem(seed) at R3_min = 0.3 x capacity."""
     d, cons, _ = random_problem(seed)
     assert d.x3_size == 3
     cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
@@ -471,6 +470,108 @@ def test_trace_near_capacity_exact(paper, lp_bounds):
     assert [r3 for _, r3 in pts] == [0.5 * cap, 0.99 * cap, cap]
     assert pts[0][0] > pts[1][0] > pts[2][0] > 0
     assert abs(lp_bounds[2] - pts[2][0]) <= 1e-6 * pts[2][0]
+
+
+@pytest.mark.parametrize("seed, frac", [(25, 0.3), (8, 0.8), (26, 0.8),
+                                        (23, 0.3)])
+def test_max_r2_r3_certificate_gates(seed, frac, lp_bounds):
+    """On solves where pricing from a lattice alone misses columns
+    (x3_size 3, and 23 at x3_size 2) the LP's bound is at least its r2,
+    and no single phase beats the multi-phase plan, both to 1e-12
+    relative."""
+    d, cons, _ = random_problem(seed)
+    cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
+    _, rt = max_r2(d, cons)
+    assert lp_bounds[0] >= rt.r2 * (1 - 1e-12)
+    _, one = max_r2(d, cons, OptBudget(max_phases=1))
+    assert one.r2 <= rt.r2 * (1 + 1e-12)
+
+
+def test_max_r2_r3_prices_forbidden_laws_as_silent(lp_bounds):
+    """A law that sends the x3 symbol outside the warden's support can only
+    be silent: pricing gives it a = 0 without NaN, so the R3 > 0 solve on
+    such a channel raises no numpy warning, keeps that law's phase
+    silent, meets its caps and stays within its bound; its r2 is at least
+    that of the lattice pricing, 3.6952440064288066."""
+    gz = [list(r) for r in GZ_AC]
+    gz[3], gz[5], gz[7] = [0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.35, 0.35, 0.3]
+    d = make_dmc(cm.paper_channel().gamma_y, gz)
+    assert d.ac_violations == (0,)
+    cons = Constraints(r1_min=0.1, R3_min=0.2 * cm.capacity_x3(d)[0],
+                       k1_max=0.8, k2_max=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan, rt = max_r2(d, cons)
+    for q, rho1, rho2 in zip(plan.p_x3_given_t, plan.rho1, plan.rho2):
+        assert q[0] == 0 or rho1 == rho2 == 0
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert lp_bounds[0] >= rt.r2 * (1 - 1e-12)
+    assert rt.r2 >= 3.6952440064288066 * (1 - 1e-9)
+
+
+def test_r3_generate_stops_when_a_round_changes_nothing(monkeypatch):
+    """A round that prices no new column and whose LP point does not raise
+    the Dinkelbach level z would repeat itself; each column generation
+    (the main one and the polish) then stops after one LP."""
+    d, cons, _ = random_problem(1)
+    cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
+    solves, inner = [], region._r3_solve
+
+    def counted(*args):
+        solves.append(args[-1])             # phase1
+        return inner(*args)
+
+    monkeypatch.setattr(region, "_r3_solve", counted)
+    monkeypatch.setattr(region, "_r3_columns", lambda *args: [])
+    monkeypatch.setattr(region, "_r3_point", lambda *args: (0.0, 0.0))
+    assert region._lp_max_r2_r3(d, cons, "bits") is not None
+    assert solves == [False, False]
+
+
+# _one_phase_max_r2 as recorded before its law search was shared with
+# R3 > 0 pricing, which must not move a bit of it: random_problem(0)
+# (x3_size 3) and random_problem(1) (x3_size 2) at R3_min = 0.3 x capacity.
+@pytest.mark.parametrize("seed, want", [
+    (0, "(PhasePlan(p_t=(1.0,), p_x3_given_t=((2.1414283628426708e-13, "
+        "0.07335118588284069, 0.9266488141169447),), "
+        "rho1=(0.6417246836543121,), rho2=(0.3582753163456879,), "
+        "beta1=0.9999999999999998, beta2=1.0), "
+        "RateTuple(r1=1.219620276056255, r2=0.7815119734211328, "
+        "R3=0.06197690627474212, k1=0.0, k2=0.0, unit='bits', "
+        "perfectly_covert=False))"),
+    (1, "(PhasePlan(p_t=(1.0,), p_x3_given_t=((0.07976689195929312, "
+        "0.9202331080407069),), rho1=(0.6276386123484109,), "
+        "rho2=(0.3723613876515891,), beta1=0.9999999999999998, beta2=1.0), "
+        "RateTuple(r1=0.8860162163042434, r2=1.1251953587137082, "
+        "R3=0.1262258274787527, k1=0.3232627927653879, k2=0.0, unit='bits', "
+        "perfectly_covert=False))")], ids=["0", "1"])
+def test_one_phase_max_r2_pinned(seed, want):
+    """The single-phase search, byte for byte."""
+    d, cons, _ = random_problem(seed)
+    cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
+    assert repr(region._one_phase_max_r2(d, cons, "bits")) == want
+
+
+def _q_neighbours_reference(q, h):
+    """_q_neighbours as first written, with np.linspace per direction."""
+    out = [q]
+    for i, j in itertools.permutations(range(len(q)), 2):
+        if min(h, q[j]) > 0:
+            s = np.linspace(0.0, min(h, q[j]), 11)[1:, None]
+            out.extend(q + s * (np.eye(len(q))[i] - np.eye(len(q))[j]))
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=2,
+                max_size=4).filter(lambda w: sum(w) > 0),
+       st.floats(1e-11, 1.0))
+def test_q_neighbours_bit_identical_to_linspace(w, h):
+    """The law search's neighbours are the reference's bits, laws with
+    zeros included."""
+    q = np.array(w) / sum(w)
+    got, want = region._q_neighbours(q, h), _q_neighbours_reference(q, h)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_max_r2_fix_mode_with_r3_infeasible_at_once(paper):
