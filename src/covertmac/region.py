@@ -50,6 +50,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,6 +194,9 @@ class _ChannelTerms:
         fin = np.isfinite(self.div) | ~self.ok
         self.divs = np.where(fin & self.ok, self.div, 0.0)
         self.inf = np.where(fin, 0.0, self.div)
+        # what laws() reads of inf and ok on every call
+        self.inf_on, self.off = self.inf != 0, ~self.ok
+        self.inf_sum = self.inf.sum(axis=1)[:, None]
         self.sub = d.gamma_y[:d.x3_size]
         self.neg_h = _xlogx(self.sub).sum(axis=1)
         self.one_hot = self.laws(np.eye(d.x3_size))
@@ -228,10 +232,9 @@ class _ChannelTerms:
     def laws(self, q):
         """Per law (rows of q): q . divergences (infinite where q sends a
         symbol with an infinite one), q . (A, B, C), I(q), covert allowed."""
-        dq = np.where((self.inf != 0) @ q.T > 0,
-                      self.inf.sum(axis=1)[:, None], self.divs @ q.T)
+        dq = np.where(self.inf_on @ q.T > 0, self.inf_sum, self.divs @ q.T)
         return (dq, self.coef @ q.T, self.info(q),
-                q[:, ~self.ok].sum(axis=1) == 0)
+                q[:, self.off].sum(axis=1) == 0)
 
 
 def _channel_terms(d: Dmc, unit: str) -> _ChannelTerms:
@@ -349,6 +352,8 @@ class Constraints:
         caps = (self.r1_min, self.R3_min, self.k1_max, self.k2_max)
         if any(math.isnan(v) for v in caps) or min(caps) < 0:
             raise ValueError("constraints must be non-negative numbers")
+        if math.isinf(self.r1_min) or math.isinf(self.R3_min):
+            raise ValueError("the r1 and R3 floors must be finite")
 
 
 @dataclass(frozen=True)
@@ -380,12 +385,69 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first LP: a process that
-    solves no LP (simulate, sizing, rate evaluation) never loads
-    scipy.optimize, which is most of a cold start's time and memory."""
-    from scipy.optimize import linprog
-    return linprog(*args, **kwargs)
+# HiGHS model status -> scipy.optimize.linprog's status; any other gives 4
+_HIGHS_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+                 "kModelError": 2, "kInfeasible": 2, "kUnbounded": 3}
+# a coefficient this large is a HiGHS model error (its large_matrix_value)
+_HIGHS_LARGE = 1e15
+
+
+def _highs_solve(cost, a_ub, b_ub, eq_row, lb, ub):
+    """min cost . x with a_ub x <= b_ub, eq_row . x = 1, lb <= x <= ub:
+    status, x, fun and the ineqlin / eqlin marginals of
+    scipy.optimize.linprog(..., method="highs", options=_LP_OPTIONS), bit
+    for bit, from a fresh HiGHS given the same model and options.  Of
+    linprog's input checks only its ValueError on a non-finite row entry
+    is kept: HiGHS takes a NaN silently and calls an infinite entry a
+    model error, which reads as infeasible.  scipy's HiGHS is imported on
+    the first LP: a process that solves no LP (simulate, sizing, rate
+    evaluation) never loads scipy.optimize, which is most of a cold
+    start's time and memory.
+    """
+    from scipy.optimize._highspy import _core as hs
+    a = np.vstack([a_ub, eq_row])
+    if not (np.isfinite(a).all() and np.isfinite(b_ub).all()):
+        raise ValueError("LP rows must be finite")
+    m, n = a.shape
+    nz = a.T != 0                       # the nonzeros of csc_array(a)
+    lp = hs.HighsLp()
+    mat = lp.a_matrix_
+    lp.num_col_, lp.num_row_ = n, m
+    mat.num_col_, mat.num_row_ = n, m
+    mat.format_ = hs.MatrixFormat.kColwise
+    # lists: the matrix fields convert a numpy array element by element
+    mat.start_ = np.append(0, np.cumsum(nz.sum(axis=1))).tolist()
+    mat.index_ = np.nonzero(nz)[1].tolist()
+    mat.value_ = a.T[nz].tolist()
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
+    lp.row_lower_ = np.append(np.full(m - 1, -hs.kHighsInf), 1.0)
+    lp.row_upper_ = np.append(b_ub, 1.0)
+    highs = hs._Highs()
+    for opt in (("output_flag", False), ("log_to_console", False),
+                ("presolve", "on"), *_LP_OPTIONS.items(),
+                ("simplex_strategy", 1)):           # dual simplex
+        highs.setOptionValue(*opt)
+    if highs.passModel(lp) == hs.HighsStatus.kError:
+        model = hs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model = highs.getModelStatus()
+    res = SimpleNamespace(status=_HIGHS_STATUS.get(model.name, 4), x=None,
+                          fun=None, ineqlin=SimpleNamespace(marginals=None),
+                          eqlin=SimpleNamespace(marginals=None))
+    if model != hs.HighsModelStatus.kOptimal:
+        return res
+    sol = highs.getSolution()
+    res.x, row = np.array(sol.col_value), np.array(sol.row_value)
+    res.fun = highs.getObjectiveValue()
+    dual = np.array(sol.row_dual)
+    res.ineqlin.marginals, res.eqlin.marginals = dual[:m - 1], dual[m - 1:]
+    # linprog's check of an optimal point, at its tolerance 10 sqrt(1e-9)
+    viol = np.concatenate([lb - res.x, res.x - ub, row[:-1] - b_ub,
+                           [abs(row[-1] - 1.0)]])
+    if math.isnan(res.fun) or not np.all(viol <= 10 * math.sqrt(1e-9)):
+        res.status = 4
+    return res
 
 
 def __getattr__(name):
@@ -404,6 +466,15 @@ def _modes(tab: _ChannelTerms, lam, x):
     return np.sqrt(np.maximum(chi, 0.0)), n1, n2, key1, key2
 
 
+def _cap_unit(cap: float) -> float:
+    """What a cap row is divided by: the cap where it is at least
+    _HIGHS_LARGE, else 1.  A coefficient that large is a HiGHS model error,
+    which linprog reports as infeasible.  A cap row is homogeneous, so the
+    divided row has the same solutions; HiGHS then drops its entries below
+    1e-9 (small_matrix_value), which moves them by less than 1e-9 / cap."""
+    return cap if _HIGHS_LARGE <= cap < math.inf else 1.0
+
+
 def _lp_rows(cols, cons: Constraints):
     """Inequality rows of the LP over (v, t): the v part and the t column.
 
@@ -413,30 +484,31 @@ def _lp_rows(cols, cons: Constraints):
     r1_min K1 <= k1_max N1 (K1 <= 0 when both are zero).
     """
     s, n1, _, key1, key2 = cols
+    u1, u2 = _cap_unit(cons.k1_max), _cap_unit(cons.k2_max)
     rows, t_coef = [s], [-SQRT2]
     if cons.r1_min > 0:
         rows.append(cons.r1_min * s - SQRT2 * n1)
         t_coef.append(0.0)
     if cons.r1_min > 0 and math.isfinite(cons.k1_max):
-        rows.append(cons.r1_min * key1 - cons.k1_max * n1)
+        rows.append(cons.r1_min / u1 * key1 - cons.k1_max / u1 * n1)
         t_coef.append(0.0)
     elif cons.k1_max == 0:
         rows.append(key1)
         t_coef.append(0.0)
     if math.isfinite(cons.k2_max):
-        rows.append(key2)
-        t_coef.append(-cons.k2_max)
+        rows.append(key2 / u2)
+        t_coef.append(-cons.k2_max / u2)
     return np.array(rows), np.array(t_coef)
 
 
 def _lp_solve(cols, cons: Constraints, eq_row):
     """HiGHS optimum of min t over (v >= 0, t) with eq_row . v = 1."""
     a_ub, t_coef = _lp_rows(cols, cons)
-    return linprog(np.append(np.zeros(len(eq_row)), 1.0),
-                   A_ub=np.column_stack([a_ub, t_coef]),
-                   b_ub=np.zeros(len(t_coef)),
-                   A_eq=np.append(eq_row, 0.0)[None, :], b_eq=[1.0],
-                   bounds=(0, None), method="highs", options=_LP_OPTIONS)
+    n = len(eq_row) + 1
+    return _highs_solve(np.append(np.zeros(n - 1), 1.0),
+                        np.column_stack([a_ub, t_coef]), np.zeros(len(t_coef)),
+                        np.append(eq_row, 0.0), np.zeros(n),
+                        np.full(n, math.inf))
 
 
 def _price(tab: _ChannelTerms, cons: Constraints, res, x: int):
@@ -605,16 +677,21 @@ def _directions(k: int):
     return j, move
 
 
-def _q_neighbours(q, h: float) -> np.ndarray:
-    """q and the laws up to h away along each direction e_i - e_j: ten
-    points each, placed as np.linspace(0, reach, 11)[1:] places them."""
-    j, move = _directions(len(q))
-    reach = np.minimum(h, q[j])
-    on = reach > 0
-    s = np.arange(1, 11) * (reach[on] / 10)[:, None]
-    s[:, -1] = reach[on]
-    return np.vstack([q, (q + s[:, :, None] * move[on, None, :]).reshape(
-        -1, len(q))])
+def _q_neighbours(q, h):
+    """(laws, sizes): per row q[i] of q, in row order, a block of q[i] and
+    the laws up to h[i] away along each direction e_i - e_j with room (ten
+    points each, placed as np.linspace(0, reach, 11)[1:] places them), and
+    the size of each block."""
+    n, k = q.shape
+    j, move = _directions(k)
+    reach = np.minimum(h[:, None], q[:, j])
+    s = np.arange(1, 11) * (reach / 10)[..., None]
+    s[..., -1] = reach
+    near = q[:, None, None, :] + s[..., None] * move[:, None, :]
+    laws = np.concatenate([q[:, None, :], near.reshape(n, -1, k)], axis=1)
+    keep = np.concatenate([np.ones((n, 1), bool),
+                           np.repeat(reach > 0, 10, axis=1)], axis=1)
+    return laws[keep], keep.sum(axis=1)
 
 
 def _best_laws(score, grid, step: float, floor: float) -> list:
@@ -634,9 +711,9 @@ def _best_laws(score, grid, step: float, floor: float) -> list:
         live = [s for s in starts if s[2] > floor]
         if not live:
             break
-        near = [_q_neighbours(s[0], s[2]) for s in live]
-        q, val = score(np.vstack(near))
-        size = [len(x) for x in near]
+        near, size = _q_neighbours(np.array([s[0] for s in live]),
+                                   np.array([s[2] for s in live]))
+        q, val = score(near)
         for s, hi, n in zip(live, np.cumsum(size), size):
             lo = hi - n
             j = lo + int(np.argmax(val[lo:hi]))
@@ -668,12 +745,13 @@ def _r3_rows(cons: Constraints, z: float, c2: float, t):
     K2 of the previous LP point (K2 <= 0 at k2_max = 0).
     """
     n1, n2, key1, key2, chi, info, _ = t
+    u1, u2 = _cap_unit(cons.k1_max), _cap_unit(cons.k2_max)
     rows = [(0.0, 0.0, chi, 0.0, 0.0, 1.0)]
     if cons.r1_min > 0:
         rows.append((0.0, -SQRT2 * n1, 0.0, 0.0, -1.0, -cons.r1_min))
     if cons.r1_min > 0 and math.isfinite(cons.k1_max):
-        rows.append((0.0, cons.r1_min * key1 - cons.k1_max * n1, 0.0, 0.0,
-                     -1.0, 0.0))
+        rows.append((0.0, cons.r1_min / u1 * key1 - cons.k1_max / u1 * n1,
+                     0.0, 0.0, -1.0, 0.0))
     elif cons.k1_max == 0:
         rows.append((0.0, key1, 0.0, 0.0, -1.0, 0.0))
     rows.append((-info, 0.0, 0.0, 0.0, -1.0, -cons.R3_min))
@@ -681,8 +759,8 @@ def _r3_rows(cons: Constraints, z: float, c2: float, t):
     if cons.k2_max == 0:
         rows.append((0.0, key2, 0.0, 0.0, -1.0, 0.0))
     elif math.isfinite(cons.k2_max):
-        rows.append((0.0, (z * key2 - cons.k2_max * n2) / c2, 0.0, 1.0, 0.0,
-                     0.0))
+        rows.append((0.0, (z / u2 * key2 - cons.k2_max / u2 * n2) / c2, 0.0,
+                     1.0 / u2, 0.0, 0.0))
     return rows
 
 
@@ -697,11 +775,10 @@ def _r3_solve(t, a, cons: Constraints, z: float, c2: float, phase1: bool):
         a_ub[i, n:] = s, e
     cost = np.zeros(n + 2)
     cost[n + 1 if phase1 else n] = 1.0 if phase1 else -1.0
-    return linprog(cost, A_ub=a_ub, b_ub=[r[5] for r in rows],
-                   A_eq=np.append(np.ones(n), [0.0, 0.0])[None, :], b_eq=[1.0],
-                   bounds=[(0, None)] * n + [(None, None),
-                                             (0, None if phase1 else 0)],
-                   method="highs", options=_LP_OPTIONS)
+    lb, ub = np.zeros(n + 2), np.full(n + 2, math.inf)
+    lb[n], ub[n + 1] = -math.inf, math.inf if phase1 else 0.0
+    return _highs_solve(cost, a_ub, np.array([r[5] for r in rows]),
+                        np.append(np.ones(n), [0.0, 0.0]), lb, ub)
 
 
 def _r3_duals(res, cons: Constraints, z: float, c2: float):

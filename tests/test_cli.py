@@ -175,6 +175,7 @@ def _capped_region_argv():
     ["region", "--channel", "paper", "--r3-grid", "nan"],
     ["curve", "--channel", "paper", "--r1", "nan", "--k2-grid", "0.5"],
     ["curve", "--channel", "paper", "--k2-grid", "nan"],
+    ["curve", "--channel", "paper", "--r1", "inf"],
     ["region", "--channel", "paper", "--r3-grid", "0:0.1:0"],
     ["curve", "--channel", "paper", "--k2-grid", "0:1:0"],
     ["region", "--channel", "paper", "--r3-grid", "0", "--max-phases", "0"],
@@ -190,7 +191,7 @@ def _capped_region_argv():
     ["verify-asymptotics", "--channel", "UNIFORM", "--random", "2"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
-        "curve-nan-r1", "curve-nan-k2", "region-empty-grid",
+        "curve-nan-r1", "curve-nan-k2", "r1-inf", "region-empty-grid",
         "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
         "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
         "omega-nan", "warden-blind"])

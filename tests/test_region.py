@@ -562,15 +562,25 @@ def _q_neighbours_reference(q, h):
     return np.array(out)
 
 
+def _starts(k):
+    law = st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=k,
+                   max_size=k).filter(lambda w: sum(w) > 0)
+    return st.lists(st.tuples(law, st.floats(1e-11, 1.0)), min_size=1,
+                    max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=2,
-                max_size=4).filter(lambda w: sum(w) > 0),
-       st.floats(1e-11, 1.0))
-def test_q_neighbours_bit_identical_to_linspace(w, h):
-    """The law search's neighbours are the reference's bits, laws with
-    zeros included."""
-    q = np.array(w) / sum(w)
-    got, want = region._q_neighbours(q, h), _q_neighbours_reference(q, h)
+@given(st.integers(2, 4).flatmap(_starts))
+def test_q_neighbours_bit_identical_to_linspace(starts):
+    """The law search's neighbours of a batch of starts are the bits of the
+    reference per start, stacked in start order, laws with zeros (and so
+    directions with zero reach) included; the sizes split them."""
+    q = np.array([np.array(w) / sum(w) for w, _ in starts])
+    h = np.array([h for _, h in starts])
+    got, size = region._q_neighbours(q, h)
+    want = [_q_neighbours_reference(qi, hi) for qi, hi in zip(q, h)]
+    assert size.tolist() == [len(x) for x in want]
+    want = np.vstack(want)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -594,13 +604,71 @@ def test_max_r2_key_limited_fix0_single_phase(paper):
     assert limit * (1 - 1e-9) <= rt.r2 <= limit * (1 + 1e-9)
 
 
+def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
+    """Every LP of the paper corner at R3 = 0 and 0.1, of a phase-1 round
+    (the corner at R3 = 0.3, out of its reach) and of random_problem(18) at
+    k2_max = 0 (infeasible at N2 = 1, then D = 1) gives the status, x, fun
+    and marginals of scipy.optimize.linprog on the same LP, bit for bit;
+    a row with an infinite or NaN entry is a ValueError in both."""
+    from scipy.optimize import linprog
+    lps, inner = [], region._highs_solve
+
+    def recorded(*args):
+        lps.append((args, inner(*args)))
+        return lps[-1][1]
+
+    monkeypatch.setattr(region, "_highs_solve", recorded)
+    corner = Constraints(r1_min=0.5, k1_max=0.8, k2_max=0.8)
+    max_r2(paper, corner)
+    max_r2(paper, replace(corner, R3_min=0.1))
+    with pytest.raises(InfeasibleError):
+        max_r2(paper, replace(corner, R3_min=0.3))
+    d, cons, _ = random_problem(18)
+    max_r2(d, replace(cons, k2_max=0.0))
+
+    def reference(cost, a_ub, b_ub, eq_row, lb, ub):
+        return linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=eq_row[None, :],
+                       b_eq=[1.0], bounds=np.column_stack([lb, ub]),
+                       method="highs", options=region._LP_OPTIONS)
+
+    for args, got in lps:
+        want = reference(*args)
+        assert got.status == want.status and got.fun == want.fun
+        for a, b in ((got.x, want.x),
+                     (got.ineqlin.marginals, want.ineqlin.marginals),
+                     (got.eqlin.marginals, want.eqlin.marginals)):
+            assert a is b is None or a.tobytes() == b.tobytes()
+    phase1 = [lb[-2] == -math.inf and ub[-1] == math.inf
+              for (_, _, _, _, lb, ub), _ in lps]
+    assert any(phase1) and {0, 2} <= {got.status for _, got in lps}
+    for bad in (math.inf, math.nan):
+        lp = (np.array([1.0, 0.0]), np.array([[1.0, bad]]), np.zeros(1),
+              np.ones(2), np.zeros(2), np.full(2, math.inf))
+        for solve in (inner, reference):
+            with pytest.raises(ValueError):
+                solve(*lp)
+
+
+@pytest.mark.parametrize("R3", [0.0, 0.1])
+def test_max_r2_huge_finite_caps_match_no_cap(paper, R3):
+    """A k1 or k2 cap of 1e15 or 1e20, where a cap coefficient would reach
+    HiGHS' largest allowed one (a model error, which reads as infeasible),
+    gives the r2 of no cap to 1e-9 relative."""
+    corner = Constraints(r1_min=0.5, R3_min=R3, k1_max=0.8, k2_max=0.8)
+    for key in ("k1_max", "k2_max"):
+        want = max_r2(paper, replace(corner, **{key: math.inf}))[1].r2
+        for cap in (1e15, 1e20):
+            got = max_r2(paper, replace(corner, **{key: cap}))[1].r2
+            assert math.isclose(got, want, rel_tol=1e-9)
+
+
 def test_max_r2_fix_mode_is_one_closed_form_phase(paper, monkeypatch):
     """Fix mode solves its single merged phase in closed form: no LP runs,
     and r2 is the frozen fix0 optimum to 1e-12."""
     def no_lp(*args, **kwargs):
         raise AssertionError("fix mode ran an LP")
 
-    monkeypatch.setattr(region, "linprog", no_lp)
+    monkeypatch.setattr(region, "_highs_solve", no_lp)
     plan, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
                       BUDGET, x3_mode=("fix", 0))
     assert plan.tau == 1 and plan.p_x3_given_t == ((1.0, 0.0),)
