@@ -20,11 +20,10 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelFormatError, load_channel, paper_channel
-from .infotheory import (chi_square, divergence_profile, mixture_kl,
-                         unit_factor)
-from .region import (Constraints, InfeasibleError, OptBudget, PhasePlan,
-                     _channel_terms, curve_r2_vs_k2, max_r2, rate_tuple,
-                     theorem1_sizing, trace_r2_R3)
+from .infotheory import (capacity_x3, chi_square, divergence_profile,
+                         mixture_kl)
+from .region import (InfeasibleError, OptBudget, PhasePlan, curve_r2_vs_k2,
+                     rate_tuple, theorem1_sizing, trace_r2_R3)
 from .simulator import EnumerationCapError, SimConfig, exact_delta, run_trials
 
 # A chi-square at or below this is rounding noise (0 or about 4e-33 on a
@@ -105,7 +104,7 @@ def cmd_profile(args) -> int:
 
 def cmd_region(args) -> int:
     d = _load(args)
-    cap = _channel_terms(d, args.unit).capacity[0]    # the one trace_r2_R3 uses
+    cap = capacity_x3(d, args.unit)[0]
     grid = _parse_grid(args.r3_grid) if args.r3_grid else \
         np.linspace(0.0, cap, args.grid_points).tolist()
     pts = trace_r2_R3(d, args.r1, args.k1_max, args.k2_max, grid,

@@ -2,6 +2,11 @@
 chi-square covertness distance, conditional mutual information, and capacity
 of the receiver sub-channel via Blahut-Arimoto.
 
+chi_square, mutual_info_x3 and capacity_x3 check their inputs and then read
+one _ChannelTerms table per (Dmc, unit), built on first use and kept on the
+frozen Dmc; the region evaluators and LPs read the same table.  So
+capacity_x3(d, unit) runs Blahut-Arimoto once per (channel, unit).
+
 All log-based quantities take a ``unit`` argument, either ``"bits"`` or
 ``"nats"``.  The library default is bits: it is the unit that reproduces the
 reference capacity value 0.197534 on the shipped example channel (natural log
@@ -20,6 +25,7 @@ densities rho*alpha -> 0 the exact mixture KL equals
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,26 +114,12 @@ def chi_square(d: Dmc, rho1: float, rho2: float, x3: int) -> float:
     """
     if rho1 < 0 or rho2 < 0:
         raise ValueError("rho1, rho2 must be non-negative")
-    tot = rho1 + rho2
-    if tot == 0:
+    if rho1 + rho2 == 0:
         raise ValueError("rho1 + rho2 = 0: mixture weight undefined "
                          "(degenerate phases contribute zero by convention)")
-    if x3 in d.ac_violations:
-        return math.inf
-    q00 = d.row(SIDE_Z, 0, 0, x3)
-    mix = (rho1 * d.row(SIDE_Z, 1, 0, x3) + rho2 * d.row(SIDE_Z, 0, 1, x3)) / tot
-    support = q00 > 0
-    # zero-denominator terms with zero numerators contribute nothing
-    diff = mix[support] - q00[support]
-    return float(np.sum(diff * diff / q00[support]))
-
-
-def _output_divergences(sub: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """D(row_x || p @ sub) in nats for every row x of ``sub``."""
-    py = p @ sub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
-    return np.sum(sub * lg, axis=1)
+    d.row_index(0, 0, x3)          # IndexError for an x3 outside the alphabet
+    # chi-square is unit-free: any unit's table gives the same value
+    return _channel_terms(d, DEFAULT_UNIT).chi_square(rho1, rho2, x3)
 
 
 def mutual_info_x3(d: Dmc, p_x3, unit: str = DEFAULT_UNIT) -> float:
@@ -135,33 +127,16 @@ def mutual_info_x3(d: Dmc, p_x3, unit: str = DEFAULT_UNIT) -> float:
     p = _check_distribution("p_x3", p_x3)
     if p.shape != (d.x3_size,):
         raise ValueError(f"p_x3 must have length {d.x3_size}")
-    val = float(p @ _output_divergences(d.gamma_y[:d.x3_size], p))
-    return max(0.0, val) / unit_factor(unit)
+    return _channel_terms(d, unit).mutual_info(p)
 
 
-def capacity_x3(d: Dmc, tol: float = 1e-10, max_iter: int = 10_000,
-                unit: str = DEFAULT_UNIT) -> tuple[float, np.ndarray]:
-    """Capacity of the x3 -> Y sub-channel by alternating maximization.
+def capacity_x3(d: Dmc, unit: str = DEFAULT_UNIT) -> tuple[float, np.ndarray]:
+    """Capacity of the x3 -> Y sub-channel and a capacity-achieving law.
 
-    Stops when the standard upper/lower capacity gap drops below ``tol``
-    (tol is in the requested unit).  Deterministic uniform start.
+    Blahut-Arimoto runs once per (d, unit); the law returned is a copy.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sub = d.gamma_y[:d.x3_size]           # the (0, 0, x3) rows
-    m = d.x3_size
-    r = np.full(m, 1.0 / m)
-    fac = unit_factor(unit)
-    lower = 0.0
-    for _ in range(max_iter):
-        dkl = _output_divergences(sub, r)
-        upper = float(dkl.max()) / fac
-        lower = float(r @ dkl) / fac
-        if upper - lower < tol:
-            break
-        w = r * np.exp(dkl - dkl.max())
-        r = w / w.sum()
-    return max(0.0, lower), r
+    cap, law = _channel_terms(d, unit).capacity
+    return cap, law.copy()
 
 
 def mixture_kl(d: Dmc, rho1: float, rho2: float, x3: int, alpha: float,
@@ -183,3 +158,106 @@ def mixture_kl(d: Dmc, rho1: float, rho2: float, x3: int, alpha: float,
          + (1 - a1) * a2 * d.row(SIDE_Z, 0, 1, x3)
          + a1 * a2 * d.row(SIDE_Z, 1, 1, x3))
     return kl_div(w, d.row(SIDE_Z, 0, 0, x3), unit)
+
+
+def _xlogx(v):
+    return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
+
+
+def _output_divergences(sub: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(row_x || p @ sub) in nats for every row x of ``sub``."""
+    py = p @ sub
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
+    return np.sum(sub * lg, axis=1)
+
+
+class _ChannelTerms:
+    """Per-x3 terms of one channel in one unit, in read-only arrays.
+
+    ``div``: rows D_Y1, D_Y2, D_Z1 - D_Y1, D_Z2 - D_Y2, split for the LPs
+    into finite ``divs`` and infinite ``inf``, both zero where the warden's
+    support is violated (``ok`` False; a law sending it must be silent).
+    ``coef``: (A, B, C), chi2(lam, x3) = A lam^2 + 2B lam(1-lam) +
+    C (1-lam)^2.  ``warden[x3]``: rows G00, G10, G01 on the support of G00.
+    ``sub``: the receiver rows with both covert users off."""
+
+    def __init__(self, d: Dmc, unit: str):
+        self.fac = unit_factor(unit)
+        prof = divergence_profile(d, unit)
+        self.div = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
+        self.ok = ~np.isin(np.arange(d.x3_size), d.ac_violations)
+        self.warden = [None] * d.x3_size
+        self.coef = np.zeros((3, d.x3_size))
+        for x in np.flatnonzero(self.ok):
+            sup = d.row(SIDE_Z, 0, 0, x) > 0
+            self.warden[x] = w = tuple(d.row(SIDE_Z, *on, x)[sup]
+                                       for on in ((0, 0), (1, 0), (0, 1)))
+            b = w[1] / w[0] - 1.0, w[2] / w[0] - 1.0
+            self.coef[:, x] = [float(np.sum(w[0] * b[i] * b[j]))
+                               for i, j in ((0, 0), (0, 1), (1, 1))]
+        fin = np.isfinite(self.div) | ~self.ok
+        self.divs = np.where(fin & self.ok, self.div, 0.0)
+        self.inf = np.where(fin, 0.0, self.div)
+        # what laws() reads of inf and ok on every call
+        self.inf_on, self.off = self.inf != 0, ~self.ok
+        self.inf_sum = self.inf.sum(axis=1)[:, None]
+        self.sub = d.gamma_y[:d.x3_size]
+        self.neg_h = _xlogx(self.sub).sum(axis=1)
+        self.one_hot = self.laws(np.eye(d.x3_size))
+        for v in (*vars(self).values(), *self.one_hot,
+                  *(a for w in self.warden if w for a in w)):
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+
+    @functools.cached_property
+    def capacity(self):
+        """(capacity, input law) by alternating maximization from the
+        uniform law, stopped when the upper/lower capacity gap (in the
+        table's unit) drops below 1e-10 or after 10 000 iterations."""
+        m = len(self.sub)
+        r = np.full(m, 1.0 / m)
+        lower = 0.0
+        for _ in range(10_000):
+            dkl = _output_divergences(self.sub, r)
+            upper = float(dkl.max()) / self.fac
+            lower = float(r @ dkl) / self.fac
+            if upper - lower < 1e-10:
+                break
+            w = r * np.exp(dkl - dkl.max())
+            r = w / w.sum()
+        r.setflags(write=False)
+        return max(0.0, lower), r
+
+    def chi_square(self, rho1, rho2, x: int) -> float:
+        """Chi-square at x for rho1 + rho2 > 0 (+inf where the warden's
+        support is violated); chi_square checks the inputs."""
+        if self.warden[x] is None:
+            return math.inf
+        q00, g10, g01 = self.warden[x]
+        diff = (rho1 * g10 + rho2 * g01) / (rho1 + rho2) - q00
+        return float(np.sum(diff * diff / q00))
+
+    def mutual_info(self, q) -> float:
+        """I(X3; Y) of one law q; mutual_info_x3 checks q."""
+        return max(0.0, float(q @ _output_divergences(self.sub, q))) / self.fac
+
+    def info(self, q):
+        """I(q) per law (rows of q)."""
+        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
+        return np.maximum(info, 0.0) / self.fac
+
+    def laws(self, q):
+        """Per law (rows of q): q . divergences (infinite where q sends a
+        symbol with an infinite one), q . (A, B, C), I(q), covert allowed."""
+        dq = np.where(self.inf_on @ q.T > 0, self.inf_sum, self.divs @ q.T)
+        return (dq, self.coef @ q.T, self.info(q),
+                q[:, self.off].sum(axis=1) == 0)
+
+
+def _channel_terms(d: Dmc, unit: str) -> _ChannelTerms:
+    """The terms of d in ``unit``, built on first use and kept on d."""
+    key = "_terms_" + unit
+    if key not in d.__dict__:
+        object.__setattr__(d, key, _ChannelTerms(d, unit))
+    return d.__dict__[key]

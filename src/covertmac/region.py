@@ -40,8 +40,8 @@ pattern search from its best points) serves both.  That search is local,
 so the LP's upper bound on r2 is measured, not proven.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
-capacity_x3) from one _ChannelTerms table per (Dmc, unit), built on first
-use and kept on the frozen Dmc.
+capacity) from infotheory's _ChannelTerms table, one per (Dmc, unit), which
+the public measures of infotheory read too.
 """
 from __future__ import annotations
 
@@ -54,9 +54,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import Dmc, SIDE_Z
-from .infotheory import (DEFAULT_UNIT, _output_divergences, capacity_x3,
-                         divergence_profile, unit_factor)
+from .channel import Dmc
+from .infotheory import (DEFAULT_UNIT, _channel_terms, _ChannelTerms,
+                         unit_factor)
 
 MAX_PHASES = 6
 SQRT2 = math.sqrt(2.0)
@@ -162,89 +162,6 @@ class Theorem1Sizing:
     unit: str = DEFAULT_UNIT
 
 
-def _xlogx(v):
-    return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-
-
-class _ChannelTerms:
-    """Per-x3 terms of one channel in one unit, in read-only arrays.
-
-    ``div``: rows D_Y1, D_Y2, D_Z1 - D_Y1, D_Z2 - D_Y2, split for the LPs
-    into finite ``divs`` and infinite ``inf``, both zero where the warden's
-    support is violated (``ok`` False; a law sending it must be silent).
-    ``coef``: (A, B, C), chi2(lam, x3) = A lam^2 + 2B lam(1-lam) +
-    C (1-lam)^2.  ``warden[x3]``: rows G00, G10, G01 on the support of G00.
-    ``sub``: the receiver rows with both covert users off."""
-
-    def __init__(self, d: Dmc, unit: str):
-        self.fac = unit_factor(unit)
-        self._d, self._unit = d, unit
-        prof = divergence_profile(d, unit)
-        self.div = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
-        self.ok = ~np.isin(np.arange(d.x3_size), d.ac_violations)
-        self.warden = [None] * d.x3_size
-        self.coef = np.zeros((3, d.x3_size))
-        for x in np.flatnonzero(self.ok):
-            sup = d.row(SIDE_Z, 0, 0, x) > 0
-            self.warden[x] = w = tuple(d.row(SIDE_Z, *on, x)[sup]
-                                       for on in ((0, 0), (1, 0), (0, 1)))
-            b = w[1] / w[0] - 1.0, w[2] / w[0] - 1.0
-            self.coef[:, x] = [float(np.sum(w[0] * b[i] * b[j]))
-                               for i, j in ((0, 0), (0, 1), (1, 1))]
-        fin = np.isfinite(self.div) | ~self.ok
-        self.divs = np.where(fin & self.ok, self.div, 0.0)
-        self.inf = np.where(fin, 0.0, self.div)
-        # what laws() reads of inf and ok on every call
-        self.inf_on, self.off = self.inf != 0, ~self.ok
-        self.inf_sum = self.inf.sum(axis=1)[:, None]
-        self.sub = d.gamma_y[:d.x3_size]
-        self.neg_h = _xlogx(self.sub).sum(axis=1)
-        self.one_hot = self.laws(np.eye(d.x3_size))
-        for v in (*vars(self).values(), *self.one_hot,
-                  *(a for w in self.warden if w for a in w)):
-            if isinstance(v, np.ndarray):
-                v.setflags(write=False)
-
-    @functools.cached_property
-    def capacity(self):
-        """capacity_x3 at its default tolerance: (capacity, input law)."""
-        cap, law = capacity_x3(self._d, unit=self._unit)
-        law.setflags(write=False)
-        return cap, law
-
-    def chi_square(self, rho1, rho2, x: int) -> float:
-        """chi_square(d, rho1, rho2, x) for rho1 + rho2 > 0."""
-        if self.warden[x] is None:
-            return math.inf
-        q00, g10, g01 = self.warden[x]
-        diff = (rho1 * g10 + rho2 * g01) / (rho1 + rho2) - q00
-        return float(np.sum(diff * diff / q00))
-
-    def mutual_info(self, q) -> float:
-        """mutual_info_x3(d, q) of one law q, without its checks."""
-        return max(0.0, float(q @ _output_divergences(self.sub, q))) / self.fac
-
-    def info(self, q):
-        """I(q) per law (rows of q)."""
-        info = q @ self.neg_h - _xlogx(q @ self.sub).sum(axis=1)
-        return np.maximum(info, 0.0) / self.fac
-
-    def laws(self, q):
-        """Per law (rows of q): q . divergences (infinite where q sends a
-        symbol with an infinite one), q . (A, B, C), I(q), covert allowed."""
-        dq = np.where(self.inf_on @ q.T > 0, self.inf_sum, self.divs @ q.T)
-        return (dq, self.coef @ q.T, self.info(q),
-                q[:, self.off].sum(axis=1) == 0)
-
-
-def _channel_terms(d: Dmc, unit: str) -> _ChannelTerms:
-    """The terms of d in ``unit``, built on first use and kept on d."""
-    key = "_terms_" + unit
-    if key not in d.__dict__:
-        object.__setattr__(d, key, _ChannelTerms(d, unit))
-    return d.__dict__[key]
-
-
 def _terms(lam, laws):
     """(n1, n2, key1, key2, chi, info, covert) of phase columns (lam, q, a)
     with lam broadcast against ``laws`` (_ChannelTerms.laws): a phase of
@@ -304,13 +221,22 @@ def _rates(plan: PhasePlan, unit: str, num, key, dsq, r3) -> RateTuple:
     return RateTuple(r1, r2, r3, k1, k2, unit)
 
 
+def _active_fractions(plan: PhasePlan) -> tuple[float, float, bool]:
+    """Per-user active fractions of each phase, from the rate parameters:
+    user l is active for beta_l * beta_max, so the user with the larger beta
+    takes the longer fraction beta_max^2.  True when beta2 > beta1 (user 2
+    takes the longer role)."""
+    bmax = max(plan.beta1, plan.beta2)
+    return plan.beta1 * bmax, plan.beta2 * bmax, plan.beta2 > plan.beta1
+
+
 def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
                     xi, unit: str = DEFAULT_UNIT) -> Theorem1Sizing:
     """Finite-blocklength message/key sizing and warden-divergence bound.
 
-    The active fractions come from the rate parameters: the user with the
-    larger beta takes the longer fraction beta_max^2 of each phase, the other
-    beta_l * beta_max; when beta2 > beta1 the role switch is recorded.
+    User l is active for the fraction of _active_fractions: ``phi1`` is
+    beta_max^2, the longer-active user's, ``phi2`` the other's, and
+    ``swapped`` is True when beta2 > beta1.
     """
     xi = tuple(float(v) for v in xi)
     if len(xi) != 6 or any(not 0 < v < 1 for v in xi):
@@ -318,10 +244,8 @@ def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
     if not 0 < omega_n < 1:
         raise ValueError("omega_n must lie in (0, 1)")
     num, key, dsq, r3 = _plan_quantities(d, plan, unit)
-    b1, b2 = plan.beta1, plan.beta2
-    swapped = b2 > b1
-    bmax = max(b1, b2)
-    phi_u1, phi_u2 = b1 * bmax, b2 * bmax
+    phi_u1, phi_u2, swapped = _active_fractions(plan)
+    bmax = max(plan.beta1, plan.beta2)
     root = omega_n * math.sqrt(n)
     log_m1 = phi_u1 * (1 - xi[0]) * root * num[0]
     log_m2 = phi_u2 * (1 - xi[1]) * root * num[1]

@@ -19,7 +19,8 @@ import numpy as np
 
 from .channel import Dmc
 from .infotheory import DEFAULT_UNIT, unit_factor
-from .region import PhasePlan, _plan_quantities, theorem1_sizing
+from .region import (PhasePlan, _active_fractions, _plan_quantities,
+                     theorem1_sizing)
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 
@@ -72,12 +73,6 @@ def phase_lengths(n: int, p_t) -> list[int]:
     return lens
 
 
-def _phi_fractions(plan: PhasePlan) -> tuple[float, float, bool]:
-    """Per-user active fractions; True when user 2 takes the longer role."""
-    bmax = max(plan.beta1, plan.beta2)
-    return plan.beta1 * bmax, plan.beta2 * bmax, plan.beta2 > plan.beta1
-
-
 class CodebookEnsemble:
     """Random codebooks for one (plan, n, omega_n, sizes) configuration.
 
@@ -96,7 +91,7 @@ class CodebookEnsemble:
         self.omega_n = cfg.omega_n
         self.n_t = phase_lengths(cfg.n, plan.p_t)
         self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
-        self.phi1, self.phi2, self.swapped = _phi_fractions(plan)
+        self.phi1, self.phi2, self.swapped = _active_fractions(plan)
         self.active1 = [int(math.floor(self.phi1 * nt)) for nt in self.n_t]
         self.active2 = [int(math.floor(self.phi2 * nt)) for nt in self.n_t]
         self.clip_warnings: list[str] = []
@@ -285,20 +280,21 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     """Monte-Carlo error probabilities under both hypotheses.
 
     Per-trial RNG streams derive from (seed, trial index); with
-    ``fixed_codebook`` one ensemble (stream (seed, -1)) serves every trial,
-    otherwise each trial draws a fresh ensemble (random-coding average).
+    ``fixed_codebook`` one ensemble (stream (seed, 2^31)) serves every trial,
+    otherwise each trial draws a fresh ensemble (random-coding average) and
+    the exact divergence, if asked for, is taken on stream (seed, 2^31).
     """
     t0 = time.perf_counter()
     eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n, cfg.mu)
-    fixed_ens = None
-    if cfg.fixed_codebook:
-        rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
-        fixed_ens = build_codebooks(cfg, rng_cb, d=d)
+    rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
+    ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0
     stage = {"w3_h0": 0, "w3": 0, "w1": 0, "w2": 0}
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
-        ens = fixed_ens if fixed_ens is not None else build_codebooks(cfg, rng, d=d)
+        if ens is None or not cfg.fixed_codebook:
+            ens = build_codebooks(cfg, rng_cb if cfg.fixed_codebook else rng,
+                                  d=d)
         w1 = int(rng.integers(cfg.m1)); s1 = int(rng.integers(cfg.k1))
         w2 = int(rng.integers(cfg.m2)); s2 = int(rng.integers(cfg.k2))
         w3 = int(rng.integers(cfg.m3))
@@ -322,22 +318,18 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         if bad3 or bad1 or bad2:
             e1 += 1
     delta_exact = delta_ratio = None
-    clip = ()
-    if cfg.trials > 0 or cfg.exact_divergence:
-        ens = fixed_ens
-        if ens is None:
-            rng_cb = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 2**31]))
+    if cfg.exact_divergence:
+        if ens is None or not cfg.fixed_codebook:
             ens = build_codebooks(cfg, rng_cb, d=d)
-        clip = tuple(ens.clip_warnings)
-        if cfg.exact_divergence:
-            deltas = [exact_delta(ens, d, w3, unit="nats")
-                      for w3 in range(cfg.m3)]
-            delta_exact = float(np.mean(deltas))
-            sz = theorem1_sizing(d, cfg.plan, cfg.n, cfg.omega_n,
-                                 (0.1,) * 6, unit="nats")
-            predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack
-            delta_ratio = delta_exact / predictor if predictor > 0 else math.inf
+        deltas = [exact_delta(ens, d, w3, unit="nats")
+                  for w3 in range(cfg.m3)]
+        delta_exact = float(np.mean(deltas))
+        sz = theorem1_sizing(d, cfg.plan, cfg.n, cfg.omega_n,
+                             (0.1,) * 6, unit="nats")
+        predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack
+        delta_ratio = delta_exact / predictor if predictor > 0 else math.inf
+    # every ensemble of one (plan, n, omega_n) clips alike
+    clip = tuple(ens.clip_warnings) if ens is not None else ()
     n_tr = cfg.trials
     report = SimReport(
         trials_run=n_tr,

@@ -126,6 +126,13 @@ def test_chi_square_zero_mixture_rejected(paper):
         chi_square(paper, 0.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("x3", [2, -1])
+def test_chi_square_x3_outside_alphabet_rejected(paper, x3):
+    assert x3 in (paper.x3_size, -1)
+    with pytest.raises(IndexError):
+        chi_square(paper, 1.0, 1.0, x3)
+
+
 def test_chi_square_ac_violation_infinite():
     gz = [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
           [1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
@@ -161,6 +168,13 @@ def test_capacity_reference_value(paper):
     cap, p = capacity_x3(paper, unit="bits")
     assert abs(cap - CAPACITY_BITS) < 1e-6
     assert abs(p.sum() - 1) < 1e-12
+
+
+def test_capacity_law_is_a_writable_copy(paper):
+    _, law = capacity_x3(paper)
+    first = law.copy()
+    law[:] = 0.0
+    assert np.array_equal(capacity_x3(paper)[1], first)
 
 
 def test_capacity_zero_cases(uniform_channel):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
+import covertmac.cli as cli
+import covertmac.infotheory as infotheory
 import covertmac.region as region
 from covertmac.infotheory import chi_square, divergence_profile, mutual_info_x3
 from covertmac.region import (Constraints, InfeasibleError, OptBudget,
@@ -933,26 +936,43 @@ def test_evaluators_match_public_reference(paper, monkeypatch, case):
     assert got == evaluate()
 
 
-def test_channel_terms_built_once_per_channel_and_unit(monkeypatch):
-    """One divergence_profile and one capacity_x3 per (Dmc, unit), however
-    many evaluations and solves read them."""
-    calls = {"divergence_profile": 0, "capacity_x3": 0}
-    for name in calls:
-        inner = getattr(region, name)
+def test_channel_terms_built_once_per_channel_and_unit(monkeypatch, capsys):
+    """One divergence_profile and one Blahut-Arimoto run per (Dmc, unit),
+    however many evaluations, solves, capacity_x3 calls and CLI runs read
+    them."""
+    calls = {"profile": 0, "blahut_arimoto": 0}
+    profile = infotheory.divergence_profile
+    capacity = infotheory._ChannelTerms.capacity.func
 
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
+    def counted_profile(*args, **kwargs):
+        calls["profile"] += 1
+        return profile(*args, **kwargs)
 
-        monkeypatch.setattr(region, name, counted)
+    def counted_capacity(tab):
+        calls["blahut_arimoto"] += 1
+        return capacity(tab)
+
+    prop = functools.cached_property(counted_capacity)
+    prop.__set_name__(infotheory._ChannelTerms, "capacity")
+    monkeypatch.setattr(infotheory, "divergence_profile", counted_profile)
+    monkeypatch.setattr(infotheory._ChannelTerms, "capacity", prop)
     d = cm.paper_channel()                       # a fresh Dmc
     for _ in range(100):
         rate_tuple(d, REF_PLAN)
-    assert calls == {"divergence_profile": 1, "capacity_x3": 0}
+    assert calls == {"profile": 1, "blahut_arimoto": 0}
     trace_r2_R3(d, 0.1, 0.8, 0.8, [0.0, 0.09], OptBudget(max_phases=1))
-    assert calls == {"divergence_profile": 1, "capacity_x3": 1}
+    assert calls == {"profile": 1, "blahut_arimoto": 1}
+    cm.capacity_x3(d)
+    cm.capacity_x3(d)
+    monkeypatch.setattr(cli, "_load", lambda args: d)
+    assert cli.main(["region", "--channel", "paper", "--r1", "0.1",
+                     "--grid-points", "2", "--max-phases", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert calls == {"profile": 1, "blahut_arimoto": 1}
     rate_tuple(d, REF_PLAN, "nats")
-    assert calls == {"divergence_profile": 2, "capacity_x3": 1}
+    cm.capacity_x3(d, "nats")
+    cm.capacity_x3(d, "nats")
+    assert calls == {"profile": 2, "blahut_arimoto": 2}
 
 
 def test_channel_terms_read_only_and_equal_to_public(paper):

@@ -303,6 +303,29 @@ def test_run_trials_zero_trials_sentinel(paper):
     assert rep.pe0_interval is None
 
 
+@pytest.mark.parametrize("fixed, trials, builds",
+                         [(False, 3, 3), (True, 3, 1), (True, 0, 0)])
+def test_run_trials_reads_clip_warnings_of_drawn_ensembles(
+        paper, monkeypatch, fixed, trials, builds):
+    """run_trials reports the clip warnings of the ensembles its trials
+    draw, and draws no extra ensemble to read them."""
+    from covertmac import simulator
+    plan = PhasePlan.single_phase((0.5, 0.5), 50.0, 0.0)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(build_codebooks(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(simulator, "build_codebooks", counted)
+    rep = run_trials(SimConfig(n=16, plan=plan, trials=trials, seed=5,
+                               fixed_codebook=fixed), paper)
+    assert len(built) == builds
+    assert rep.clip_warnings == (tuple(built[-1].clip_warnings) if built
+                                 else ())
+    assert bool(rep.clip_warnings) == (trials > 0)
+
+
 def test_run_trials_fixed_codebook_mode(paper):
     cfg = SimConfig(n=16, plan=PLAN_Q, trials=10, seed=2, fixed_codebook=True)
     rep = run_trials(cfg, paper)
