@@ -5,7 +5,7 @@ Every CSV/report starts with a manifest header line so outputs are
 reproducible: same artifact version + same manifest -> same data rows.
 
 Exit codes: 0 ok, 2 usage, 3 input validation, 4 infeasible constraints,
-5 budget/enumeration cap exhausted.
+5 the exact-divergence enumeration cap exceeded.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .channel import ChannelFormatError, load_channel, paper_channel
 from .infotheory import _channel_terms, capacity_x3, chi_square, mixture_kl
-from .region import (InfeasibleError, OptBudget, PhasePlan, curve_r2_vs_k2,
-                     rate_tuple, theorem1_sizing, trace_r2_R3)
+from .region import (InfeasibleError, PhasePlan, curve_r2_vs_k2, rate_tuple,
+                     theorem1_sizing, trace_r2_R3)
 from .simulator import EnumerationCapError, SimConfig, exact_delta, run_trials
 
 # A chi-square at or below this is rounding noise (0 or about 4e-33 on a
@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
-EXIT_BUDGET = 5
+EXIT_ENUM_CAP = 5
 
 
 def _timestamp() -> str:
@@ -108,7 +108,7 @@ def cmd_region(args) -> int:
     grid = _parse_grid(args.r3_grid) if args.r3_grid else \
         np.linspace(0.0, cap, args.grid_points).tolist()
     pts = trace_r2_R3(d, args.r1, args.k1_max, args.k2_max, grid,
-                      OptBudget(args.max_phases), args.unit)
+                      args.max_phases, args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max, "k2_max": args.k2_max,
              "max_phases": args.max_phases}
     lines = [_manifest(args, d, extra), "r2,R3"]
@@ -119,10 +119,9 @@ def cmd_region(args) -> int:
 
 def cmd_curve(args) -> int:
     d = _load(args)
-    mode = "optimize" if args.fix_x3 is None else ("fix", args.fix_x3)
     grid = _parse_grid(args.k2_grid)
-    pts = curve_r2_vs_k2(d, args.r1, args.k1_max, grid, mode,
-                         OptBudget(args.max_phases), args.unit)
+    pts = curve_r2_vs_k2(d, args.r1, args.k1_max, grid, args.fix_x3,
+                         args.max_phases, args.unit)
     extra = {"r1": args.r1, "k1_max": args.k1_max,
              "x3_mode": "optimize" if args.fix_x3 is None else f"fix{args.fix_x3}",
              "max_phases": args.max_phases}
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except EnumerationCapError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_ENUM_CAP
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

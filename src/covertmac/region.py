@@ -281,15 +281,6 @@ class Constraints:
             raise ValueError("the r1 and R3 floors must be finite")
 
 
-@dataclass(frozen=True)
-class OptBudget:
-    max_phases: int = MAX_PHASES
-
-    def __post_init__(self):
-        if self.max_phases < 1:
-            raise ValueError("max_phases must be at least 1")
-
-
 _FEAS_SLACK = 1e-9
 
 
@@ -1062,34 +1053,39 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
     raise InfeasibleError(f"no single-phase plan meets {cons}", cons)
 
 
-def max_r2(d: Dmc, constraints: Constraints, budget: OptBudget = OptBudget(),
+def _check_phases(max_phases: int) -> None:
+    if max_phases < 1:
+        raise ValueError("max_phases must be at least 1")
+
+
+def max_r2(d: Dmc, constraints: Constraints, max_phases: int = MAX_PHASES,
            unit: str = DEFAULT_UNIT,
-           x3_mode="optimize") -> tuple[PhasePlan, RateTuple]:
+           fix_x3: int | None = None) -> tuple[PhasePlan, RateTuple]:
     """Feasible plan maximizing r2, with its rate tuple; InfeasibleError
     when no plan meets the constraints.
 
-    In fix mode, x3_mode = ("fix", x), the modes of any plan merge into one
-    phase at the one-hot law, so the single-phase closed form is exact and
-    no LP runs; R3_min > 0 raises InfeasibleError at once.  Otherwise the
+    With x3 fixed to the symbol ``fix_x3``, the modes of any plan merge into
+    one phase at the one-hot law, so the single-phase closed form is exact
+    and no LP runs; R3_min > 0 raises InfeasibleError at once.  Otherwise the
     exact plan is an LP optimum over one-hot modes at R3_min = 0
     (_lp_max_r2: a phase per x3 symbol used; r2 = 0 where no plan with
     r2 > 0 meets the k2 cap) or over phases (lam, q, a) at R3_min > 0
     (_lp_max_r2_r3: its bound is measured, not proven).  It is returned
-    when its tau* phases fit ``budget.max_phases``; at max_phases = 1 the
-    best single phase (_one_phase_max_r2) is returned, and a cap from 2 to
+    when its tau* phases fit ``max_phases``; at max_phases = 1 the best
+    single phase (_one_phase_max_r2) is returned, and a cap from 2 to
     tau* - 1 raises ValueError.  The single-phase search also runs where
     the LP gives no plan: an infinite divergence, or a mode the warden
     cannot see, which makes r2 unbounded (r2 = inf).
     """
-    if x3_mode != "optimize":
-        _, x = x3_mode
-        if not 0 <= x < d.x3_size:
-            raise ValueError(f"fixed x3 {x} out of range")
+    _check_phases(max_phases)
+    if fix_x3 is not None:
+        if not 0 <= fix_x3 < d.x3_size:
+            raise ValueError(f"fixed x3 {fix_x3} out of range")
         if constraints.R3_min > 0:
             raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
                                   f"meets {constraints}", constraints)
-        return _one_phase_max_r2(d, constraints, unit, x)
-    max_phases = min(budget.max_phases, MAX_PHASES)
+        return _one_phase_max_r2(d, constraints, unit, fix_x3)
+    max_phases = min(max_phases, MAX_PHASES)
     found = (_lp_max_r2 if constraints.R3_min == 0 else _lp_max_r2_r3)(
         d, constraints, unit)
     if found is not None and found[0].tau <= max_phases:
@@ -1113,9 +1109,9 @@ def _pareto(points):
 
 
 def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
-                grid, budget: OptBudget = OptBudget(),
-                unit: str = DEFAULT_UNIT):
+                grid, max_phases: int = MAX_PHASES, unit: str = DEFAULT_UNIT):
     """Boundary points (r2, R3): max r2 with R3_min swept over ``grid``."""
+    _check_phases(max_phases)
     cap = _channel_terms(d, unit).capacity[0]
     grid = sorted(float(g) for g in grid)
     if not grid or not all(-1e-12 <= g <= cap + 1e-9 for g in grid):
@@ -1125,19 +1121,21 @@ def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
     for target in grid:
         cons = Constraints(r1_min=r1_fixed, R3_min=min(target, cap),
                            k1_max=k1_max, k2_max=k2_max)
-        pts.append((max_r2(d, cons, budget, unit)[1].r2, target))
+        pts.append((max_r2(d, cons, max_phases, unit)[1].r2, target))
     return _pareto(pts)
 
 
 def curve_r2_vs_k2(d: Dmc, r1_fixed: float, k1_max: float, k2_grid,
-                   x3_mode="optimize", budget: OptBudget = OptBudget(),
+                   fix_x3: int | None = None, max_phases: int = MAX_PHASES,
                    unit: str = DEFAULT_UNIT):
-    """Curve points (k2, r2): max r2 with the user-2 key rate capped."""
+    """Curve points (k2, r2): max r2 with the user-2 key rate capped, x3
+    optimized or fixed to the symbol ``fix_x3`` as in max_r2."""
+    _check_phases(max_phases)
     k2_grid = sorted(float(v) for v in k2_grid)
     if not k2_grid or not all(k2 >= 0 for k2 in k2_grid):
         raise ValueError("k2 grid must be non-empty and non-negative")
     pts = []
     for k2 in k2_grid:
         cons = Constraints(r1_min=r1_fixed, k1_max=k1_max, k2_max=k2)
-        pts.append((k2, max_r2(d, cons, budget, unit, x3_mode)[1].r2))
+        pts.append((k2, max_r2(d, cons, max_phases, unit, fix_x3)[1].r2))
     return pts

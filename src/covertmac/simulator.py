@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Dmc
-from .infotheory import DEFAULT_UNIT, unit_factor
+from .infotheory import unit_factor
 from .region import (PhasePlan, _active_fractions, _plan_quantities,
                      theorem1_sizing)
 
@@ -141,10 +141,9 @@ class CodebookEnsemble:
 
 
 def build_codebooks(cfg: SimConfig, rng: np.random.Generator,
-                    d: Dmc | None = None) -> CodebookEnsemble:
+                    d: Dmc) -> CodebookEnsemble:
     """Draw a fresh random-coding ensemble; deterministic given the rng state."""
-    x3_size = d.x3_size if d is not None else len(cfg.plan.p_x3_given_t[0])
-    return CodebookEnsemble(cfg, rng, x3_size)
+    return CodebookEnsemble(cfg, rng, d.x3_size)
 
 
 def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
@@ -262,7 +261,6 @@ class SimReport:
     codebook_mode: str = "fresh-per-trial"
     clip_warnings: tuple = ()
     wall_time: float = 0.0
-    unit: str = DEFAULT_UNIT
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):

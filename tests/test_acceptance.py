@@ -18,8 +18,8 @@ import covertmac as cm
 import covertmac.region as region
 import lp_oracle
 from covertmac.infotheory import capacity_x3, chi_square, mixture_kl
-from covertmac.region import (Constraints, OptBudget, PhasePlan, max_r2,
-                              rate_tuple, trace_r2_R3, curve_r2_vs_k2)
+from covertmac.region import (Constraints, PhasePlan, max_r2, rate_tuple,
+                              trace_r2_R3, curve_r2_vs_k2)
 from covertmac.simulator import (SimConfig, auto_thresholds, build_codebooks,
                                  decode, encode, exact_delta, run_trials)
 
@@ -27,7 +27,7 @@ CAPACITY_REF = 0.197534            # criterion 1, +-1e-3
 CURVE_K2 = (0.05, 0.3, 1.0)        # criterion 2 grid, +-2% of the LP oracle
 FIX0_REF = 0.235812824459213       # criterion 3 plateau, +-2%
 
-STRONG = OptBudget(max_phases=3)
+STRONG = 3                         # max_phases
 
 
 def report(num, ok, detail):
@@ -60,8 +60,7 @@ def test_criterion_2_optimized_curve(paper, monkeypatch):
         return plan, rt
 
     monkeypatch.setattr(region, "max_r2", recording_max_r2)
-    pts = dict(curve_r2_vs_k2(paper, 0.1, 0.8, CURVE_K2,
-                              "optimize", OptBudget()))
+    pts = dict(curve_r2_vs_k2(paper, 0.1, 0.8, CURVE_K2))
     rows = []
     ok = True
     for k2 in CURVE_K2:
@@ -79,7 +78,7 @@ def test_criterion_2_optimized_curve(paper, monkeypatch):
 
 def test_criterion_3_fix_x3_0_plateau(paper):
     _, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
-                   STRONG, x3_mode=("fix", 0))
+                   STRONG, fix_x3=0)
     ok = abs(rt.r2 - FIX0_REF) <= 0.02 * FIX0_REF
     report("3 (fix x3=0, k2=1.0)", ok, f"r2={rt.r2:.6f} vs {FIX0_REF:.6f} "
            f"({(rt.r2 - FIX0_REF) / FIX0_REF * 100:+.2f}%)")
@@ -88,7 +87,7 @@ def test_criterion_3_fix_x3_0_plateau(paper):
 
 def test_criterion_3_fix_x3_0_small_key(paper):
     cons = Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.05)
-    _, rt = max_r2(paper, cons, STRONG, x3_mode=("fix", 0))
+    _, rt = max_r2(paper, cons, STRONG, fix_x3=0)
     # with x3 pinned, every plan has k2/r2 = (D_Z2 - D_Y2)/D_Y2 at x3 = 0, so
     # the key cap bounds r2; beta2 reaches the bound from the key-free plateau
     dv = lp_oracle.divergences(paper)
@@ -102,7 +101,7 @@ def test_criterion_3_fix_x3_0_small_key(paper):
 
 def test_criterion_3_fix_x3_1_point(paper):
     cons = Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.05)
-    _, rt = max_r2(paper, cons, STRONG, x3_mode=("fix", 1))
+    _, rt = max_r2(paper, cons, STRONG, fix_x3=1)
     want = lp_oracle.max_r2(paper, 0.1, 0.8, 0.05, fix_x3=1)
     ok = abs(rt.r2 - want) <= 0.02 * want and meets_caps(rt, cons)
     report("3 (fix x3=1, k2=0.05)", ok,

@@ -16,8 +16,8 @@ import covertmac.cli as cli
 import covertmac.infotheory as infotheory
 import covertmac.region as region
 from covertmac.infotheory import chi_square, divergence_profile, mutual_info_x3
-from covertmac.region import (Constraints, InfeasibleError, OptBudget,
-                              PhasePlan, max_r2, rate_tuple, theorem1_sizing,
+from covertmac.region import (Constraints, InfeasibleError, PhasePlan,
+                              max_r2, rate_tuple, theorem1_sizing,
                               trace_r2_R3, curve_r2_vs_k2, _feasible, _pareto)
 
 import lp_oracle
@@ -39,7 +39,7 @@ ORACLE_R3_CORNER = 0.606688252198   # r1>=0.5, R3>=0.1, k1<=0.8, k2<=0.8
 ORACLE_R3_LOW = 0.852515000651      # r1>=0.1, R3>=0.09, k1<=0.8, k2<=0.8
 ORACLE_R3_KEY = 0.980675917053      # r1>=0.1, R3>=0.05, k1<=0.8, k2<=0.3
 
-BUDGET = OptBudget(max_phases=3)
+PHASES = 3                          # max_phases of the solver tests
 
 REF_PLAN = PhasePlan(p_t=(0.6, 0.4), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
                      rho1=(0.9, 0.3), rho2=(0.4, 1.1), beta1=0.9, beta2=0.8)
@@ -261,7 +261,7 @@ def test_sizing_role_swap_recorded(paper):
 
 def test_max_r2_reaches_certified_optimum_fix0(paper):
     plan, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
-                      BUDGET, x3_mode=("fix", 0))
+                      PHASES, fix_x3=0)
     assert rt.r2 >= ORACLE_FIX0_PLATEAU * 0.995
     assert rt.r2 <= ORACLE_FIX0_PLATEAU * (1 + 1e-6)
     assert rt.r1 >= 0.1 - 1e-9 and rt.k2 <= 1.0 + 1e-9
@@ -271,14 +271,14 @@ def test_max_r2_reaches_certified_optimum_fix0(paper):
 
 def test_max_r2_reaches_certified_optimum_optimized(paper):
     _, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
-                   BUDGET)
+                   PHASES)
     assert rt.r2 >= ORACLE_OPT_PLATEAU * 0.995
     assert rt.r2 <= ORACLE_OPT_PLATEAU * (1 + 1e-6)
 
 
 def test_max_r2_reaches_certified_optimum_corner(paper):
     _, rt = max_r2(paper, Constraints(r1_min=0.5, k1_max=0.8, k2_max=0.8),
-                   BUDGET)
+                   PHASES)
     assert rt.r2 >= ORACLE_CORNER * 0.995
     assert rt.r2 <= ORACLE_CORNER * (1 + 1e-6)
 
@@ -296,7 +296,7 @@ def test_max_r2_key_limited_fix0(paper):
     prof = divergence_profile(paper, "bits")
     limit = 0.05 * prof.d_y2[0] / prof.d_zy2[0]
     _, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.05),
-                   BUDGET, x3_mode=("fix", 0))
+                   PHASES, fix_x3=0)
     assert rt.k2 <= 0.05 + 1e-9
     assert rt.r2 >= limit * 0.99 and rt.r2 <= limit * (1 + 1e-6)
 
@@ -307,34 +307,30 @@ def test_max_r2_zero_when_user2_invisible():
     for x3 in range(2):                 # receiver rows for (0,1,x3) = (0,0,x3)
         gy[2 + x3] = gy[x3]
     d = make_dmc(gy, base.gamma_z)
-    small = OptBudget(max_phases=2)
-    _, rt = max_r2(d, Constraints(r1_min=0.0), small)
+    _, rt = max_r2(d, Constraints(r1_min=0.0), max_phases=2)
     assert rt.r2 <= 1e-9
 
 
 def test_max_r2_infeasible(paper):
-    small = OptBudget(max_phases=1)
     with pytest.raises(InfeasibleError):
-        max_r2(paper, Constraints(r1_min=1e6), small)
+        max_r2(paper, Constraints(r1_min=1e6), max_phases=1)
 
 
 def test_max_r2_deterministic_and_worker_invariant(paper):
-    b1 = OptBudget(max_phases=2)
     cons = Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.3)
-    p1, r1 = max_r2(paper, cons, b1)
-    p2, r2 = max_r2(paper, cons, b1)
-    p3, r3 = max_r2(paper, cons, b1)
+    p1, r1 = max_r2(paper, cons, max_phases=2)
+    p2, r2 = max_r2(paper, cons, max_phases=2)
+    p3, r3 = max_r2(paper, cons, max_phases=2)
     assert p1.to_json() == p2.to_json() == p3.to_json()
     assert r1.r2 == r2.r2 == r3.r2
 
 
 def test_max_r2_monotone_in_budget_and_keys(paper):
     """Looser constraints never reduce the optimum."""
-    small = OptBudget(max_phases=2)
-    _, a = max_r2(paper, Constraints(r1_min=0.1, k2_max=0.1), small,
-                  x3_mode=("fix", 0))
-    _, b = max_r2(paper, Constraints(r1_min=0.1, k2_max=0.3), small,
-                  x3_mode=("fix", 0))
+    _, a = max_r2(paper, Constraints(r1_min=0.1, k2_max=0.1), max_phases=2,
+                  fix_x3=0)
+    _, b = max_r2(paper, Constraints(r1_min=0.1, k2_max=0.3), max_phases=2,
+                  fix_x3=0)
     assert b.r2 >= a.r2 - 1e-9
 
 
@@ -363,19 +359,18 @@ def test_max_r2_lp_between_oracle_grids(seed):
     1e-9, at most max_phases phases, one-hot rows in fix mode, the same
     bytes again."""
     d, cons, best_x = random_problem(seed)
-    budget = OptBudget()
-    for mode, fix_x3 in (("optimize", None), (("fix", best_x), best_x)):
-        plan, rt = max_r2(d, cons, budget, x3_mode=mode)
+    for fix_x3 in (None, best_x):
+        plan, rt = max_r2(d, cons, fix_x3=fix_x3)
         lo, hi = (lp_oracle.max_r2(d, cons.r1_min, cons.k1_max, cons.k2_max,
                                    fix_x3=fix_x3, n_lambda=n)
                   for n in (2001, 8001))
         assert lo * (1 - 1e-9) <= rt.r2 <= hi * (1 + 1e-6)
         assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
-        assert plan.tau <= budget.max_phases
+        assert plan.tau <= region.MAX_PHASES
         if fix_x3 is not None:
             for q in plan.p_x3_given_t:
                 assert q[fix_x3] == 1.0 and sum(q) == 1.0
-        again, _ = max_r2(d, cons, budget, x3_mode=mode)
+        again, _ = max_r2(d, cons, fix_x3=fix_x3)
         assert again.to_json() == plan.to_json()
 
 
@@ -407,10 +402,10 @@ def test_max_r2_r3_reaches_frozen_optimum(paper, want, cons, lp_bounds):
     """R3 > 0 is solved exactly: the frozen optimum, a certificate gap
     within 1e-6, and an independent grid lower bound at most r2 and within
     1e-3 of it."""
-    plan, rt = max_r2(paper, cons, BUDGET)
+    plan, rt = max_r2(paper, cons, PHASES)
     assert math.isclose(rt.r2, want, rel_tol=1e-6)
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
-    assert plan.tau <= BUDGET.max_phases
+    assert plan.tau <= PHASES
     assert rt.r2 * (1 - 1e-9) <= lp_bounds[0] <= rt.r2 * (1 + 1e-6)
     lower = lp_oracle.max_r2_r3(paper, cons.r1_min, cons.R3_min, cons.k1_max,
                                 cons.k2_max)
@@ -426,17 +421,16 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
     one-dimensional there), and the same bytes again."""
     d, cons, _ = random_problem(seed)
     cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
-    budget = OptBudget()
-    plan, rt = max_r2(d, cons, budget)
+    plan, rt = max_r2(d, cons)
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
-    assert plan.tau <= budget.max_phases
+    assert plan.tau <= region.MAX_PHASES
     lower = lp_oracle.max_r2_r3(d, cons.r1_min, cons.R3_min, cons.k1_max,
                                 cons.k2_max, n_lambda=11, q_steps=10,
                                 u_grid=2.0 ** (np.arange(-12, 13) / 4))
     assert rt.r2 >= lower * (1 - 1e-9)
     if d.x3_size == 2:
         assert abs(lp_bounds[0] - rt.r2) <= 1e-6 * rt.r2
-    assert max_r2(d, cons, budget)[0].to_json() == plan.to_json()
+    assert max_r2(d, cons)[0].to_json() == plan.to_json()
 
 
 @pytest.mark.parametrize("seed, want", [
@@ -469,7 +463,7 @@ def test_trace_near_capacity_exact(paper, lp_bounds):
     to 1e-6."""
     cap = cm.capacity_x3(paper)[0]
     pts = trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.5 * cap, 0.99 * cap, cap],
-                      OptBudget(max_phases=3))
+                      max_phases=3)
     assert [r3 for _, r3 in pts] == [0.5 * cap, 0.99 * cap, cap]
     assert pts[0][0] > pts[1][0] > pts[2][0] > 0
     assert abs(lp_bounds[2] - pts[2][0]) <= 1e-6 * pts[2][0]
@@ -486,8 +480,54 @@ def test_max_r2_r3_certificate_gates(seed, frac, lp_bounds):
     cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
     _, rt = max_r2(d, cons)
     assert lp_bounds[0] >= rt.r2 * (1 - 1e-12)
-    _, one = max_r2(d, cons, OptBudget(max_phases=1))
+    _, one = max_r2(d, cons, max_phases=1)
     assert one.r2 <= rt.r2 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed, frac", [(5, 0.8), (20, 0.8), (12, 0.95)])
+def test_max_r2_r3_after_phase_one(seed, frac, lp_bounds, monkeypatch):
+    """Where no seed column set meets the constraints (x3_size 3), phase 1
+    finds a feasible one and the generation goes on from it: caps met at
+    1e-9, bound >= r2, and no single phase beats the plan, both to 1e-12
+    relative."""
+    phase1 = []
+    inner = region._r3_solve
+
+    def recorded(*args):
+        phase1.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(region, "_r3_solve", recorded)
+    d, cons, _ = random_problem(seed)
+    cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
+    _, rt = max_r2(d, cons)
+    assert d.x3_size == 3 and False in phase1[phase1.index(True):]
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+    assert lp_bounds[0] >= rt.r2 * (1 - 1e-12)
+    try:
+        one = max_r2(d, cons, max_phases=1)[1].r2
+    except InfeasibleError:
+        one = -math.inf
+    assert one <= rt.r2 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("cons, key", [
+    (Constraints(k1_max=0.0, k2_max=0.8), "k1"),
+    (Constraints(R3_min=0.1, k1_max=0.0, k2_max=0.8), "k1"),
+    (Constraints(r1_min=0.5, R3_min=0.1, k1_max=0.8, k2_max=0.0), "k2")],
+    ids=["k1-R3-0", "k1-R3-0.1", "k2-R3-0.1"])
+def test_max_r2_zero_key_caps(paper, cons, key):
+    """A zero key cap has its own row in the mode LP (R3 = 0, r1_min = 0)
+    and the phase LP, and its own branch of the single-phase search: at
+    six phases and at one, every cap is met at 1e-9 and the capped key
+    rate is exactly 0, and one phase never beats six."""
+    r2 = {}
+    for max_phases in (6, 1):
+        _, rt = max_r2(paper, cons, max_phases)
+        assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+        assert getattr(rt, key) == 0.0
+        r2[max_phases] = rt.r2
+    assert r2[1] <= r2[6]
 
 
 # (r2, bound) of R3 > 0 solves as computed before pricing started from
@@ -548,7 +588,7 @@ def test_max_r2_r3_corner_work(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(region, name, counter(name))
-    max_r2(*_band_problem("corner", 0), BUDGET)
+    max_r2(*_band_problem("corner", 0), PHASES)
     assert calls["_highs_solve"] <= 19 and calls["_r3_price"] <= 223
 
 
@@ -653,7 +693,7 @@ def test_max_r2_fix_mode_with_r3_infeasible_at_once(paper):
     """One-hot x3 rows carry no R3, so fix mode with R3_min > 0 is
     infeasible before any search."""
     with pytest.raises(InfeasibleError):
-        max_r2(paper, Constraints(R3_min=0.05), BUDGET, x3_mode=("fix", 0))
+        max_r2(paper, Constraints(R3_min=0.05), PHASES, fix_x3=0)
 
 
 def test_max_r2_key_limited_fix0_single_phase(paper):
@@ -662,8 +702,7 @@ def test_max_r2_key_limited_fix0_single_phase(paper):
     prof = divergence_profile(paper, "bits")
     limit = 0.05 * prof.d_y2[0] / prof.d_zy2[0]
     cons = Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.05)
-    plan, rt = max_r2(paper, cons, replace(BUDGET, max_phases=1),
-                      x3_mode=("fix", 0))
+    plan, rt = max_r2(paper, cons, max_phases=1, fix_x3=0)
     assert plan.tau == 1 and plan.p_x3_given_t == ((1.0, 0.0),)
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
     assert limit * (1 - 1e-9) <= rt.r2 <= limit * (1 + 1e-9)
@@ -735,7 +774,7 @@ def test_max_r2_fix_mode_is_one_closed_form_phase(paper, monkeypatch):
 
     monkeypatch.setattr(region, "_highs_solve", no_lp)
     plan, rt = max_r2(paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=1.0),
-                      BUDGET, x3_mode=("fix", 0))
+                      PHASES, fix_x3=0)
     assert plan.tau == 1 and plan.p_x3_given_t == ((1.0, 0.0),)
     assert math.isclose(rt.r2, ORACLE_FIX0_PLATEAU, rel_tol=1e-12)
 
@@ -777,11 +816,10 @@ def test_max_r2_zero_key_cap_gives_r2_zero(paper):
     plan with N2 > 0 meets it, not InfeasibleError: random_problem(3) in
     optimize mode and the paper channel with x3 fixed to 0."""
     d, cons, _ = random_problem(3)
-    for d, cons, mode in (
-            (d, replace(cons, k2_max=0.0), "optimize"),
-            (paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.0),
-             ("fix", 0))):
-        plan, rt = max_r2(d, cons, BUDGET, x3_mode=mode)
+    for d, cons, fix_x3 in (
+            (d, replace(cons, k2_max=0.0), None),
+            (paper, Constraints(r1_min=0.1, k1_max=0.8, k2_max=0.0), 0)):
+        plan, rt = max_r2(d, cons, PHASES, fix_x3=fix_x3)
         assert rt.r2 == 0.0
         assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
         assert rate_tuple(d, plan) == rt
@@ -794,7 +832,7 @@ def test_max_r2_zero_key_cap_keeps_lp_plan():
     d, cons, _ = random_problem(18)
     cons = replace(cons, k2_max=0.0)
     plan, rt = max_r2(d, cons)
-    _, one = max_r2(d, cons, OptBudget(max_phases=1))
+    _, one = max_r2(d, cons, max_phases=1)
     assert plan.tau == 2 and plan.beta2 == 1.0
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
     assert rt.r2 > 2 * one.r2
@@ -804,9 +842,9 @@ def test_max_r2_falls_back_when_lp_needs_more_phases():
     """The LP optimum of this problem uses two x3 symbols; with one phase
     allowed, the single-phase search returns a feasible one-phase plan."""
     d, cons, _ = random_problem(1)
-    two, best = max_r2(d, cons, OptBudget())
+    two, best = max_r2(d, cons)
     assert len({q.index(1.0) for q in two.p_x3_given_t}) == 2
-    plan, rt = max_r2(d, cons, OptBudget(max_phases=1))
+    plan, rt = max_r2(d, cons, max_phases=1)
     assert plan.tau == 1
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
     assert 0 < rt.r2 <= best.r2 + 1e-9
@@ -827,7 +865,7 @@ def test_one_phase_search_reaches_direct_search(seed, frac, want):
     and reaches the removed direct search's r2 (x3_size 2 and 3)."""
     d, cons, _ = random_problem(seed)
     cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
-    plan, rt = max_r2(d, cons, OptBudget(max_phases=1))
+    plan, rt = max_r2(d, cons, max_phases=1)
     assert plan.tau == 1
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
     assert rt.r2 >= want * (1 - 1e-6)
@@ -840,7 +878,7 @@ def test_max_r2_falls_back_when_lp_unbounded():
     gz = [[1.0 / 6] * 6] * 8
     d = make_dmc(cm.paper_channel().gamma_y, gz)
     cons = Constraints(r1_min=0.1)
-    plan, rt = max_r2(d, cons, OptBudget(max_phases=1))
+    plan, rt = max_r2(d, cons, max_phases=1)
     assert plan.tau == 1 and rt.perfectly_covert
     assert math.isinf(rt.r1) and math.isinf(rt.r2)
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
@@ -873,7 +911,7 @@ def test_max_r2_rejects_cap_below_exact_phase_count():
     cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
     assert max_r2(d, cons)[0].tau == 3
     with pytest.raises(ValueError, match="needs 3 phases"):
-        max_r2(d, cons, OptBudget(max_phases=2))
+        max_r2(d, cons, max_phases=2)
 
 
 def test_pareto_filter():
@@ -889,13 +927,11 @@ def test_pareto_filter():
 
 def test_trace_grid_validation(paper):
     with pytest.raises(ValueError):
-        trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.5],
-                    OptBudget(max_phases=1))
+        trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.5], max_phases=1)
 
 
 def test_trace_small_grid_pareto(paper):
-    small = OptBudget(max_phases=2)
-    pts = trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.0, 0.09, 0.18], small)
+    pts = trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.0, 0.09, 0.18], max_phases=2)
     assert len(pts) >= 2
     r3s = [p[1] for p in pts]
     assert r3s == sorted(r3s)
@@ -904,8 +940,7 @@ def test_trace_small_grid_pareto(paper):
 
 
 def test_curve_fix_mode_and_shape(paper):
-    small = OptBudget(max_phases=2)
-    pts = curve_r2_vs_k2(paper, 0.1, 0.8, [0.2, 0.6], ("fix", 0), small)
+    pts = curve_r2_vs_k2(paper, 0.1, 0.8, [0.2, 0.6], fix_x3=0, max_phases=2)
     assert [k for k, _ in pts] == [0.2, 0.6]
     assert pts[1][1] >= pts[0][1] - 1e-9
 
@@ -918,7 +953,7 @@ def test_curve_optimize_at_least_every_fixed_x3(paper, unit):
     grid = np.linspace(0.0, 1.0, 21)
     opt = curve_r2_vs_k2(paper, 0.1, 0.8, grid, unit=unit)
     for x in range(paper.x3_size):
-        fix = curve_r2_vs_k2(paper, 0.1, 0.8, grid, ("fix", x), unit=unit)
+        fix = curve_r2_vs_k2(paper, 0.1, 0.8, grid, fix_x3=x, unit=unit)
         assert all(o[1] >= f[1] for o, f in zip(opt, fix))
 
 
@@ -1034,7 +1069,7 @@ def test_channel_terms_built_once_per_channel_and_unit(monkeypatch, capsys):
     for _ in range(100):
         rate_tuple(d, REF_PLAN)
     assert calls == {"profile": 1, "blahut_arimoto": 0}
-    trace_r2_R3(d, 0.1, 0.8, 0.8, [0.0, 0.09], OptBudget(max_phases=1))
+    trace_r2_R3(d, 0.1, 0.8, 0.8, [0.0, 0.09], max_phases=1)
     assert calls == {"profile": 1, "blahut_arimoto": 1}
     cm.capacity_x3(d)
     cm.capacity_x3(d)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import covertmac as cm
 from covertmac.infotheory import unit_factor
-from covertmac.region import PhasePlan
+from covertmac.region import PhasePlan, theorem1_sizing
 from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
                                  _exact_sum, _receiver_sample,
                                  auto_thresholds, build_codebooks,
@@ -18,6 +18,9 @@ from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
 
 PLAN_Q = PhasePlan.single_phase((0.535, 0.465), rho1=0.5, rho2=0.5)
 PLAN_X0 = PhasePlan.single_phase((1.0, 0.0), rho1=0.5, rho2=0.5)
+# two phases, rho up to 2, beta2 < beta1 so user 2 pads
+PLAN_DENSE = PhasePlan(p_t=(0.5, 0.5), p_x3_given_t=((0.6, 0.4), (0.3, 0.7)),
+                       rho1=(2.0, 1.5), rho2=(1.5, 2.0), beta1=1.0, beta2=0.8)
 
 
 def rng_for(*key):
@@ -330,6 +333,25 @@ def test_run_trials_fixed_codebook_mode(paper):
     cfg = SimConfig(n=16, plan=PLAN_Q, trials=10, seed=2, fixed_codebook=True)
     rep = run_trials(cfg, paper)
     assert rep.codebook_mode == "fixed"
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_run_trials_exact_divergence_fields(paper, fixed):
+    """delta_exact is the mean over w3 of exact_delta on the ensemble of
+    stream (seed, 2^31), and delta_bound_ratio is that mean over theorem 1's
+    divergence bound without its 10% slack, bit for bit in both codebook
+    modes."""
+    cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
+                    trials=3, seed=7, exact_divergence=True,
+                    fixed_codebook=fixed)
+    rep = run_trials(cfg, paper)
+    ens = build_codebooks(cfg, rng_for(7, 2**31), paper)
+    mean = float(np.mean([exact_delta(ens, paper, w3, "nats")
+                          for w3 in range(cfg.m3)]))
+    bound = theorem1_sizing(paper, PLAN_DENSE, cfg.n, cfg.omega_n,
+                            (0.1,) * 6, "nats").divergence_bound
+    assert rep.delta_exact == mean == 2.6292878048781354
+    assert rep.delta_bound_ratio == mean / (bound / 1.1) == 0.22240158134118262
 
 
 def test_wilson_interval_contains_point():
