@@ -240,8 +240,10 @@ class _ChannelTerms:
         return float(np.sum(diff * diff / q00))
 
     def mutual_info(self, q) -> float:
-        """I(X3; Y) of one law q; mutual_info_x3 checks q."""
-        return max(0.0, float(q @ _output_divergences(self.sub, q))) / self.fac
+        """I(X3; Y) of one law q; mutual_info_x3 checks q.  A symbol q never
+        sends adds 0, though its divergence may be infinite."""
+        div = _output_divergences(self.sub, q)
+        return max(0.0, float(q @ np.where(q > 0, div, 0.0))) / self.fac
 
     def info(self, q):
         """I(q) per law (rows of q)."""

@@ -51,7 +51,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,10 +64,6 @@ SQRT2 = math.sqrt(2.0)
 
 class InfeasibleError(Exception):
     """No plan meets the constraints."""
-
-    def __init__(self, message: str, constraints=None):
-        super().__init__(message)
-        self.constraints = constraints
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
         chi = sum(q[x] * tab.chi_square(rho1, rho2, x)
                   for x in np.flatnonzero(m))
         dsq += p * a * a * chi
-    return nk[:2], nk[2:], dsq, r3
+    return nk[:2], nk[2:], float(dsq), r3
 
 
 def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
@@ -301,24 +296,25 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 
-# HiGHS model status -> scipy.optimize.linprog's status; any other gives 4
-_HIGHS_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-                 "kModelError": 2, "kInfeasible": 2, "kUnbounded": 3}
 # a coefficient this large is a HiGHS model error (its large_matrix_value)
 _HIGHS_LARGE = 1e15
+# what _highs_solve returns for an infeasible LP
+_INFEASIBLE = "infeasible"
 
 
 def _highs_solve(cost, a_ub, b_ub, eq_row, lb, ub):
     """min cost . x with a_ub x <= b_ub, eq_row . x = 1, lb <= x <= ub:
-    status, x, fun and the ineqlin / eqlin marginals of
-    scipy.optimize.linprog(..., method="highs", options=_LP_OPTIONS), bit
-    for bit, from a fresh HiGHS given the same model and options.  Of
-    linprog's input checks only its ValueError on a non-finite row entry
-    is kept: HiGHS takes a NaN silently and calls an infinite entry a
-    model error, which reads as infeasible.  scipy's HiGHS is imported on
-    the first LP: a process that solves no LP (simulate, sizing, rate
-    evaluation) never loads scipy.optimize, which is most of a cold
-    start's time and memory.
+    (x, y) at the optimum, y the row duals (the eq_row's last), bit for bit
+    the x and the inequality and equality marginals of
+    scipy.optimize.linprog(..., method="highs", options=_LP_OPTIONS), from a
+    fresh HiGHS given the same model and options.  _INFEASIBLE where HiGHS calls the LP infeasible or a
+    model error, None at any other end short of an optimum that passes
+    linprog's check.  Of linprog's input checks only its ValueError on a
+    non-finite row entry is kept: HiGHS takes a NaN silently and calls an
+    infinite entry a model error.  scipy's HiGHS is imported on the first
+    LP: a process that solves no LP (simulate, sizing, rate evaluation)
+    never loads scipy.optimize, which is most of a cold start's time and
+    memory.
     """
     from scipy.optimize._highspy import _core as hs
     a = np.vstack([a_ub, eq_row])
@@ -344,26 +340,23 @@ def _highs_solve(cost, a_ub, b_ub, eq_row, lb, ub):
                 ("simplex_strategy", 1)):           # dual simplex
         highs.setOptionValue(*opt)
     if highs.passModel(lp) == hs.HighsStatus.kError:
-        model = hs.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        model = highs.getModelStatus()
-    res = SimpleNamespace(status=_HIGHS_STATUS.get(model.name, 4), x=None,
-                          fun=None, ineqlin=SimpleNamespace(marginals=None),
-                          eqlin=SimpleNamespace(marginals=None))
+        return _INFEASIBLE
+    highs.run()
+    model = highs.getModelStatus()
+    if model in (hs.HighsModelStatus.kInfeasible,
+                 hs.HighsModelStatus.kModelError):
+        return _INFEASIBLE
     if model != hs.HighsModelStatus.kOptimal:
-        return res
+        return None
     sol = highs.getSolution()
-    res.x, row = np.array(sol.col_value), np.array(sol.row_value)
-    res.fun = highs.getObjectiveValue()
-    dual = np.array(sol.row_dual)
-    res.ineqlin.marginals, res.eqlin.marginals = dual[:m - 1], dual[m - 1:]
-    # linprog's check of an optimal point, at its tolerance 10 sqrt(1e-9)
-    viol = np.concatenate([lb - res.x, res.x - ub, row[:-1] - b_ub,
+    x, row = np.array(sol.col_value), np.array(sol.row_value)
+    # linprog's check of an optimal point, at its tolerance 10 sqrt(1e-9);
+    # a NaN in x fails it
+    viol = np.concatenate([lb - x, x - ub, row[:-1] - b_ub,
                            [abs(row[-1] - 1.0)]])
-    if math.isnan(res.fun) or not np.all(viol <= 10 * math.sqrt(1e-9)):
-        res.status = 4
-    return res
+    if not np.all(viol <= 10 * math.sqrt(1e-9)):
+        return None
+    return x, np.array(sol.row_dual)
 
 
 def __getattr__(name):
@@ -427,14 +420,13 @@ def _lp_solve(cols, cons: Constraints, eq_row):
                         np.full(n, math.inf))
 
 
-def _price(tab: _ChannelTerms, cons: Constraints, res, x: int):
-    """(reduced cost, lam) of the cheapest mode at x3 = x under the duals of
-    ``res``.  The LP rows are linear in the mode terms, so the reduced cost
-    is c sqrt(chi2) + b lam + const; with chi2 = a2 lam^2 + 2 a1 lam + C its
-    minimum is at 0, 1 or a root of c^2 (a2 lam + a1)^2 = b^2 chi2."""
+def _price(tab: _ChannelTerms, cons: Constraints, y, x: int):
+    """(reduced cost, lam) of the cheapest mode at x3 = x under the LP's row
+    duals ``y``.  The LP rows are linear in the mode terms, so the reduced
+    cost is c sqrt(chi2) + b lam + const; with chi2 = a2 lam^2 + 2 a1 lam + C
+    its minimum is at 0, 1 or a root of c^2 (a2 lam + a1)^2 = b^2 chi2."""
     eye = np.eye(5)                     # reduced cost per unit mode term
-    w = (-(res.ineqlin.marginals @ _lp_rows(tuple(eye), cons)[0])
-         - res.eqlin.marginals[0] * eye[2])
+    w = -(y[:-1] @ _lp_rows(tuple(eye), cons)[0]) - y[-1] * eye[2]
     # n1, key1 grow with lam and n2, key2 with 1 - lam
     c, b = w[0], w[1:] @ (tab.one_hot[0][:, x] * [1.0, -1.0, 1.0, -1.0])
     A, B, C = tab.coef[:, x]
@@ -511,17 +503,17 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
         return None
     xs, lam, x, cols = modes
     for rnd in range(_LP_MAX_ROUNDS):
-        res = _lp_solve(cols, cons, cols[2])
-        r2_zero = res.status == 2
+        sol = _lp_solve(cols, cons, cols[2])
+        r2_zero = sol is _INFEASIBLE
         if r2_zero:                     # no plan has N2 > 0: normalize D = 1
-            res = _lp_solve(cols, cons, cols[0])
-        if res.status == 2:
-            raise InfeasibleError(f"no plan meets {cons}", cons)
-        if res.status != 0:
+            sol = _lp_solve(cols, cons, cols[0])
+        if sol is _INFEASIBLE:
+            raise InfeasibleError(f"no plan meets {cons}")
+        if sol is None:
             return None
         if r2_zero or rnd == _LP_MAX_ROUNDS - 1:
             break
-        priced = [(*_price(tab, cons, res, xx), xx) for xx in xs]
+        priced = [(*_price(tab, cons, sol[1], xx), xx) for xx in xs]
         new = [(l, xx) for val, l, xx in priced if val < -_LP_RC_TOL
                and not np.any((x == xx) & (np.abs(lam - l) <= 1e-12))]
         if not new:
@@ -535,7 +527,7 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
     # Modes at one x3 merge into one phase at their mass-weighted lam: the
     # numerators are linear in (v, v lam) and sqrt(chi2) is convex in lam,
     # so the merged phase keeps every numerator and does not raise D.
-    v = res.x[:-1]
+    v = sol[0][:-1]
     on = v > 1e-12 * v.max()
     x_on = np.unique(x[on])
     mass = np.array([v[on & (x == xx)].sum() for xx in x_on])
@@ -555,13 +547,10 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
     found = _with_betas(d, plan, cons, unit)
     if found is None or len(x_on) > 1:
         return found
-    # One phase: fix mode's closed form in lam at its one-hot law is exact,
-    # where the LP's lam is only as good as the -_LP_RC_TOL stop.
-    try:
-        one = _one_phase_max_r2(d, cons, unit, int(x_on[0]))
-    except InfeasibleError:
-        return found
-    return one if one[1].r2 > found[1].r2 else found
+    # One phase: the closed form in lam at its one-hot law is exact, where
+    # the LP's lam is only as good as the -_LP_RC_TOL stop.
+    one = _one_phase_at(d, cons, unit, np.eye(d.x3_size)[x_on[0]])
+    return one if one is not None and one[1].r2 > found[1].r2 else found
 
 
 # ---------------------------------------------------------------------------
@@ -710,16 +699,16 @@ def _r3_solve(t, a, cons: Constraints, z: float, c2: float, phase1: bool):
                         np.append(np.ones(n), [0.0, 0.0]), lb, ub)
 
 
-def _r3_duals(res, cons: Constraints, z: float, c2: float):
-    """(coef, y_eq): the reduced cost of a column under the duals of
-    ``res``.  Every row is linear in the terms (n1, n2, key1, key2, chi,
+def _r3_duals(y, cons: Constraints, z: float, c2: float):
+    """(coef, y_eq): the reduced cost of a column under the LP's row duals
+    ``y``.  Every row is linear in the terms (n1, n2, key1, key2, chi,
     info), so the rows at unit terms give, per part (const, lin, quad), a
     coefficient of each term; y_eq is the dual of sum p = 1."""
     unit = _r3_rows(cons, z, c2, tuple(np.eye(6)) + (None,))
-    coef = [-sum(y * np.broadcast_to(r[k], 6)
-                 for y, r in zip(res.ineqlin.marginals, unit))
+    coef = [-sum(y_i * np.broadcast_to(r[k], 6)
+                 for y_i, r in zip(y[:-1], unit))
             for k in range(3)]
-    return coef, res.eqlin.marginals[0]
+    return coef, y[-1]
 
 
 def _r3_price(duals, laws):
@@ -769,15 +758,15 @@ def _lattice_scan(tab: _ChannelTerms, laws, step: float):
     return laws, step, tab.laws(laws), near
 
 
-def _r3_columns(res, cons: Constraints, z: float, c2: float,
+def _r3_columns(y, cons: Constraints, z: float, c2: float,
                 tab: _ChannelTerms, scan):
-    """[(reduced cost, lam, q, a)] of cheap columns under the duals of
-    ``res``, with lam and a in closed form per law (_r3_price).  The
+    """[(reduced cost, lam, q, a)] of cheap columns under the LP's row duals
+    ``y``, with lam and a in closed form per law (_r3_price).  The
     lattice ``scan`` (_lattice_scan) is priced once, and _best_laws starts
     from its peaks, the laws no neighbour beats, so that no start walks
     the slope of another.  Its search stops at a step of 1e-7: a law off
     by h moves a reduced cost by O(h^2)."""
-    duals = _r3_duals(res, cons, z, c2)
+    duals = _r3_duals(y, cons, z, c2)
     laws, step, terms, near = scan
     val = -_r3_price(duals, terms)[0]
 
@@ -852,30 +841,30 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
     last = None
     for _ in range(_R3_MAX_ROUNDS):
         t = _terms(lam, tab.laws(q))
-        res = _r3_solve(t, a, cons, z, c2, phase1)
-        if res.status == 2 and not was_phase1:
+        sol = _r3_solve(t, a, cons, z, c2, phase1)
+        if sol is _INFEASIBLE and not was_phase1:
             phase1 = was_phase1 = True      # find a feasible column set first
             continue
-        if res.status != 0:
+        if sol is None or sol is _INFEASIBLE:
             break
-        if phase1 and res.fun <= _R3_S_TOL:
+        x, y = sol
+        if phase1 and x[-1] <= _R3_S_TOL:   # the objective: min e
             phase1 = False
             continue
-        cols = _r3_columns(res, cons, z, c2, tab, scan)
+        cols = _r3_columns(y, cons, z, c2, tab, scan)
         tol = _LP_RC_TOL * min(1.0, z or 1.0)   # relative to r2 below 1
         new = [c for c in cols if c[0] < -tol and not np.any(
             (np.abs(lam - c[1]) <= 1e-12) & (np.abs(a - c[3]) <= 1e-12 * c[3])
             & (np.abs(q - c[2]).max(axis=1) <= 1e-12))]
         if phase1 and not new:
-            raise InfeasibleError(f"no plan meets {cons}", cons)
+            raise InfeasibleError(f"no plan meets {cons}")
         if not phase1:
             rc = min([c[0] for c in cols], default=0.0)
             w = min(1.0, cons.k2_max / (SQRT2 * c2)) if cons.k2_max > 0 else 1.0
-            last = (res.x[:-2], len(a),
-                    z + max(0.0, res.x[-2] + max(0.0, -rc)) / w)
-            if not new and res.x[-2] <= _R3_S_TOL:
+            last = (x[:-2], len(a), z + max(0.0, x[-2] + max(0.0, -rc)) / w)
+            if not new and x[-2] <= _R3_S_TOL:
                 break
-            r2, key2 = _r3_point(t, a, res.x[:-2], cons)
+            r2, key2 = _r3_point(t, a, x[:-2], cons)
             if r2 > z:
                 z, c2 = r2, (key2 if key2 > 0 else 1.0)
             elif not new:           # every later round would be this one
@@ -1020,17 +1009,27 @@ def _one_phase_r2(laws, cons: Constraints):
     return r2[best], lam[best]
 
 
-def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
-                      fixed_x3: int | None = None):
+def _one_phase_at(d: Dmc, cons: Constraints, unit: str, q):
+    """(plan, rates) of the best single phase at the law q, lam in closed
+    form (_one_phase_r2), or None where no phase at q meets the
+    constraints."""
+    r2, lam = _one_phase_r2(_channel_terms(d, unit).laws(q[None, :]), cons)
+    if r2[0] == -math.inf:
+        return None
+    lam = float(lam[0])
+    return _with_betas(d, PhasePlan.single_phase(
+        tuple(map(float, q)), lam, 1.0 - lam), cons, unit)
+
+
+def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str):
     """(plan, rates) of the best single phase, else InfeasibleError.  lam is
-    exact per law; laws come from the law search that pricing uses
-    (_best_laws from _law_lattice), down to a step of _ONE_STEP_MIN, with
-    laws short of R3_min moved onto I = R3_min.  The search is local: exact
-    up to its step at x3_size 2, a heuristic beyond.  With ``fixed_x3``
-    (R3_min = 0) the one law is that one-hot law."""
+    exact per law (_one_phase_at); laws come from the law search that
+    pricing uses (_best_laws from _law_lattice), down to a step of
+    _ONE_STEP_MIN, with laws short of R3_min moved onto I = R3_min.  The
+    search is local: exact up to its step at x3_size 2, a heuristic
+    beyond."""
     tab = _channel_terms(d, unit)
-    cap, q_cap = (tab.capacity if fixed_x3 is None
-                  else (0.0, np.eye(d.x3_size)[fixed_x3]))
+    cap, q_cap = tab.capacity
 
     def value(q):
         """(q, r2), laws short of R3_min moved in place toward q_cap."""
@@ -1045,12 +1044,10 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str,
 
     for q, _, _ in _best_laws(value, *_law_lattice(cons, cap, q_cap),
                               _ONE_STEP_MIN):
-        lam = float(_one_phase_r2(tab.laws(q[None, :]), cons)[1][0])
-        found = _with_betas(d, PhasePlan.single_phase(
-            tuple(map(float, q)), lam, 1.0 - lam), cons, unit)
+        found = _one_phase_at(d, cons, unit, q)
         if found is not None:
             return found
-    raise InfeasibleError(f"no single-phase plan meets {cons}", cons)
+    raise InfeasibleError(f"no single-phase plan meets {cons}")
 
 
 def _check_phases(max_phases: int) -> None:
@@ -1083,8 +1080,11 @@ def max_r2(d: Dmc, constraints: Constraints, max_phases: int = MAX_PHASES,
             raise ValueError(f"fixed x3 {fix_x3} out of range")
         if constraints.R3_min > 0:
             raise InfeasibleError(f"a fixed x3 symbol carries no R3: no plan "
-                                  f"meets {constraints}", constraints)
-        return _one_phase_max_r2(d, constraints, unit, fix_x3)
+                                  f"meets {constraints}")
+        found = _one_phase_at(d, constraints, unit, np.eye(d.x3_size)[fix_x3])
+        if found is None:
+            raise InfeasibleError(f"no single-phase plan meets {constraints}")
+        return found
     max_phases = min(max_phases, MAX_PHASES)
     found = (_lp_max_r2 if constraints.R3_min == 0 else _lp_max_r2_r3)(
         d, constraints, unit)

@@ -23,6 +23,7 @@ from .region import (PhasePlan, _active_fractions, _plan_quantities,
                      theorem1_sizing)
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
+MU = 0.5                          # auto-threshold backoff
 
 
 class EnumerationCapError(RuntimeError):
@@ -39,7 +40,6 @@ class SimConfig:
     k1: int = 1
     k2: int = 1
     omega_n: float | None = None        # default n**-0.25
-    mu: float = 0.5                     # auto-threshold backoff
     trials: int = 1000
     seed: int = 0
     exact_divergence: bool = False
@@ -58,8 +58,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        if not 0 < self.mu < 1:
-            raise ValueError("mu must lie in (0, 1)")
         self.plan.validate()
 
     def pair_count(self) -> int:
@@ -79,23 +77,20 @@ class CodebookEnsemble:
     Each codebook is stored once at block length: ``x1`` (m1, k1, n) and
     ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3`` is
     (m3, n), and ``pad_idx``/``pad_p`` give the positions and densities of the
-    shorter-active user's padding.  ``cb1/cb2/cb3[t]`` are per-phase views.
-    The arrays are read-only, so the views handed out cannot alter them.
+    shorter-active user's padding.  The arrays are read-only, so the views
+    handed out cannot alter them.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
         plan = cfg.plan
         self.cfg = cfg
-        self.plan = plan
         self.n = cfg.n
-        self.omega_n = cfg.omega_n
         self.n_t = phase_lengths(cfg.n, plan.p_t)
         self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
         self.phi1, self.phi2, self.swapped = _active_fractions(plan)
         self.active1 = [int(math.floor(self.phi1 * nt)) for nt in self.n_t]
         self.active2 = [int(math.floor(self.phi2 * nt)) for nt in self.n_t]
         self.clip_warnings: list[str] = []
-        self.bern1, self.bern2 = [], []
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
         self.x3 = np.zeros((cfg.m3, cfg.n), dtype=int)
@@ -105,14 +100,12 @@ class CodebookEnsemble:
             a1, a2 = self.active1[t], self.active2[t]
             dens = []
             for user, rho in ((1, plan.rho1[t]), (2, plan.rho2[t])):
-                p = rho * self.omega_n / math.sqrt(nt) if nt > 0 else 0.0
+                p = rho * cfg.omega_n / math.sqrt(nt) if nt > 0 else 0.0
                 if p > 1.0:
                     self.clip_warnings.append(
                         f"phase {t}: user-{user} density {p:.3g} clipped to 1")
                     p = 1.0
                 dens.append(p)
-            self.bern1.append(dens[0])
-            self.bern2.append(dens[1])
             self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < dens[0]
             self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < dens[1]
             q = np.asarray(plan.p_x3_given_t[t], dtype=float)
@@ -127,10 +120,6 @@ class CodebookEnsemble:
         self.pad_p = np.concatenate(pad_p)
         for a in (self.x1, self.x2, self.x3, self.pad_idx, self.pad_p):
             a.flags.writeable = False
-        o, phases = self.offsets, range(plan.tau)
-        self.cb1 = [self.x1[:, :, o[t]:o[t] + self.active1[t]] for t in phases]
-        self.cb2 = [self.x2[:, :, o[t]:o[t] + self.active2[t]] for t in phases]
-        self.cb3 = [self.x3[:, o[t]:o[t + 1]] for t in phases]
 
     def x3_sequence(self, w3: int) -> np.ndarray:
         return self.x3[w3]
@@ -215,12 +204,12 @@ class DecodeResult:
     w2: int | None = None
 
 
-def auto_thresholds(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
-                    mu: float = 0.5) -> tuple[float, float]:
-    """eta_l = (1 - mu) * omega_n * sqrt(n) * E[rho_l D_Y^(l)], natural log."""
+def auto_thresholds(d: Dmc, plan: PhasePlan, n: int,
+                    omega_n: float) -> tuple[float, float]:
+    """eta_l = (1 - MU) * omega_n * sqrt(n) * E[rho_l D_Y^(l)], natural log."""
     num, _, _, _ = _plan_quantities(d, plan, "nats")
     root = omega_n * math.sqrt(n)
-    return (1 - mu) * root * num[0], (1 - mu) * root * num[1]
+    return (1 - MU) * root * num[0], (1 - MU) * root * num[1]
 
 
 def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
@@ -283,7 +272,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     the exact divergence, if asked for, is taken on stream (seed, 2^31).
     """
     t0 = time.perf_counter()
-    eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n, cfg.mu)
+    eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0

@@ -192,7 +192,7 @@ def test_criterion_7_simulator_exactness(paper):
     ens = build_codebooks(
         cfg, np.random.default_rng(np.random.SeedSequence([13, 2 ** 31])),
         d=paper)
-    eta1, eta2 = auto_thresholds(paper, plan, cfg.n, cfg.omega_n, cfg.mu)
+    eta1, eta2 = auto_thresholds(paper, plan, cfg.n, cfg.omega_n)
     all_y = list(itertools.product(range(paper.y_size), repeat=cfg.n))
     cache = {}
 

@@ -176,6 +176,8 @@ def _capped_region_argv():
     ["curve", "--channel", "paper", "--r1", "nan", "--k2-grid", "0.5"],
     ["curve", "--channel", "paper", "--k2-grid", "nan"],
     ["curve", "--channel", "paper", "--r1", "inf"],
+    ["curve", "--channel", "paper", "--fix-x3", "2"],
+    ["curve", "--channel", "paper", "--fix-x3", "-1"],
     ["region", "--channel", "paper", "--r3-grid", "0:0.1:0"],
     ["curve", "--channel", "paper", "--k2-grid", "0:1:0"],
     ["region", "--channel", "paper", "--r3-grid", "0", "--max-phases", "0"],
@@ -191,7 +193,8 @@ def _capped_region_argv():
     ["verify-asymptotics", "--channel", "UNIFORM", "--random", "2"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
-        "curve-nan-r1", "curve-nan-k2", "r1-inf", "region-empty-grid",
+        "curve-nan-r1", "curve-nan-k2", "r1-inf", "fix-x3-above-range",
+        "fix-x3-negative", "region-empty-grid",
         "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
         "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
         "omega-nan", "warden-blind"])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
-from covertmac.infotheory import (capacity_x3, chi_square, divergence_profile,
-                                  kl_div, mixture_kl, mutual_info_x3)
+from covertmac.infotheory import (_channel_terms, capacity_x3, chi_square,
+                                  divergence_profile, kl_div, mixture_kl,
+                                  mutual_info_x3)
 
 from conftest import make_dmc
 
@@ -156,6 +157,23 @@ def test_mutual_info_identical_rows_zero(uniform_channel):
 def test_mutual_info_uniform_golden(paper):
     v = mutual_info_x3(paper, [0.5, 0.5], "bits")
     assert math.isclose(v, MI_UNIFORM_BITS, rel_tol=1e-12)
+
+
+def test_mutual_info_ignores_symbols_the_law_never_sends():
+    """x3 = 0 reaches an output that q = (0, .5, .5) never produces, so its
+    divergence from q's output law is infinite; q never sends it, so it adds
+    nothing: I(X3; Y) is 0.5 bits, through mutual_info_x3, rate_tuple's R3
+    and the LPs' per-law table alike."""
+    off = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5]]
+    on = [[.6, .4, 0, 0], [0, .4, .6, 0], [0, 0, .6, .4]]
+    d = make_dmc(off + on * 3, [[.25, .25, .3, .2]] * 3
+                 + [[.3, .2, .25, .25]] * 9)
+    q = (0.0, 0.5, 0.5)
+    got = mutual_info_x3(d, q)
+    assert abs(got - 0.5) <= 1e-12
+    assert cm.rate_tuple(d, cm.PhasePlan.single_phase(q, 1.0, 1.0)).R3 == got
+    tab = _channel_terms(d, "bits")
+    assert abs(got - tab.info(np.array([q]))[0]) <= 1e-12
 
 
 def test_mutual_info_below_capacity(paper):

@@ -530,6 +530,27 @@ def test_max_r2_zero_key_caps(paper, cons, key):
     assert r2[1] <= r2[6]
 
 
+# r2 where each zero-key-cap case is in place.  Without it r2 drops: to
+# 0.79805 (_lp_rows' k1 row), 0.68207 (_r3_rows' k1 row), 0.64863 (_r3_rows'
+# k2 row), or, without _one_phase_r2's k1 bound, to InfeasibleError.
+@pytest.mark.parametrize("seed, caps, frac, max_phases, want", [
+    (32, {"r1_min": 0.0, "k1_max": 0.0}, 0.0, PHASES, 0.8180156418687469),
+    (39, {"r1_min": 0.0, "k1_max": 0.0}, 0.5, PHASES, 1.2756684744860793),
+    (0, {"k2_max": 0.0}, 0.5, PHASES, 1.5167062465909742),
+    (32, {"r1_min": 0.0, "k1_max": 0.0}, 0.0, 1, 0.7980534035432193)],
+    ids=["lp-rows-k1", "r3-rows-k1", "r3-rows-k2", "one-phase-k1"])
+def test_max_r2_zero_key_cap_cases_hold_r2(seed, caps, frac, max_phases,
+                                           want):
+    """Each zero-key-cap case of the solvers keeps r2 at least the recorded
+    value to 1e-9 relative, with every cap met at 1e-9: a zero cap is met
+    up to rounding (k1 = 1.1e-17 on random_problem(32)), not exactly."""
+    d, cons, _ = random_problem(seed)
+    cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0], **caps)
+    _, rt = max_r2(d, cons, max_phases)
+    assert rt.r2 >= want * (1 - 1e-9)
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+
+
 # (r2, bound) of R3 > 0 solves as computed before pricing started from
 # lattice peaks and added interpolated columns.  The stop rule resolves an
 # R3 > 0 r2 to about 1e-10 relative, so a change of the column sequence may
@@ -711,9 +732,10 @@ def test_max_r2_key_limited_fix0_single_phase(paper):
 def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
     """Every LP of the paper corner at R3 = 0 and 0.1, of a phase-1 round
     (the corner at R3 = 0.3, out of its reach) and of random_problem(18) at
-    k2_max = 0 (infeasible at N2 = 1, then D = 1) gives the status, x, fun
-    and marginals of scipy.optimize.linprog on the same LP, bit for bit;
-    a row with an infinite or NaN entry is a ValueError in both."""
+    k2_max = 0 (infeasible at N2 = 1, then D = 1) gives the x and the
+    marginals of scipy.optimize.linprog on the same LP, bit for bit, and
+    _INFEASIBLE where linprog's status is 2; a row with an infinite or NaN
+    entry is a ValueError in both."""
     from scipy.optimize import linprog
     lps, inner = [], region._highs_solve
 
@@ -737,14 +759,16 @@ def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
 
     for args, got in lps:
         want = reference(*args)
-        assert got.status == want.status and got.fun == want.fun
-        for a, b in ((got.x, want.x),
-                     (got.ineqlin.marginals, want.ineqlin.marginals),
-                     (got.eqlin.marginals, want.eqlin.marginals)):
-            assert a is b is None or a.tobytes() == b.tobytes()
+        if want.status != 0:
+            assert got is (region._INFEASIBLE if want.status == 2 else None)
+            continue
+        assert got[0].tobytes() == want.x.tobytes()
+        assert got[1].tobytes() == np.append(want.ineqlin.marginals,
+                                             want.eqlin.marginals).tobytes()
     phase1 = [lb[-2] == -math.inf and ub[-1] == math.inf
               for (_, _, _, _, lb, ub), _ in lps]
-    assert any(phase1) and {0, 2} <= {got.status for _, got in lps}
+    assert any(phase1) and region._INFEASIBLE in [got for _, got in lps]
+    assert any(isinstance(got, tuple) for _, got in lps)
     for bad in (math.inf, math.nan):
         lp = (np.array([1.0, 0.0]), np.array([[1.0, bad]]), np.zeros(1),
               np.ones(2), np.zeros(2), np.full(2, math.inf))
@@ -791,15 +815,15 @@ def test_price_is_exact(paper, monkeypatch, seed):
         d, cons, _ = random_problem(seed)
     calls, inner = [], region._price
 
-    def recorded(tab, c, res, x):
-        calls.append((tab, res, x, inner(tab, c, res, x)))
+    def recorded(tab, c, y, x):
+        calls.append((tab, y, x, inner(tab, c, y, x)))
         return calls[-1][3]
 
     monkeypatch.setattr(region, "_price", recorded)
     max_r2(d, cons)
     scan = np.linspace(0.0, 1.0, 10001)
-    for tab, res, x, (val, lam) in calls:
-        y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals[0]
+    for tab, y, x, (val, lam) in calls:
+        y_ub, y_eq = y[:-1], y[-1]
 
         def rc(l):
             cols = region._modes(tab, l, x)
@@ -1016,6 +1040,19 @@ def _unused_x3_channel(paper):
     gy[1] = [0.0, 0.2, 0.2, 0.2, 0.2, 0.2]
     gy[5] = [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]
     return make_dmc(gy, paper.gamma_z)
+
+
+def test_max_r2_r3_single_phase_where_lp_gives_no_plan(paper):
+    """D_Y = inf at x3 = 1 gives the phase LP no plan, so an R3 > 0 solve
+    falls back on the single-phase search: at R3_min = 0.3 x capacity it
+    finds r2 = inf and meets every cap."""
+    d = _unused_x3_channel(paper)
+    cons = Constraints(r1_min=0.5, R3_min=0.3 * cm.capacity_x3(d)[0],
+                       k1_max=0.8, k2_max=0.8)
+    assert region._lp_max_r2_r3(d, cons, "bits") is None
+    plan, rt = max_r2(d, cons)
+    assert plan.tau == 1 and rt.r2 == math.inf
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
 
 
 @pytest.mark.parametrize("case", ["ref", "unused-x3", "rp3", "rp4", "rp7"])

@@ -37,7 +37,7 @@ def test_codebooks_zero_rho_all_zero(paper):
     plan = PhasePlan.single_phase((0.5, 0.5), 0.0, 0.0)
     cfg = SimConfig(n=40, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(1), d=paper)
-    assert not ens.cb1[0].any() and not ens.cb2[0].any()
+    assert not ens.x1.any() and not ens.x2.any()
 
 
 def test_codebook_density_concentration(paper):
@@ -48,7 +48,7 @@ def test_codebook_density_concentration(paper):
     ens = build_codebooks(cfg, rng_for(2), d=paper)
     target = cfg.omega_n * math.sqrt(n)
     assert abs(target - 10.0) < 1e-9
-    for cb in (ens.cb1[0], ens.cb2[0]):
+    for cb in (ens.x1, ens.x2):
         words = cb.reshape(-1, cb.shape[-1])
         mean_ones = words.sum(axis=1).mean()
         sigma = math.sqrt(target * (1 - target / n) / len(words))
@@ -58,7 +58,7 @@ def test_codebook_density_concentration(paper):
 def test_codebook_x3_frequencies(paper):
     cfg = SimConfig(n=2000, plan=PLAN_Q, m3=8, trials=0)
     ens = build_codebooks(cfg, rng_for(3), d=paper)
-    freq = (ens.cb3[0] == 0).mean()
+    freq = (ens.x3 == 0).mean()
     assert abs(freq - 0.535) < 3 * math.sqrt(0.535 * 0.465 / (8 * 2000))
 
 
@@ -66,7 +66,7 @@ def test_codebook_density_clipping(paper):
     plan = PhasePlan.single_phase((0.5, 0.5), 50.0, 0.0)
     cfg = SimConfig(n=16, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(4), d=paper)
-    assert ens.clip_warnings and ens.bern1[0] == 1.0
+    assert ens.clip_warnings and ens.x1.all()
 
 
 def test_encode_h0_all_zero(paper):
@@ -83,8 +83,8 @@ def test_encode_concatenation(paper):
     cfg = SimConfig(n=10, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(7), d=cm.paper_channel())
     _, _, x3 = encode(ens, 1, 0, 0, 0, 0, 0, rng_for(8))
-    np.testing.assert_array_equal(x3[:5], ens.cb3[0][0])
-    np.testing.assert_array_equal(x3[5:], ens.cb3[1][0])
+    np.testing.assert_array_equal(x3[:5], ens.x3[0, :5])
+    np.testing.assert_array_equal(x3[5:], ens.x3[0, 5:])
     assert len(x3) == 10
 
 
@@ -104,7 +104,7 @@ def test_encode_padding_segment(paper):
     ens = build_codebooks(cfg, rng_for(12), d=paper)
     assert ens.active1[0] == 400 and ens.active2[0] == 200
     x1, x2, _ = encode(ens, 1, 0, 0, 0, 0, 0, rng_for(13))
-    np.testing.assert_array_equal(x2[:200], ens.cb2[0][0, 0])
+    np.testing.assert_array_equal(x2[:200], ens.x2[0, 0, :200])
     assert x2[200:400].sum() >= 0                 # fresh symbols live here
     np.testing.assert_array_equal(x1, ens.covert_sequence(1, 0, 0))
 
@@ -354,6 +354,16 @@ def test_run_trials_exact_divergence_fields(paper, fixed):
     assert rep.delta_bound_ratio == mean / (bound / 1.1) == 0.22240158134118262
 
 
+def test_divergence_bound_and_ratio_are_floats(paper):
+    """theorem1_sizing's divergence bound and run_trials' delta_bound_ratio
+    are Python floats, not numpy scalars."""
+    sz = theorem1_sizing(paper, PLAN_DENSE, 6, 6 ** -0.25, (0.1,) * 6, "nats")
+    assert type(sz.divergence_bound) is float
+    cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
+                    trials=0, seed=7, exact_divergence=True)
+    assert type(run_trials(cfg, paper).delta_bound_ratio) is float
+
+
 def test_wilson_interval_contains_point():
     lo, hi = wilson_interval(7, 50)
     assert lo <= 7 / 50 <= hi
@@ -372,7 +382,7 @@ def test_exact_delta_single_pair_closed_form(paper):
     plan = PhasePlan.single_phase((0.5, 0.5), rho1=2.0, rho2=1.0)
     cfg = SimConfig(n=5, plan=plan, m1=1, m2=1, m3=1, k1=1, k2=1, trials=0)
     ens = build_codebooks(cfg, rng_for(31), d=paper)
-    assert ens.cb1[0].sum() + ens.cb2[0].sum() > 0
+    assert ens.x1.sum() + ens.x2.sum() > 0
     x1 = ens.covert_sequence(1, 0, 0)
     x2 = ens.covert_sequence(2, 0, 0)
     x3 = ens.x3_sequence(0)
@@ -422,9 +432,9 @@ def test_exact_delta_padding_segment_exact(paper):
     ens = build_codebooks(cfg, rng_for(34), d=paper)
     assert ens.active1[0] == 4 and ens.active2[0] == 2
     x1 = ens.covert_sequence(1, 0, 0)
-    x2cw = ens.cb2[0][0, 0]
+    x2cw = ens.x2[0, 0]
     x3 = ens.x3_sequence(0)
-    p = ens.bern2[0]
+    p = ens.pad_p[0]
     # direct: average the product law over the two padding symbols
     qhat = np.ones(1)
     for i in range(4):
@@ -578,7 +588,7 @@ def test_codebook_storage_read_only(paper):
     cfg = SimConfig(n=40, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(42), d=paper)
     x1, x2, x3 = encode(ens, 1, 0, 0, 0, 0, 0, rng_for(43))
-    for view in (x1, x3, ens.x3_sequence(0), ens.cb2[0]):
+    for view in (x1, x3, ens.x3_sequence(0), ens.x2):
         with pytest.raises(ValueError):
             view[0] = 1
     before = ens.x2.copy()
