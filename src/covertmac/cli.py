@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
         "trials_run": rep.trials_run,
         "wall_time_s": round(rep.wall_time, 3),
     }
-    _emit(args, [json.dumps(doc, indent=1)])
+    _emit(args, [json.dumps(doc, indent=1, allow_nan=False)])
     return EXIT_OK
 
 

@@ -34,11 +34,11 @@ their time shares p: the numerators, G = D^2 and R3 are all linear in p.
 Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
 ratios, solved by a Dinkelbach-type iteration.  A new column's lam and a
 minimize its reduced cost in closed form at each law q, so pricing is a
-search over laws alone.  A single phase has r2 in closed form in lam at
-each law q too, and one search over laws (_best_laws: a lattice, then a
-pattern search from its best points; pricing passes it only the lattice's
-peaks) serves both.  That search is local, so the LP's upper bound on r2
-is measured, not proven.
+search over laws alone (_best_laws: a pattern search from the best points
+of a lattice, its peaks in pricing), shared with the single phase, whose
+r2 is closed form in lam at each law too.  That search is local, so the
+LP's upper bound on r2 is measured, not proven.  A polish, priced at the
+plan's laws alone, merges the columns of each law into one phase.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
 capacity) from infotheory's _ChannelTerms table, one per (Dmc, unit), which
@@ -185,7 +185,8 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
             continue
         m = q > 0          # 0 * inf = 0 for symbols the phase never sends
         for i, rho in enumerate((rho1, rho2) * 2):
-            nk[i] += p * rho * float(q[m] @ tab.div[i, m])
+            if rho:        # and for a silent user
+                nk[i] += p * rho * float(q[m] @ tab.div[i, m])
         chi = sum(q[x] * tab.chi_square(rho1, rho2, x)
                   for x in np.flatnonzero(m))
         dsq += p * a * a * chi
@@ -747,36 +748,34 @@ def _r3_price(duals, laws):
     return coef[0][5] * info - y_eq + (r * s + g * s * s), lam, a
 
 
-def _lattice_scan(tab: _ChannelTerms, laws, step: float):
-    """(laws, step, terms, near) of a pricing lattice (_law_lattice): its
-    _ChannelTerms.laws and, per law, the indices of the laws within 1.5
-    steps (max-norm), itself included, padded with its own index."""
+def _priced(duals, tab: _ChannelTerms, laws):
+    """[(reduced cost, lam, q, a)] of the cheapest column at each law q of
+    ``laws`` under ``duals`` (_r3_duals), lam and a in closed form
+    (_r3_price), best first; ties keep the order of ``laws``."""
+    rc, lam, a = (v.tolist() for v in _r3_price(duals, tab.laws(laws)))
+    return sorted(zip(rc, lam, laws, a), key=lambda c: c[0])
+
+
+def _law_search(tab: _ChannelTerms, laws, step: float):
+    """Pricer over the lattice ``laws`` (_law_lattice): price(duals) prices
+    the lattice and runs _best_laws from its peaks, the laws that no law
+    within 1.5 steps (max-norm) beats, so that no start walks the slope of
+    another, and returns _priced at the laws found.  The search stops at
+    a step of 1e-7: a law off by h moves a reduced cost by O(h^2)."""
     near = np.abs(laws[:, None] - laws[None]).max(axis=2) <= 1.5 * step
     idx = np.argsort(~near, axis=1, kind="stable")[:, :near.sum(axis=1).max()]
     near = np.where(np.take_along_axis(near, idx, axis=1), idx,
                     np.arange(len(laws))[:, None])
-    return laws, step, tab.laws(laws), near
+    terms = tab.laws(laws)
 
-
-def _r3_columns(y, cons: Constraints, z: float, c2: float,
-                tab: _ChannelTerms, scan):
-    """[(reduced cost, lam, q, a)] of cheap columns under the LP's row duals
-    ``y``, with lam and a in closed form per law (_r3_price).  The
-    lattice ``scan`` (_lattice_scan) is priced once, and _best_laws starts
-    from its peaks, the laws no neighbour beats, so that no start walks
-    the slope of another.  Its search stops at a step of 1e-7: a law off
-    by h moves a reduced cost by O(h^2)."""
-    duals = _r3_duals(y, cons, z, c2)
-    laws, step, terms, near = scan
-    val = -_r3_price(duals, terms)[0]
-
-    def score(q):
-        return q, -_r3_price(duals, tab.laws(q))[0]
-
-    peaks = laws[val >= val[near].max(axis=1)]
-    q = np.array([s[0] for s in _best_laws(score, peaks, step, 1e-7)])
-    rc, lam, a = _r3_price(duals, tab.laws(q))
-    return list(zip(rc.tolist(), lam.tolist(), q, a.tolist()))
+    def price(duals):
+        val = -_r3_price(duals, terms)[0]
+        peaks = laws[val >= val[near].max(axis=1)]
+        q = [s[0] for s in _best_laws(
+            lambda q: (q, -_r3_price(duals, tab.laws(q))[0]), peaks, step,
+            1e-7)]
+        return _priced(duals, tab, np.array(q))
+    return price
 
 
 def _r3_between(new, lam, q, a):
@@ -813,14 +812,13 @@ def _r3_point(t, a, p, cons: Constraints):
     return r2, key2 / math.sqrt(g)
 
 
-def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
-    """Column generation from the columns (lam, q, a), pricing from the
-    laws and step ``scan`` (_law_lattice): (p, lam, q, a, bound) of the
-    last LP solved at a level z with its columns priced.  None when HiGHS
-    fails before that; raises InfeasibleError when no columns meet the
-    constraints.
+def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
+    """Column generation from the columns (lam, q, a), priced each round
+    by price(_r3_duals(...)), which gives [(reduced cost, lam, q, a)] best
+    first: (p, lam, q, a, bound) of the last LP solved at a level z with
+    its columns priced.  None when HiGHS fails before that; raises
+    InfeasibleError when no columns meet the constraints.
 
-    Pricing starts its law search from the lattice's peaks (_r3_columns).
     Each priced column also brings the columns between it and its nearest
     column of the same law group (_r3_between): the LP then holds the
     bracket that later rounds of pricing would only halve (the tail of
@@ -835,7 +833,6 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
     cost bounds max s over all columns, and
     max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
     """
-    scan = _lattice_scan(tab, *scan)
     z, c2 = 0.0, 1.0
     phase1 = was_phase1 = False
     last = None
@@ -851,7 +848,7 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, scan, lam, q, a):
         if phase1 and x[-1] <= _R3_S_TOL:   # the objective: min e
             phase1 = False
             continue
-        cols = _r3_columns(y, cons, z, c2, tab, scan)
+        cols = price(_r3_duals(y, cons, z, c2))
         tol = _LP_RC_TOL * min(1.0, z or 1.0)   # relative to r2 below 1
         new = [c for c in cols if c[0] < -tol and not np.any(
             (np.abs(lam - c[1]) <= 1e-12) & (np.abs(a - c[3]) <= 1e-12 * c[3])
@@ -910,9 +907,9 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     proven; a branch-and-bound over laws would prove it.
 
     Support columns with laws within _R3_MERGE form one phase.  A second
-    generation, over lam only at each group's time-weighted law, makes the
-    columns of a phase share one law; they then merge into one phase at
-    their mass-weighted lam.  The numerators are linear in
+    generation, the polish, priced at each group's time-weighted law alone
+    (_priced), makes the columns of a phase share one law; they then merge
+    into one phase at their mass-weighted lam.  The numerators are linear in
     (p a lam, p a (1 - lam)) and G is convex in (rho1, rho2), so the merge
     keeps every numerator and does not raise G.
     """
@@ -931,21 +928,21 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     q = np.vstack([seed_q, np.tile(seed_q, (len(seed_lam), 1))[covert]])
     a = np.concatenate([np.zeros(len(seed_q)),
                         1.0 / np.sqrt(t[4].ravel()[covert])])
-    found = _r3_generate(tab, cons, _law_lattice(cons, cap, q_cap), lam, q,
-                         a)
+    found = _r3_generate(tab, cons, _law_search(tab, *_law_lattice(
+        cons, cap, q_cap)), lam, q, a)
     if found is None:
         return None
     p, lam, q, a, bound = found
     groups = _r3_groups(p, q, _R3_MERGE)
     # Polish: move each support column to its group's time-weighted law and
-    # generate columns over lam at those laws only, so that the columns of
-    # a phase share one law and merge exactly.
+    # price those laws only, so that a phase's columns merge exactly.
     laws = np.array([p[g] @ q[g] / p[g].sum() for g in groups])
     sup = np.concatenate(groups)
     at = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     try:
         found = _r3_generate(
-            tab, cons, (laws, 0.0), np.append(lam[sup], np.zeros(len(laws))),
+            tab, cons, lambda duals: _priced(duals, tab, laws),
+            np.append(lam[sup], np.zeros(len(laws))),
             np.vstack([laws[at], laws]),
             np.append(a[sup], np.zeros(len(laws))))
     except InfeasibleError:
@@ -1071,8 +1068,10 @@ def max_r2(d: Dmc, constraints: Constraints, max_phases: int = MAX_PHASES,
     when its tau* phases fit ``max_phases``; at max_phases = 1 the best
     single phase (_one_phase_max_r2) is returned, and a cap from 2 to
     tau* - 1 raises ValueError.  The single-phase search also runs where
-    the LP gives no plan: an infinite divergence, or a mode the warden
-    cannot see, which makes r2 unbounded (r2 = inf).
+    the LP gives no plan: an infinite divergence, a mode the warden cannot
+    see, which makes r2 unbounded (r2 = inf), or an LP that HiGHS ends
+    short of an optimum (_highs_solve's None), a silent fallback that can
+    lose r2.
     """
     _check_phases(max_phases)
     if fix_x3 is not None:

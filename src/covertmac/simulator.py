@@ -19,15 +19,16 @@ import numpy as np
 
 from .channel import Dmc
 from .infotheory import unit_factor
-from .region import (PhasePlan, _active_fractions, _plan_quantities,
+from .region import (PhasePlan, _active_fractions, _plan_quantities, _rates,
                      theorem1_sizing)
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 MU = 0.5                          # auto-threshold backoff
+ENUM_CAP = 1 << 26                # most |Z|^n x pairs exact_delta enumerates
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact-divergence enumeration would exceed the configured cap."""
+    """Exact-divergence enumeration would exceed ENUM_CAP."""
 
 
 @dataclass
@@ -44,7 +45,6 @@ class SimConfig:
     seed: int = 0
     exact_divergence: bool = False
     fixed_codebook: bool = False
-    enum_cap: int = 1 << 26
 
     def __post_init__(self):
         if self.n < 1:
@@ -272,6 +272,8 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     the exact divergence, if asked for, is taken on stream (seed, 2^31).
     """
     t0 = time.perf_counter()
+    if cfg.exact_divergence:    # an infinite chi-square fails before a trial
+        _rates(cfg.plan, "nats", *_plan_quantities(d, cfg.plan, "nats"))
     eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
@@ -314,7 +316,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         sz = theorem1_sizing(d, cfg.plan, cfg.n, cfg.omega_n,
                              (0.1,) * 6, unit="nats")
         predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack
-        delta_ratio = delta_exact / predictor if predictor > 0 else math.inf
+        delta_ratio = delta_exact / predictor if predictor > 0 else None
     # every ensemble of one (plan, n, omega_n) clips alike
     clip = tuple(ens.clip_warnings) if ens is not None else ()
     n_tr = cfg.trials
@@ -340,7 +342,7 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     product law, conditioned on the non-covert message.
 
     Enumerates all |Z|^n output sequences and all (message, key) pairs;
-    refuses when that exceeds the configured cap.  The shorter user's padding
+    refuses when that exceeds ENUM_CAP.  The shorter user's padding
     segment enters as an exact per-symbol Bernoulli mixture.  Both laws are
     held in the reversed layout of ``_product_law`` (z_0 varies fastest);
     each (mixture, reference) pair of probabilities is the same as in
@@ -350,9 +352,9 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     cfg = ens.cfg
     n = ens.n
     work = d.z_size ** n * cfg.pair_count() if n > 0 else 0
-    if work > cfg.enum_cap:
+    if work > ENUM_CAP:
         raise EnumerationCapError(
-            f"|Z|^n * pairs = {work} exceeds enumeration cap {cfg.enum_cap}")
+            f"|Z|^n * pairs = {work} exceeds enumeration cap {ENUM_CAP}")
     x3 = ens.x3[w3]
     gz, k = d.gamma_z, d.x3_size
     ref = _product_law(gz[x3])

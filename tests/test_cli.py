@@ -138,6 +138,35 @@ def test_verify_asymptotics_table(capsys, chan_file):
         assert 0.9 < ratio < 1.1
 
 
+def test_verify_asymptotics_one_case(capsys):
+    """--rho1/--rho2/--x3 give one row per alpha for that case, with the
+    ratio near 1 at small alpha."""
+    code, out, _ = run(capsys, "verify-asymptotics", "--channel", "paper",
+                       "--rho1", "0.7", "--rho2", "0.4", "--x3", "1",
+                       "--alpha", "1e-3,1e-4")
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[2:]]
+    assert [r[:4] for r in rows] == [["0.7", "0.4", "1", "0.001"],
+                                     ["0.7", "0.4", "1", "0.0001"]]
+    assert all(0.99 < float(r[4]) < 1.01 for r in rows)
+
+
+def test_simulate_exact_delta_silent_plan_strict_json(capsys, tmp_path):
+    """A silent plan has a zero divergence bound: its delta_bound_ratio is
+    null, and the report is JSON without Infinity or NaN."""
+    p = tmp_path / "silent.json"
+    p.write_text(cm.PhasePlan.single_phase((0.5, 0.5), 0.0, 0.0).to_json())
+    code, out, _ = run(capsys, "simulate", "--channel", "paper", "--plan",
+                       str(p), "--n", "4", "--trials", "2", "--exact-delta")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["delta_exact_nats"] == 0.0 and doc["delta_bound_ratio"] is None
+
+
 def test_sizing_report(capsys, chan_file, plan_file, tmp_path):
     f = tmp_path / "sz.json"
     code = main(["sizing", "--channel", chan_file, "--plan", plan_file,
@@ -161,6 +190,25 @@ def _capped_region_argv():
     return ["region", "--channel", "CHAN5", "--r1", repr(cons.r1_min),
             "--k1-max", repr(cons.k1_max), "--k2-max", repr(cons.k2_max),
             "--r3-grid", repr(r3), "--max-phases", "2"]
+
+
+def _bad_docs():
+    """Channel and plan documents that each fail one input check, and the
+    GZ_AC channel with a plan that sends its violating x3 symbol."""
+    from test_region import GZ_AC
+    paper = cm.paper_channel().to_dict()
+    plan = cm.PhasePlan.single_phase((0.535, 0.465), 0.5, 0.5).to_dict()
+    negative = [[-0.1, 0.3, 0.2, 0.2, 0.2, 0.2]] + paper["gamma_y"][1:]
+    return {
+        "NEGATIVE": {**paper, "gamma_y": negative},
+        "BADSIZE": {**paper, "x3_size": "two"},
+        "ZEROSIZE": {**paper, "x3_size": 0},
+        "LISTDOC": [paper],
+        "RAGGED": {**plan, "rho1": [0.5, 0.5]},
+        "NOTDIST": {**plan, "p_x3_given_t": [[0.5, 0.4]]},
+        "ACCHAN": make_dmc([[0.5, 0.3, 0.2]] * 8, GZ_AC).to_dict(),
+        "ACPLAN": cm.PhasePlan.single_phase((1.0, 0.0), 1.0, 1.0).to_dict(),
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -191,19 +239,41 @@ def _capped_region_argv():
     ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
      "--omega", "nan"],
     ["verify-asymptotics", "--channel", "UNIFORM", "--random", "2"],
+    ["profile", "--channel", "NEGATIVE"],
+    ["profile", "--channel", "BADSIZE"],
+    ["profile", "--channel", "ZEROSIZE"],
+    ["profile", "--channel", "LISTDOC"],
+    ["sizing", "--channel", "paper", "--plan", "RAGGED", "--n", "100"],
+    ["sizing", "--channel", "paper", "--plan", "NOTDIST", "--n", "100"],
+    ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "100",
+     "--xi", "1.5"],
+    ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "100",
+     "--omega", "2"],
+    ["simulate", "--channel", "paper", "--plan", "PLAN", "--n", "24",
+     "--m1", "0"],
+    ["simulate", "--channel", "ACCHAN", "--plan", "ACPLAN", "--n", "4",
+     "--trials", "2", "--exact-delta"],
 ], ids=["x3-out-of-range", "sizing-n-zero", "negative-trials",
         "simulate-n-zero", "simulate-n-zero-exact-delta", "region-nan-r3",
         "curve-nan-r1", "curve-nan-k2", "r1-inf", "fix-x3-above-range",
         "fix-x3-negative", "region-empty-grid",
         "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
         "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
-        "omega-nan", "warden-blind"])
+        "omega-nan", "warden-blind", "channel-negative-entry",
+        "channel-bad-size", "channel-zero-size", "channel-not-an-object",
+        "plan-ragged", "plan-row-not-a-distribution", "sizing-xi-above-one",
+        "sizing-omega-above-one", "simulate-m1-zero",
+        "exact-delta-ac-violation"])
 def test_invalid_input_exit_3(capsys, plan_file, tmp_path, uniform_channel,
                               argv):
     chan5, uniform = tmp_path / "chan5.json", tmp_path / "uniform.json"
     cm.save_channel(random_problem(5)[0], chan5)
     cm.save_channel(uniform_channel, uniform)
     files = {"PLAN": plan_file, "CHAN5": str(chan5), "UNIFORM": str(uniform)}
+    for name, doc in _bad_docs().items():
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as f:
+            json.dump(doc, f)
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import covertmac as cm
 from covertmac.infotheory import (_channel_terms, capacity_x3, chi_square,
                                   divergence_profile, kl_div, mixture_kl,
-                                  mutual_info_x3)
+                                  mutual_info_x3, unit_factor)
 
 from conftest import make_dmc
 
@@ -59,6 +59,19 @@ def test_kl_input_validation():
         kl_div([0.5, 0.5], [0.5, 0.3, 0.2])
     with pytest.raises(ValueError):
         kl_div([0.5, 0.4], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: unit_factor("furlongs"), "unit must be"),
+    (lambda d: kl_div([[0.5, 0.5]], [0.5, 0.5]), "must be a vector"),
+    (lambda d: chi_square(d, -1.0, 1.0, 0), "non-negative"),
+    (lambda d: mutual_info_x3(d, [0.2, 0.3, 0.5]), "must have length 2"),
+    (lambda d: mixture_kl(d, 1.0, 1.0, 0, -1e-3), "alpha must be"),
+], ids=["unit", "kl-matrix", "chi2-negative-rho", "mi-length",
+        "mixture-negative-alpha"])
+def test_invalid_arguments_raise(paper, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(paper)
 
 
 @settings(max_examples=60, deadline=None)

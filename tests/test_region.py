@@ -648,7 +648,7 @@ def test_r3_generate_stops_when_a_round_changes_nothing(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(region, "_r3_solve", counted)
-    monkeypatch.setattr(region, "_r3_columns", lambda *args: [])
+    monkeypatch.setattr(region, "_priced", lambda *args: [])
     monkeypatch.setattr(region, "_r3_point", lambda *args: (0.0, 0.0))
     assert region._lp_max_r2_r3(d, cons, "bits") is not None
     assert solves == [False, False]
@@ -1053,6 +1053,52 @@ def test_max_r2_r3_single_phase_where_lp_gives_no_plan(paper):
     plan, rt = max_r2(d, cons)
     assert plan.tau == 1 and rt.r2 == math.inf
     assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+
+
+def test_silent_user_adds_nothing_where_its_divergence_is_infinite(paper):
+    """A user with rho = 0 adds nothing to its numerators, not 0 * inf =
+    NaN: on the channel with D_Y = inf at x3 = 1, a plan in which only
+    user 2 sends has r1 = 0, and max_r2 without caps and at R3_min = 0.3 x
+    capacity finds r2 = inf within every cap."""
+    d = _unused_x3_channel(paper)
+    rt = rate_tuple(d, PhasePlan.single_phase((0.05, 0.95), 0.0, 1.0))
+    assert rt.r1 == 0.0 and rt.r2 == math.inf
+    for cons in (Constraints(),
+                 Constraints(R3_min=0.3 * cm.capacity_x3(d)[0])):
+        plan, rt = max_r2(d, cons)
+        assert rt.r2 == math.inf and rt.r1 == 0.0
+        assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
+
+
+@pytest.mark.parametrize("r3, lp_r2", [(0.0, 0.8078528075699453),
+                                       (0.1, 0.6066882522023839)])
+def test_max_r2_falls_back_on_one_phase_when_highs_fails(
+        paper, monkeypatch, r3, lp_r2):
+    """Where HiGHS ends short of an optimum (here from the third LP on),
+    the LP gives no plan and max_r2 returns the best single phase: at the
+    paper corner at R3 = 0 that is the LP's r2 too, at R3 = 0.1 it is
+    0.3311, well below the LP's 0.6067."""
+    cons = Constraints(r1_min=0.5, R3_min=r3, k1_max=0.8, k2_max=0.8)
+    assert max_r2(paper, cons)[1].r2 == lp_r2
+    one = region._one_phase_max_r2(paper, cons, "bits")
+    calls, inner = [], region._highs_solve
+
+    def failing(*args):
+        calls.append(None)
+        return None if len(calls) >= 3 else inner(*args)
+
+    monkeypatch.setattr(region, "_highs_solve", failing)
+    got = max_r2(paper, cons)
+    assert len(calls) >= 3
+    assert repr(got) == repr(one) and got[0].tau == 1
+    assert got[1].r2 == (lp_r2 if r3 == 0 else 0.3310962837041381)
+
+
+def test_max_r2_fix_mode_infeasible_caps(paper):
+    """Fix mode raises InfeasibleError where no phase at the one-hot law
+    meets the caps."""
+    with pytest.raises(InfeasibleError, match="no single-phase plan meets"):
+        max_r2(paper, Constraints(r1_min=10.0), fix_x3=0)
 
 
 @pytest.mark.parametrize("case", ["ref", "unused-x3", "rp3", "rp4", "rp7"])

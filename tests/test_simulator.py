@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
+from covertmac import simulator
 from covertmac.infotheory import unit_factor
 from covertmac.region import PhasePlan, theorem1_sizing
 from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
@@ -364,6 +365,50 @@ def test_divergence_bound_and_ratio_are_floats(paper):
     assert type(run_trials(cfg, paper).delta_bound_ratio) is float
 
 
+def test_silent_plan_has_no_bound_ratio(paper):
+    """A plan with rho1 = rho2 = 0 has delta_exact = 0 and a zero bound, so
+    delta_bound_ratio is None, not inf."""
+    plan = PhasePlan.single_phase((0.5, 0.5), 0.0, 0.0)
+    rep = run_trials(SimConfig(n=4, plan=plan, trials=2,
+                               exact_divergence=True), paper)
+    assert rep.delta_exact == 0.0 and rep.delta_bound_ratio is None
+
+
+def test_exact_delta_infinite_where_the_warden_sees_a_new_output(
+        monkeypatch):
+    """On GZ_AC a covert 1 at x3 = 0 gives z = 2, which the all-off law at
+    x3 = 0 never does: exact_delta is inf, as in the reference kernel, and
+    run_trials with exact_divergence rejects such a plan before it draws
+    any codebook, with rate_tuple's absolute-continuity error."""
+    from conftest import make_dmc
+    from test_region import GZ_AC
+    d = make_dmc([[0.5, 0.3, 0.2]] * 8, GZ_AC)
+    plan = PhasePlan.single_phase((1.0, 0.0), 2.5, 2.5)   # density 0.88
+    cfg = SimConfig(n=4, plan=plan, trials=2, exact_divergence=True)
+    ens = build_codebooks(cfg, rng_for(45), d=d)
+    assert ens.x1.any()
+    assert exact_delta(ens, d, 0) == _reference_exact_delta(ens, d, 0) \
+        == math.inf
+    built = []
+    monkeypatch.setattr(simulator, "build_codebooks",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="absolute continuity"):
+        run_trials(cfg, d)
+    assert built == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: build_codebooks(
+        SimConfig(n=8, plan=PhasePlan.single_phase((0.2, 0.3, 0.5), 1.0, 1.0),
+                  trials=0), rng_for(46), d=d), "x3 alphabet"),
+    (lambda d: channel_sample(d, [0, 1], [0], [0, 0], rng_for(47)),
+     "equal length"),
+], ids=["codebook-x3-size", "channel-sample-lengths"])
+def test_invalid_arguments_raise(paper, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(paper)
+
+
 def test_wilson_interval_contains_point():
     lo, hi = wilson_interval(7, 50)
     assert lo <= 7 / 50 <= hi
@@ -402,19 +447,21 @@ def test_exact_delta_nonnegative_and_zero_iff_reference(paper):
     assert exact_delta(ens, paper, 0) > 0     # some codeword has a 1 symbol
 
 
-def test_exact_delta_cap_refusal(paper):
+def test_exact_delta_cap_refusal(paper, monkeypatch):
+    monkeypatch.setattr(simulator, "ENUM_CAP", 10**6)
     cfg = SimConfig(n=12, plan=PLAN_Q, m1=4, m2=4, m3=2, k1=4, k2=4,
-                    trials=0, enum_cap=10**6)
+                    trials=0)
     ens = build_codebooks(cfg, rng_for(33), d=paper)
     with pytest.raises(EnumerationCapError):
         exact_delta(ens, paper, 0)
 
 
-def test_exact_delta_cap_is_outputs_times_pairs(paper):
+def test_exact_delta_cap_is_outputs_times_pairs(paper, monkeypatch):
     work = 6 ** 3 * 16                    # |Z|^n x pairs at n = 3
     for cap, refused in ((work, False), (work - 1, True)):
+        monkeypatch.setattr(simulator, "ENUM_CAP", cap)
         cfg = SimConfig(n=3, plan=PLAN_Q, m1=2, m2=2, m3=1, k1=2, k2=2,
-                        trials=0, enum_cap=cap)
+                        trials=0)
         ens = build_codebooks(cfg, rng_for(35), d=paper)
         if refused:
             with pytest.raises(EnumerationCapError, match=str(work)):
@@ -456,9 +503,9 @@ def _reference_exact_delta(ens, d, w3, unit="nats"):
     cfg = ens.cfg
     n = ens.n
     work = d.z_size ** n * cfg.pair_count() if n > 0 else 0
-    if work > cfg.enum_cap:
-        raise EnumerationCapError(
-            f"|Z|^n * pairs = {work} exceeds enumeration cap {cfg.enum_cap}")
+    if work > simulator.ENUM_CAP:
+        raise EnumerationCapError(f"|Z|^n * pairs = {work} exceeds "
+                                  f"enumeration cap {simulator.ENUM_CAP}")
     x3 = ens.x3[w3]
     gz, k = d.gamma_z, d.x3_size
     ref = _reference_product_law(gz[x3])
@@ -530,6 +577,9 @@ FINITE = st.floats(min_value=-1e300, max_value=1e300)
 @example([0.0, -0.0])
 @example([5e-324])
 @example([1e300, -1e300, 5e-324])
+@example([1.0, math.inf, -2.0])
+@example([-math.inf, 5e-324])
+@example([math.nan, 1.0])
 def test_exact_sum_matches_fsum(xs):
     _same_sum(xs)
 
