@@ -30,9 +30,10 @@ pinned (fix mode) all modes merge into one phase, solved as below.
 
 At R3 > 0 the time shares matter (R3 = sum p I(q)), so the columns are
 whole phases (lam, q, a), a = rho1 + rho2, and the only LP variables are
-their time shares p: the numerators, G = D^2 and R3 are all linear in p.
-Normalizing G <= 1 leaves r2 = min(sqrt2 N2, k2_max N2 / K2), a max-min of
-ratios, solved by a Dinkelbach-type iteration.  A new column's lam and a
+p, beta2 times their time shares (Charnes-Cooper again): the numerators,
+G = D^2 and R3 are all linear in p.  Normalizing G <= sum p <= 1 makes
+r2 = sqrt2 N2 and k2 = sqrt2 K2, so each column set is one LP, max sqrt2
+N2 under homogeneous rows and the k2 cap.  A new column's lam and a
 minimize its reduced cost in closed form at each law q, so pricing is a
 search over laws alone (_best_laws: a pattern search from the best points
 of a lattice, its peaks in pricing), shared with the single phase, whose
@@ -564,7 +565,7 @@ _R3_SEED_Q = (10, 15)    # seed lattice: most steps per unit, most laws
 _R3_STARTS = 4           # lattice maxima refined by a law search
 _R3_APART = 0.05         # least max-norm distance between their laws
 _R3_U_MAX = 1e3          # cap on a sqrt(chi2) of a priced column
-_R3_S_TOL = 1e-12        # Dinkelbach stops once max s is below this
+_R3_S_TOL = 1e-12        # phase 1 ends at e below this; sum p below it is 0
 _R3_MAX_ROUNDS = 300
 _R3_MERGE = 1e-3         # support q rows this close (max-norm) share a phase
 _R3_SPLIT = 8            # a priced column adds the 7 points at k/8 toward
@@ -653,63 +654,64 @@ def _law_lattice(cons: Constraints, cap: float, q_cap):
     return np.vstack([grid, q_cap]), step
 
 
-def _r3_rows(cons: Constraints, z: float, c2: float, t):
-    """Inequality rows of the LP at Dinkelbach level z, one tuple
-    (const, lin, quad, s, e, rhs) per row: column (lam, q, a) enters with
-    const + a lin + a^2 quad, s is maximized and e is the phase-1 slack.
+def _r3_rows(cons: Constraints, t, phase1: bool):
+    """Objective and inequality rows of the master over (p >= 0, w, e), one
+    tuple (const, lin, quad, e, rhs) per row: column (lam, q, a) enters with
+    const + a lin + a^2 quad and e, the phase-1 slack, with its entry.  The
+    first row is the objective, maximized: sqrt2 N2, or -e in phase 1.
 
-    Rates are scale-free, so G <= 1 normalizes D.  beta1 drops out as in
-    _lp_rows.  At G = 1, r2 = min(sqrt2 N2, k2_max N2 / K2), so s is
-    bounded by sqrt2 N2 - z and (k2_max N2 - z K2) / c2, with c2 > 0 the
-    K2 of the previous LP point (K2 <= 0 at k2_max = 0).
+    p is beta2 times the time shares and w = 1 - sum p (Charnes-Cooper, as
+    in the mode LP).  Rates are scale-free, so G <= sum p normalizes D, and
+    then r2 = sqrt2 N2 and k2 = sqrt2 K2: every row is homogeneous in p
+    but the k2 cap.  Phase 1 (sum p = 1) keeps that row only at
+    k2_max = 0, as a smaller beta2 meets any positive cap.  beta1 drops out
+    as in _lp_rows.
     """
     n1, n2, key1, key2, chi, info, _ = t
     u1, u2 = _cap_unit(cons.k1_max), _cap_unit(cons.k2_max)
-    rows = [(0.0, 0.0, chi, 0.0, 0.0, 1.0)]
+    rows = [(0.0, 0.0, 0.0, -1.0, 0.0) if phase1
+            else (0.0, SQRT2 * n2, 0.0, 0.0, 0.0), (-1.0, 0.0, chi, 0.0, 0.0)]
     if cons.r1_min > 0:
-        rows.append((0.0, -SQRT2 * n1, 0.0, 0.0, -1.0, -cons.r1_min))
+        rows.append((cons.r1_min, -SQRT2 * n1, 0.0, -1.0, 0.0))
     if cons.r1_min > 0 and math.isfinite(cons.k1_max):
         rows.append((0.0, cons.r1_min / u1 * key1 - cons.k1_max / u1 * n1,
-                     0.0, 0.0, -1.0, 0.0))
+                     0.0, -1.0, 0.0))
     elif cons.k1_max == 0:
-        rows.append((0.0, key1, 0.0, 0.0, -1.0, 0.0))
-    rows.append((-info, 0.0, 0.0, 0.0, -1.0, -cons.R3_min))
-    rows.append((0.0, -SQRT2 * n2, 0.0, 1.0, 0.0, -z))
-    if cons.k2_max == 0:
-        rows.append((0.0, key2, 0.0, 0.0, -1.0, 0.0))
-    elif math.isfinite(cons.k2_max):
-        rows.append((0.0, (z / u2 * key2 - cons.k2_max / u2 * n2) / c2, 0.0,
-                     1.0 / u2, 0.0, 0.0))
+        rows.append((0.0, key1, 0.0, -1.0, 0.0))
+    rows.append((cons.R3_min - info, 0.0, 0.0, -1.0, 0.0))
+    if cons.k2_max == 0 or (math.isfinite(cons.k2_max) and not phase1):
+        rows.append((0.0, SQRT2 / u2 * key2, 0.0, -1.0, cons.k2_max / u2))
     return rows
 
 
-def _r3_solve(t, a, cons: Constraints, z: float, c2: float, phase1: bool):
-    """HiGHS optimum over (p >= 0, s, e) with sum p = 1: max s with e = 0,
-    or in phase 1 min e."""
-    rows = _r3_rows(cons, z, c2, t)
+def _r3_solve(t, a, cons: Constraints, phase1: bool):
+    """HiGHS optimum of the master over (p >= 0, w >= 0, e >= 0) with
+    sum p + w = 1: w = 0 in phase 1, e = 0 otherwise."""
+    rows = _r3_rows(cons, t, phase1)
     n = len(a)
-    a_ub = np.zeros((len(rows), n + 2))
-    for i, (const, lin, quad, s, e, _) in enumerate(rows):
-        a_ub[i, :n] = const + a * lin + a * a * quad
-        a_ub[i, n:] = s, e
-    cost = np.zeros(n + 2)
-    cost[n + 1 if phase1 else n] = 1.0 if phase1 else -1.0
-    lb, ub = np.zeros(n + 2), np.full(n + 2, math.inf)
-    lb[n], ub[n + 1] = -math.inf, math.inf if phase1 else 0.0
-    return _highs_solve(cost, a_ub, np.array([r[5] for r in rows]),
-                        np.append(np.ones(n), [0.0, 0.0]), lb, ub)
+    m = np.zeros((len(rows), n + 2))
+    for i, (const, lin, quad, e, _) in enumerate(rows):
+        m[i, :n] = const + a * lin + a * a * quad
+        m[i, n + 1] = e
+    ub = np.full(n + 2, math.inf)
+    ub[n if phase1 else n + 1] = 0.0
+    return _highs_solve(-m[0], m[1:], np.array([r[4] for r in rows[1:]]),
+                        np.append(np.ones(n + 1), 0.0), np.zeros(n + 2), ub)
 
 
-def _r3_duals(y, cons: Constraints, z: float, c2: float):
-    """(coef, y_eq): the reduced cost of a column under the LP's row duals
-    ``y``.  Every row is linear in the terms (n1, n2, key1, key2, chi,
-    info), so the rows at unit terms give, per part (const, lin, quad), a
-    coefficient of each term; y_eq is the dual of sum p = 1."""
-    unit = _r3_rows(cons, z, c2, tuple(np.eye(6)) + (None,))
-    coef = [-sum(y_i * np.broadcast_to(r[k], 6)
-                 for y_i, r in zip(y[:-1], unit))
-            for k in range(3)]
-    return coef, y[-1]
+def _r3_duals(y, cons: Constraints, phase1: bool):
+    """(coef, const): the reduced cost of a column under the LP's row duals
+    ``y``.  Every row is affine in the terms (n1, n2, key1, key2, chi,
+    info), so the rows at zero terms give const, their constants weighted
+    by the duals (the objective's by 1) plus the dual of sum p + w = 1, and
+    the rows at unit terms less those give, per part (const, lin, quad), a
+    coefficient of each term."""
+    yy = np.append(1.0, y[:-1])
+    zero = _r3_rows(cons, (0.0,) * 6 + (None,), phase1)
+    unit = _r3_rows(cons, tuple(np.eye(6)) + (None,), phase1)
+    coef = [-sum(y_i * (np.broadcast_to(u[k], 6) - z[k])
+                 for y_i, u, z in zip(yy, unit, zero)) for k in range(3)]
+    return coef, -(yy @ [z[0] for z in zero]) - y[-1]
 
 
 def _r3_price(duals, laws):
@@ -719,13 +721,13 @@ def _r3_price(duals, laws):
     _r3_rows puts I(q) in the constant part, the numerators in the linear
     part and chi in the quadratic one, so the reduced cost is
     beta + alpha a + g chi a^2: beta depends on the law only, alpha is
-    affine in lam, and g >= 0 is the dual of G <= 1.  In s = a sqrt(chi),
+    affine in lam, and g >= 0 is the dual of G <= sum p.  In s = a sqrt(chi),
     s in [0, _R3_U_MAX], its minimum is non-decreasing in
     r = alpha / sqrt(chi), so the best lam minimizes r: at 0, 1 or the one
     root of r' = 0, which is linear in lam.  Then s = -r / (2 g) (capped)
     where r < 0.  A law the warden forbids, or a lam at which it sees
     nothing (chi = 0), gets a = 0."""
-    coef, y_eq = duals
+    coef, const = duals
     dq, (A, B, C), info, ok = laws
     y, g = coef[1][:4], coef[2][4]
     b0 = y[1::2] @ dq[1::2]                     # alpha = b0 + b1 lam
@@ -745,7 +747,7 @@ def _r3_price(duals, laws):
         s = np.where(r < 0, np.minimum(-r / (2.0 * g), _R3_U_MAX)
                      if g > 0 else _R3_U_MAX, 0.0)
         a = np.where(s > 0, s / np.sqrt(chi), 0.0)
-    return coef[0][5] * info - y_eq + (r * s + g * s * s), lam, a
+    return coef[0][5] * info + const + (r * s + g * s * s), lam, a
 
 
 def _priced(duals, tab: _ChannelTerms, laws):
@@ -801,22 +803,11 @@ def _r3_between(new, lam, q, a):
     return out[:, 0], out[:, 1:-1], out[:, -1]
 
 
-def _r3_point(t, a, p, cons: Constraints):
-    """(r2, K2) of the LP point p with its densities scaled to G = 1."""
-    n2, key2, g = p @ (a * t[1]), p @ (a * t[3]), p @ (a * a * t[4])
-    if n2 <= 0 or g <= 0:
-        return 0.0, 0.0
-    r2 = SQRT2 * n2 / math.sqrt(g)
-    if key2 > 0:
-        r2 = min(r2, cons.k2_max * n2 / key2)
-    return r2, key2 / math.sqrt(g)
-
-
 def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
     """Column generation from the columns (lam, q, a), priced each round
     by price(_r3_duals(...)), which gives [(reduced cost, lam, q, a)] best
-    first: (p, lam, q, a, bound) of the last LP solved at a level z with
-    its columns priced.  None when HiGHS fails before that; raises
+    first: (p, lam, q, a, bound) of the last master solved outside phase 1
+    with its columns priced.  None when HiGHS fails before that; raises
     InfeasibleError when no columns meet the constraints.
 
     Each priced column also brings the columns between it and its nearest
@@ -824,32 +815,34 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
     bracket that later rounds of pricing would only halve (the tail of
     Kelley's cutting planes, 1960).
 
-    z moves to the r2 of each LP point (Crouzeix, Ferland and Schaible,
-    1985, with the k2 row scaled by the point's K2 for superlinear
-    convergence) until max s <= _R3_S_TOL and no reduced cost is below
-    -_LP_RC_TOL min(1, z) (reduced costs are in units of r2), or until a
-    round adds no column and leaves z where it was.  ``bound`` >= r2 over
-    all columns: with sum p = 1, the LP's s plus the most negative reduced
-    cost bounds max s over all columns, and
-    max s >= (r2* - z) min(1, k2_max / (sqrt2 c2)).
+    The master's optimum is r2 over its columns.  Generation stops when no
+    reduced cost is below -_LP_RC_TOL min(1, r2) (reduced costs are in
+    units of r2).  ``bound`` >= r2 over all columns: the LP's r2 plus the
+    most negative reduced cost, a Lagrangian bound, as sum p <= 1.
+
+    p = 0 always meets the rows.  The first time the master's optimum sits
+    there, phase 1 minimizes the slack e of the rows at sum p = 1 until
+    e <= _R3_S_TOL, and its plan is the r2 = 0 answer where the master
+    comes back to p = 0.
     """
-    z, c2 = 0.0, 1.0
     phase1 = was_phase1 = False
-    last = None
+    last = kept = None
     for _ in range(_R3_MAX_ROUNDS):
         t = _terms(lam, tab.laws(q))
-        sol = _r3_solve(t, a, cons, z, c2, phase1)
-        if sol is _INFEASIBLE and not was_phase1:
-            phase1 = was_phase1 = True      # find a feasible column set first
-            continue
+        sol = _r3_solve(t, a, cons, phase1)
         if sol is None or sol is _INFEASIBLE:
             break
         x, y = sol
+        p = x[:-2]
         if phase1 and x[-1] <= _R3_S_TOL:   # the objective: min e
-            phase1 = False
+            phase1, kept = False, (p, len(a))
             continue
-        cols = price(_r3_duals(y, cons, z, c2))
-        tol = _LP_RC_TOL * min(1.0, z or 1.0)   # relative to r2 below 1
+        if not was_phase1 and p.sum() <= _R3_S_TOL:
+            phase1 = was_phase1 = True      # find a feasible column set first
+            continue
+        cols = price(_r3_duals(y, cons, phase1))
+        r2 = 0.0 if phase1 else SQRT2 * (p @ (a * t[1]))
+        tol = _LP_RC_TOL * min(1.0, r2 or 1.0)  # relative to r2 below 1
         new = [c for c in cols if c[0] < -tol and not np.any(
             (np.abs(lam - c[1]) <= 1e-12) & (np.abs(a - c[3]) <= 1e-12 * c[3])
             & (np.abs(q - c[2]).max(axis=1) <= 1e-12))]
@@ -857,14 +850,9 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
             raise InfeasibleError(f"no plan meets {cons}")
         if not phase1:
             rc = min([c[0] for c in cols], default=0.0)
-            w = min(1.0, cons.k2_max / (SQRT2 * c2)) if cons.k2_max > 0 else 1.0
-            last = (x[:-2], len(a), z + max(0.0, x[-2] + max(0.0, -rc)) / w)
-            if not new and x[-2] <= _R3_S_TOL:
-                break
-            r2, key2 = _r3_point(t, a, x[:-2], cons)
-            if r2 > z:
-                z, c2 = r2, (key2 if key2 > 0 else 1.0)
-            elif not new:           # every later round would be this one
+            plan = kept if p.sum() <= _R3_S_TOL else (p, len(a))
+            last = (*plan, r2 + max(0.0, -rc))
+            if not new:
                 break
         mid = _r3_between(new, lam, q, a)
         lam = np.concatenate([lam, [c[1] for c in new], mid[0]])
@@ -895,13 +883,13 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     LP gives no plan (see _lp_modes).  Raises InfeasibleError when the LP
     is infeasible.
 
-    Column j = (lam, q, a) is a phase with time share p_j, the only LP
-    variable: N1, N2, K1, K2, G and R3 are all linear in p.  Columns come
-    from Dantzig-Wolfe / Gilmore-Gomory pricing (_r3_generate): lam and a
-    in closed form per law (_r3_price), laws by _best_laws started from
-    the peaks of a lattice plus the capacity-achieving law, and with each
-    priced column the columns interpolated toward its nearest neighbour
-    of the same law.  ``bound`` is an upper bound on r2 over all plans if
+    Column j = (lam, q, a) is a phase whose time share times beta2, p_j,
+    is the only LP variable: N1, N2, K1, K2, G and R3 are all linear in p
+    (_r3_rows).  Columns come from Dantzig-Wolfe / Gilmore-Gomory pricing
+    (_r3_generate): lam and a in closed form per law (_r3_price), laws by
+    _best_laws started from the peaks of a lattice plus the
+    capacity-achieving law, and with each priced column the columns
+    interpolated toward its nearest neighbour of the same law.  ``bound`` is an upper bound on r2 over all plans if
     that law search finds the cheapest law.  It is local, so bound >= r2
     is measured (on seeded random channels at x3_size 2 and 3), not
     proven; a branch-and-bound over laws would prove it.
@@ -917,8 +905,10 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     if _lp_modes(tab) is None:
         return None
     cap, q_cap = tab.capacity
-    # seed: silent time and a coarse (lam, q) grid at a sqrt(chi2) = 1 on
-    # a q lattice plus the capacity-achieving law
+    # seed: silent time and a coarse (lam, q) grid on a q lattice plus the
+    # capacity-achieving law, at a sqrt(chi2) = 1.5: at 1 every seed would
+    # have G coefficient a^2 chi2 - 1 = 0, the G row's dual would be 0 and
+    # pricing would push a to _R3_U_MAX
     seed_q = np.vstack([_simplex_grid(d.x3_size, *_R3_SEED_Q)[0], q_cap])
     seed_lam = np.linspace(0.0, 1.0, 5)
     t = _terms(seed_lam[:, None], tab.laws(seed_q))
@@ -927,7 +917,7 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
                           np.repeat(seed_lam, len(seed_q))[covert]])
     q = np.vstack([seed_q, np.tile(seed_q, (len(seed_lam), 1))[covert]])
     a = np.concatenate([np.zeros(len(seed_q)),
-                        1.0 / np.sqrt(t[4].ravel()[covert])])
+                        1.5 / np.sqrt(t[4].ravel()[covert])])
     found = _r3_generate(tab, cons, _law_search(tab, *_law_lattice(
         cons, cap, q_cap)), lam, q, a)
     if found is None:

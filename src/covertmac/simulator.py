@@ -313,6 +313,10 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         deltas = [exact_delta(ens, d, w3, unit="nats")
                   for w3 in range(cfg.m3)]
         delta_exact = float(np.mean(deltas))
+        if delta_exact == math.inf:     # (1,0,x3) and (0,1,x3) passed above
+            raise ValueError("the exact divergence is infinite: a (1,1,x3) "
+                             "warden row puts mass outside the support of "
+                             "the (0,0,x3) row")
         sz = theorem1_sizing(d, cfg.plan, cfg.n, cfg.omega_n,
                              (0.1,) * 6, unit="nats")
         predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack

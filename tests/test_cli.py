@@ -99,11 +99,16 @@ def test_region_small_and_max_phases_one(capsys, chan_file, tmp_path):
 
 
 def test_region_infeasible_exit_4(capsys, chan_file):
-    code, _, err = run(capsys, "region", "--channel", chan_file,
-                       "--r1", "1e6", "--r3-grid", "0.0",
-                       "--restarts", "4", "--max-iter", "300",
-                       "--max-phases", "1")
-    assert code == 4 and "infeasible" in err
+    """An infeasible point exits 4: at R3 = 0 at one phase, and at R3 > 0,
+    where phase 1 of the phase LP finds no feasible column set."""
+    for argv in (["--channel", chan_file, "--r1", "1e6", "--r3-grid", "0.0",
+                  "--restarts", "4", "--max-iter", "300", "--max-phases",
+                  "1"],
+                 ["--channel", "paper", "--r1", "2", "--k1-max", "0.8",
+                  "--k2-max", "0.8", "--r3-grid", "0.1", "--max-phases",
+                  "3"]):
+        code, _, err = run(capsys, "region", *argv)
+        assert code == 4 and "infeasible" in err
 
 
 def test_simulate_report(capsys, chan_file, plan_file, tmp_path):
@@ -165,6 +170,22 @@ def test_simulate_exact_delta_silent_plan_strict_json(capsys, tmp_path):
 
     doc = json.loads(out, parse_constant=reject)
     assert doc["delta_exact_nats"] == 0.0 and doc["delta_bound_ratio"] is None
+
+
+def test_simulate_exact_delta_both_on_support_violation(capsys, tmp_path):
+    """Where only the warden's (1,1,x3) row leaves the support of the
+    all-off row, the plan's chi-square is finite but the exact divergence
+    is not: simulate --exact-delta exits 3 with a message naming that row."""
+    chan, plan = tmp_path / "chan.json", tmp_path / "plan.json"
+    gz = [[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]]
+    cm.save_channel(make_dmc([[0.5, 0.3, 0.2]] * 4, gz), chan)
+    plan.write_text(cm.PhasePlan.single_phase((1.0,), 2.5, 2.5).to_json())
+    code, out, err = run(capsys, "simulate", "--channel", str(chan),
+                         "--plan", str(plan), "--n", "4", "--trials", "2",
+                         "--exact-delta")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the exact divergence is infinite: a "
+                          "(1,1,x3) warden row")
 
 
 def test_sizing_report(capsys, chan_file, plan_file, tmp_path):
@@ -331,7 +352,7 @@ MANIFEST = ("# subcommand={} channel=5b3277737d308b0a unit=bits seed=0 "
      ["k2,r2", "1,1.09525502794"]),
     (["region", "--r1", "0.5", "--k1-max", "0.8", "--k2-max", "0.8",
       "--r3-grid", "0,0.1"], "r1=0.5 k1_max=0.8 k2_max=0.8 max_phases=3",
-     ["r2,R3", "0.80785280757,0", "0.606688252202,0.1"]),
+     ["r2,R3", "0.80785280757,0", "0.606688252205,0.1"]),
 ], ids=["curve-fix0", "curve-opt", "region-corner"])
 def test_solve_outputs_pinned(capsys, monkeypatch, argv, tail, rows):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

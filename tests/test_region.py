@@ -301,14 +301,31 @@ def test_max_r2_key_limited_fix0(paper):
     assert rt.r2 >= limit * 0.99 and rt.r2 <= limit * (1 + 1e-6)
 
 
-def test_max_r2_zero_when_user2_invisible():
+def _user2_invisible_channel():
+    """The paper channel with the receiver rows of (0,1,x3) set to those of
+    (0,0,x3): the receiver cannot tell user 2 apart from silence."""
     base = cm.paper_channel()
     gy = base.gamma_y.copy()
-    for x3 in range(2):                 # receiver rows for (0,1,x3) = (0,0,x3)
+    for x3 in range(2):
         gy[2 + x3] = gy[x3]
-    d = make_dmc(gy, base.gamma_z)
-    _, rt = max_r2(d, Constraints(r1_min=0.0), max_phases=2)
+    return make_dmc(gy, base.gamma_z)
+
+
+def test_max_r2_zero_when_user2_invisible():
+    _, rt = max_r2(_user2_invisible_channel(), Constraints(r1_min=0.0),
+                   max_phases=2)
     assert rt.r2 <= 1e-9
+
+
+def test_max_r2_r3_zero_returns_a_plan():
+    """Where every plan has r2 = 0 at R3_min > 0, the phase LP comes back
+    to zero time and keeps phase 1's plan: r2 = 0 with every cap met."""
+    d = _user2_invisible_channel()
+    cons = Constraints(r1_min=0.2, R3_min=0.5 * cm.capacity_x3(d)[0],
+                       k1_max=0.8)
+    _, rt = max_r2(d, cons)
+    assert rt.r2 == 0.0
+    assert _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons, 1e-9)
 
 
 def test_max_r2_infeasible(paper):
@@ -417,8 +434,9 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
     """On random channels (x3_size 2 and 3) with R3_min a fraction of the
     capacity, max_r2 takes the exact path: caps met at 1e-9, at most
     max_phases phases, r2 at least a grid oracle's lower bound, a
-    certificate gap within 1e-6 at x3_size 2 (the law search is
-    one-dimensional there), and the same bytes again."""
+    certificate gap within 1e-6 at x3_size 2 (measured on these seeds: the
+    law search is local there too, and random_problem(47) at 0.8 x
+    capacity ends with r2 above its bound), and the same bytes again."""
     d, cons, _ = random_problem(seed)
     cons = replace(cons, R3_min=frac * cm.capacity_x3(d)[0])
     plan, rt = max_r2(d, cons)
@@ -434,19 +452,19 @@ def test_max_r2_r3_exact_on_random_channels(seed, frac, lp_bounds):
 
 
 @pytest.mark.parametrize("seed, want", [
-    (0, "(PhasePlan(p_t=(0.41186978143514835, 0.5881302185648517), "
-        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.15614423434405644, "
-        "0.8438557656559437)), rho1=(0.0, 0.6759339325579771), "
-        "rho2=(2.141207589218762, 0.0), beta1=0.999999999993133, "
-        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950081398, "
-        "R3=0.06197690627473968, k1=0.0, k2=0.0, unit='bits', "
+    (0, "(PhasePlan(p_t=(0.41187113710095796, 0.5881288628990421), "
+        "p_x3_given_t=((0.0, 1.0, 0.0), (0.0, 0.1561448007342801, "
+        "0.8438551992657201)), rho1=(0.0, 0.6759358012636104), "
+        "rho2=(2.141200541505746, 0.0), beta1=0.9999999999930363, "
+        "beta2=1.0), RateTuple(r1=1.2196202760562547, r2=1.8362474950340237, "
+        "R3=0.061976906274739896, k1=0.0, k2=0.0, unit='bits', "
         "perfectly_covert=False))"),
     (25, "(PhasePlan(p_t=(1.0,), "
-         "p_x3_given_t=((0.0, 0.9497685664420963, 0.050231433557903875),), "
-         "rho1=(0.39590036689370633,), rho2=(0.9321714294500165,), "
-         "beta1=0.9999999999964408, beta2=1.0), "
-         "RateTuple(r1=2.9882048995946704, r2=6.988305886593154, "
-         "R3=0.1342324486246127, k1=0.0, k2=0.0, unit='bits', "
+         "p_x3_given_t=((0.0, 0.9497685664431761, 0.050231433556824086),), "
+         "rho1=(0.39590036689336033,), rho2=(0.9321714294549348,), "
+         "beta1=0.9999999999994921, beta2=1.0), "
+         "RateTuple(r1=2.9882048995946704, r2=6.988305886614629, "
+         "R3=0.13423244862257683, k1=0.0, k2=0.0, unit='bits', "
          "perfectly_covert=False))")], ids=["0", "25"])
 def test_max_r2_r3_x3_size_3_pinned(seed, want):
     """The R3 > 0 path at x3_size 3 (law search from a simplex lattice),
@@ -484,12 +502,13 @@ def test_max_r2_r3_certificate_gates(seed, frac, lp_bounds):
     assert one.r2 <= rt.r2 * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("seed, frac", [(5, 0.8), (20, 0.8), (12, 0.95)])
+@pytest.mark.parametrize("seed, frac", [(12, 0.8), (0, 0.95), (15, 0.95),
+                                        (12, 0.95)])
 def test_max_r2_r3_after_phase_one(seed, frac, lp_bounds, monkeypatch):
-    """Where no seed column set meets the constraints (x3_size 3), phase 1
-    finds a feasible one and the generation goes on from it: caps met at
-    1e-9, bound >= r2, and no single phase beats the plan, both to 1e-12
-    relative."""
+    """Where no seed column set with time in it meets the constraints
+    (x3_size 3), the master sits at p = 0, phase 1 finds a feasible column
+    set and the generation goes on from it: caps met at 1e-9, bound >= r2,
+    and no single phase beats the plan, both to 1e-12 relative."""
     phase1 = []
     inner = region._r3_solve
 
@@ -593,10 +612,11 @@ def test_max_r2_r3_within_accuracy_band(key, lp_bounds):
 
 
 def test_max_r2_r3_corner_work(monkeypatch):
-    """The corner solve at R3_min = 0.1 runs at most 19 LPs and 223 pricing
-    calls (27 and 551 when every lattice start walked and no column was
-    interpolated): the counts are deterministic, so a law search that
-    walks again or a tail of halving rounds shows here."""
+    """The corner solve at R3_min = 0.1 runs at most 17 LPs and 197 pricing
+    calls (19 and 219 under a Dinkelbach level z, 27 and 551 when every
+    lattice start walked and no column was interpolated): the counts are
+    deterministic, so a law search that walks again or a tail of halving
+    rounds shows here."""
     calls = {"_highs_solve": 0, "_r3_price": 0}
 
     def counter(name):
@@ -610,7 +630,7 @@ def test_max_r2_r3_corner_work(monkeypatch):
     for name in calls:
         monkeypatch.setattr(region, name, counter(name))
     max_r2(*_band_problem("corner", 0), PHASES)
-    assert calls["_highs_solve"] <= 19 and calls["_r3_price"] <= 223
+    assert calls["_highs_solve"] <= 17 and calls["_r3_price"] <= 197
 
 
 def test_max_r2_r3_prices_forbidden_laws_as_silent(lp_bounds):
@@ -636,9 +656,8 @@ def test_max_r2_r3_prices_forbidden_laws_as_silent(lp_bounds):
 
 
 def test_r3_generate_stops_when_a_round_changes_nothing(monkeypatch):
-    """A round that prices no new column and whose LP point does not raise
-    the Dinkelbach level z would repeat itself; each column generation
-    (the main one and the polish) then stops after one LP."""
+    """A round that prices no new column would repeat itself; each column
+    generation (the main one and the polish) then stops after one LP."""
     d, cons, _ = random_problem(1)
     cons = replace(cons, R3_min=0.3 * cm.capacity_x3(d)[0])
     solves, inner = [], region._r3_solve
@@ -649,7 +668,6 @@ def test_r3_generate_stops_when_a_round_changes_nothing(monkeypatch):
 
     monkeypatch.setattr(region, "_r3_solve", counted)
     monkeypatch.setattr(region, "_priced", lambda *args: [])
-    monkeypatch.setattr(region, "_r3_point", lambda *args: (0.0, 0.0))
     assert region._lp_max_r2_r3(d, cons, "bits") is not None
     assert solves == [False, False]
 
@@ -731,11 +749,11 @@ def test_max_r2_key_limited_fix0_single_phase(paper):
 
 def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
     """Every LP of the paper corner at R3 = 0 and 0.1, of a phase-1 round
-    (the corner at R3 = 0.3, out of its reach) and of random_problem(18) at
-    k2_max = 0 (infeasible at N2 = 1, then D = 1) gives the x and the
-    marginals of scipy.optimize.linprog on the same LP, bit for bit, and
-    _INFEASIBLE where linprog's status is 2; a row with an infinite or NaN
-    entry is a ValueError in both."""
+    (the corner at R3 = 0.3, out of its reach) and of random_problem(18)
+    (ten mode LPs) and (3) (infeasible at N2 = 1, then D = 1) at
+    k2_max = 0 gives the x and the marginals of scipy.optimize.linprog on
+    the same LP, bit for bit, and _INFEASIBLE where linprog's status is 2;
+    a row with an infinite or NaN entry is a ValueError in both."""
     from scipy.optimize import linprog
     lps, inner = [], region._highs_solve
 
@@ -749,8 +767,9 @@ def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
     max_r2(paper, replace(corner, R3_min=0.1))
     with pytest.raises(InfeasibleError):
         max_r2(paper, replace(corner, R3_min=0.3))
-    d, cons, _ = random_problem(18)
-    max_r2(d, replace(cons, k2_max=0.0))
+    for seed in (18, 3):
+        d, cons, _ = random_problem(seed)
+        max_r2(d, replace(cons, k2_max=0.0))
 
     def reference(cost, a_ub, b_ub, eq_row, lb, ub):
         return linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=eq_row[None, :],
@@ -765,8 +784,8 @@ def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
         assert got[0].tobytes() == want.x.tobytes()
         assert got[1].tobytes() == np.append(want.ineqlin.marginals,
                                              want.eqlin.marginals).tobytes()
-    phase1 = [lb[-2] == -math.inf and ub[-1] == math.inf
-              for (_, _, _, _, lb, ub), _ in lps]
+    phase1 = [ub[-2] == 0.0 and ub[-1] == math.inf     # w = 0, e free
+              for (*_, ub), _ in lps]
     assert any(phase1) and region._INFEASIBLE in [got for _, got in lps]
     assert any(isinstance(got, tuple) for _, got in lps)
     for bad in (math.inf, math.nan):
@@ -1071,7 +1090,7 @@ def test_silent_user_adds_nothing_where_its_divergence_is_infinite(paper):
 
 
 @pytest.mark.parametrize("r3, lp_r2", [(0.0, 0.8078528075699453),
-                                       (0.1, 0.6066882522023839)])
+                                       (0.1, 0.6066882522049194)])
 def test_max_r2_falls_back_on_one_phase_when_highs_fails(
         paper, monkeypatch, r3, lp_r2):
     """Where HiGHS ends short of an optimum (here from the third LP on),
