@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage, 3 input validation, 4 infeasible constraints,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -296,10 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call of main and reused: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -3,6 +3,11 @@ random codebooks, encoding under both hypotheses, the successive threshold
 decoder, Monte-Carlo error estimation, and the exact warden divergence at
 desk scale.
 
+The exact divergence enumerates every output sequence, in blocks of at most
+_SUM_CHUNK outputs whose terms go to an exact accumulator as they are made,
+so its memory is bounded by _PREFIX_CAP doubles plus a few blocks for any n,
+and ENUM_CAP bounds only its time.
+
 Covert codewords are i.i.d. Bernoulli at density rho * omega_n / sqrt(n_t)
 over the active fraction of each phase; the non-covert codewords are i.i.d.
 from the phase's x3 distribution.  Under hypothesis 0 the covert users send
@@ -346,43 +351,84 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     product law, conditioned on the non-covert message.
 
     Enumerates all |Z|^n output sequences and all (message, key) pairs;
-    refuses when that exceeds ENUM_CAP.  The shorter user's padding
-    segment enters as an exact per-symbol Bernoulli mixture.  Both laws are
-    held in the reversed layout of ``_product_law`` (z_0 varies fastest);
-    each (mixture, reference) pair of probabilities is the same as in
-    lexicographic order, and the KL terms are summed by ``_exact_sum``,
-    which is correctly rounded and so returns the same value in any order.
+    refuses when that exceeds ENUM_CAP, which bounds the time.  A w3
+    outside [0, m3) raises IndexError and a bad unit ValueError, before any
+    enumeration.  The shorter user's padding segment enters as an exact
+    per-symbol Bernoulli mixture.
+
+    The outputs are taken in the reversed layout of ``_product_law`` (z_0
+    varies fastest), in blocks of |Z|^s contiguous outputs: s is the largest
+    number of leading positions with |Z|^s <= _SUM_CHUNK and
+    (pairs + 1) |Z|^s <= _PREFIX_CAP (s = 6 at n >= 6 on a 6-symbol warden
+    with up to 21 pairs).  The product law of each pair, and of the all-off
+    reference, over those s positions is built once.  A block's entries are
+    that law times the block's symbol probabilities at the other positions,
+    left to right, summed over the pairs in order, so every probability is
+    bit for bit the entry of the whole product law.  The KL terms go block
+    by block to ``_ExactSum``, which is correctly rounded and so returns the
+    same value in any order.  Memory is O(pairs |Z|^s), at most _PREFIX_CAP
+    doubles, plus three blocks, not O(|Z|^n).
     """
     cfg = ens.cfg
-    n = ens.n
-    work = d.z_size ** n * cfg.pair_count() if n > 0 else 0
+    if not (0 <= w3 < cfg.m3):
+        raise IndexError("w3 out of range")
+    scale = unit_factor(unit)
+    n, zs, pairs = ens.n, d.z_size, cfg.pair_count()
+    work = zs ** n * pairs if n > 0 else 0
     if work > ENUM_CAP:
         raise EnumerationCapError(
             f"|Z|^n * pairs = {work} exceeds enumeration cap {ENUM_CAP}")
     x3 = ens.x3[w3]
     gz, k = d.gamma_z, d.x3_size
-    ref = _product_law(gz[x3])
+    x1 = ens.x1.reshape(cfg.m1 * cfg.k1, 1, n).astype(int)
+    x2 = ens.x2.reshape(1, cfg.m2 * cfg.k2, n).astype(int)
+    idx = np.vstack([(x1 * (2 * k) + x2 * k + x3).reshape(pairs, n), x3])
+    laws = gz[idx]          # the pairs' per-position laws, then the all-off's
     # padding positions mix the short user's symbols 0 and 1 at its density
     pad, p = ens.pad_idx, ens.pad_p[:, None]
     pad_step = 2 * k if ens.swapped else k
-    qhat = np.zeros_like(ref)
-    law = np.empty_like(ref)
-    for x1 in ens.x1.reshape(cfg.m1 * cfg.k1, n).astype(int):
-        for x2 in ens.x2.reshape(cfg.m2 * cfg.k2, n).astype(int):
-            idx = x1 * (2 * k) + x2 * k + x3
-            rows = gz[idx]
-            rows[pad] = (1 - p) * rows[pad] + p * gz[idx[pad] + pad_step]
-            qhat += _product_law(rows, law)
-    qhat /= cfg.pair_count()
-    if not qhat.all():              # drop the 0 log 0 terms
-        mask = qhat > 0
-        qhat, ref = qhat[mask], ref[mask]
-    if not ref.all():
-        return math.inf
-    terms = np.divide(qhat, ref, out=law[:len(qhat)])
-    np.log(terms, out=terms)
-    terms *= qhat
-    return _exact_sum(terms) / unit_factor(unit)
+    mixed = gz[idx[:-1, pad] + pad_step]
+    laws[:-1, pad] = (1 - p) * laws[:-1, pad] + p * mixed
+    s, size = 0, 1                      # positions 0..s-1 vary in a block
+    while (s < n and size * zs <= _SUM_CHUNK
+           and (pairs + 1) * size * zs <= _PREFIX_CAP):
+        s, size = s + 1, size * zs
+    prefix = np.empty((pairs + 1, size))
+    for rows, out in zip(laws, prefix):
+        _product_law(rows[:s], out)
+    cols = np.arange(s, n)
+    q, law, ref = np.empty(size), np.empty(size), np.empty(size)
+    acc = _ExactSum()
+    for block in range(zs ** (n - s)):
+        digits = [block // zs ** i % zs for i in range(n - s)]  # z_s, ...
+        *factors, ref_factors = laws[:, cols, digits].tolist()
+        q.fill(0.0)
+        for pre, f in zip(prefix, factors):
+            q += _scaled(pre, f, law)
+        q /= pairs
+        r = _scaled(prefix[-1], ref_factors, ref)
+        qb = q
+        if not q.all():             # drop the 0 log 0 terms
+            mask = q > 0
+            qb, r = q[mask], r[mask]
+        if not r.all():
+            return math.inf
+        terms = np.divide(qb, r, out=law[:len(qb)])
+        np.log(terms, out=terms)
+        terms *= qb
+        acc.add(terms)
+    return acc.value() / scale
+
+
+def _scaled(law: np.ndarray, factors: list, out: np.ndarray) -> np.ndarray:
+    """((law * f_0) * f_1) * ..., left to right, written into ``out``;
+    ``law`` itself when there are no factors."""
+    if not factors:
+        return law
+    np.multiply(law, factors[0], out=out)
+    for f in factors[1:]:
+        out *= f
+    return out
 
 
 def _product_law(rows, out=None) -> np.ndarray:
@@ -403,46 +449,73 @@ def _product_law(rows, out=None) -> np.ndarray:
     return out
 
 
-_SUM_CHUNK = 1 << 16
+_SUM_CHUNK = 1 << 16                # most terms per bincount and per block
+_PREFIX_CAP = 1 << 20               # most doubles in exact_delta's prefix laws
 _EXP_OFFSET = 1074                  # np.frexp exponents lie in [-1073, 1024]
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """math.fsum(a.tolist()), bit for bit, without making Python floats
+class _ExactSum:
+    """A running sum that returns math.fsum of every term added, bit for
+    bit, however the terms are split into arrays and in whatever order
     (short of fsum's overflow errors, raised here only for a sum too large).
 
     Each finite a_i is M_i 2^(e_i - 53) with an integer |M_i| < 2^53
-    (np.frexp).  The 26-bit halves of M_i are summed per exponent by
-    np.bincount, in chunks small enough that the partial sums stay below
-    2^53 and so are exact.  The buckets are then combined as Python ints
-    and rounded once: the result is the correctly rounded sum, the same for
-    any order of a.
+    (np.frexp), split as M_i = hi_i 2^26 + lo_i with 0 <= lo_i < 2^26.  The
+    halves are summed per exponent by np.bincount, in chunks of _SUM_CHUNK
+    terms, small enough that the partial sums stay exact, into int64
+    buckets.  ``value`` combines the buckets as Python ints and rounds
+    once: the correctly rounded sum.  The chunk buffers are allocated once.
     """
-    a = np.asarray(a, dtype=float)
-    special = ~np.isfinite(a)
-    if special.any():               # fsum's inf/nan rules ignore finite terms
-        return math.fsum(a[special].tolist())
-    size = 2 * _EXP_OFFSET
-    hi_sum = np.zeros(size, dtype=np.int64)
-    lo_sum = np.zeros(size, dtype=np.int64)
-    chunk = min(_SUM_CHUNK, len(a))
-    m_buf, e_buf, hi_buf = np.empty(chunk), np.empty(chunk, np.int32), np.empty(chunk)
-    for start in range(0, len(a), _SUM_CHUNK):
-        part = a[start:start + _SUM_CHUNK]
-        m, e, hi = m_buf[:len(part)], e_buf[:len(part)], hi_buf[:len(part)]
-        np.frexp(part, out=(m, e))
-        np.ldexp(m, 53, out=m)      # the integer mantissa M, held exactly
-        np.multiply(m, 2.0 ** -26, out=hi)
-        np.floor(hi, out=hi)
-        m -= hi * 2.0 ** 26         # M = hi 2^26 + m with 0 <= m < 2^26
+
+    def __init__(self):
+        self.hi = np.zeros(2 * _EXP_OFFSET, dtype=np.int64)
+        self.lo = np.zeros(2 * _EXP_OFFSET, dtype=np.int64)
+        self.special: list[float] = []      # the inf and nan terms
+        self.negative = None    # every term has its sign bit (None: no term)
+        self._m, self._h = np.empty(_SUM_CHUNK), np.empty(_SUM_CHUNK)
+        self._e = np.empty(_SUM_CHUNK, dtype=np.intp)
+        self._b = np.empty(_SUM_CHUNK, dtype=bool)
+
+    def add(self, a: np.ndarray) -> None:
+        for start in range(0, len(a), _SUM_CHUNK):
+            self._add_chunk(a[start:start + _SUM_CHUNK])
+
+    def _add_chunk(self, part: np.ndarray) -> None:
+        size = len(part)
+        finite = np.isfinite(part, out=self._b[:size])
+        if self.special or not finite.all():
+            # fsum's inf/nan rules ignore finite terms
+            self.special += part[~finite].tolist()
+            return
+        if self.negative is not False:
+            self.negative = bool(np.signbit(part, out=self._b[:size]).all())
+        m, e, hi = self._m[:size], self._e[:size], self._h[:size]
+        np.frexp(part, out=(m, e))      # part = m 2^e with 1/2 <= |m| < 1
+        m *= 2.0 ** 27                  # M / 2^26, exactly
+        np.floor(m, out=hi)             # M = hi 2^26 + lo, 0 <= lo < 2^26
+        m -= hi                         # lo / 2^26: multiples of 2^-26
         e += _EXP_OFFSET
-        hi_sum += np.bincount(e, weights=hi, minlength=size).astype(np.int64)
-        lo_sum += np.bincount(e, weights=m, minlength=size).astype(np.int64)
-    used = np.flatnonzero(hi_sum | lo_sum).tolist()
-    base = used[0] if used else 0
-    total = sum(((int(hi_sum[b]) << 26) + int(lo_sum[b])) << (b - base)
-                for b in used)
-    if total == 0:                  # -0.0 only when every term is -0.0
-        return math.fsum([-0.0]) if len(a) and np.signbit(a).all() else 0.0
-    shift = base - _EXP_OFFSET - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        self.hi += np.bincount(e, weights=hi, minlength=len(self.hi)).astype(
+            np.int64)
+        self.lo += (np.bincount(e, weights=m, minlength=len(self.lo))
+                    * 2.0 ** 26).astype(np.int64)
+
+    def value(self) -> float:
+        if self.special:
+            return math.fsum(self.special)
+        used = np.flatnonzero(self.hi | self.lo).tolist()
+        base = used[0] if used else 0
+        total = sum(((int(self.hi[b]) << 26) + int(self.lo[b])) << (b - base)
+                    for b in used)
+        if total == 0:                  # -0.0 only when every term is -0.0
+            return math.fsum([-0.0]) if self.negative else 0.0
+        shift = base - _EXP_OFFSET - 53
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()), bit for bit, without making Python floats:
+    an ``_ExactSum`` fed the whole of ``a``."""
+    acc = _ExactSum()
+    acc.add(np.asarray(a, dtype=float))
+    return acc.value()

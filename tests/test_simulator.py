@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from covertmac import simulator
 from covertmac.infotheory import unit_factor
 from covertmac.region import PhasePlan, theorem1_sizing
 from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
-                                 _exact_sum, _receiver_sample,
+                                 _ExactSum, _exact_sum, _receiver_sample,
                                  auto_thresholds, build_codebooks,
                                  channel_sample, decode, encode, exact_delta,
                                  phase_lengths, run_trials, wilson_interval)
@@ -547,17 +548,105 @@ KERNEL_PLANS = {
                                  beta1=1.0, beta2=0.8),
     "all-zero": PhasePlan.single_phase((0.535, 0.465), 0.0, 0.0),
 }
+# Warden rows with zeros: no x3 = 1 row gives z = 5, and the all-off row at
+# x3 = 0 never gives z = 4, which every covert-on row at x3 = 0 does.
+GZ_ZEROS = [[0.2, 0.2, 0.2, 0.2, 0.0, 0.2], [0.2, 0.3, 0.2, 0.1, 0.2, 0.0],
+            [0.1, 0.2, 0.2, 0.2, 0.1, 0.2], [0.3, 0.2, 0.1, 0.2, 0.2, 0.0],
+            [0.2, 0.1, 0.3, 0.1, 0.1, 0.2], [0.1, 0.1, 0.3, 0.3, 0.2, 0.0],
+            [0.1, 0.1, 0.2, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.2, 0.2, 0.0]]
+# On GZ_ZEROS: the covert users are silent at x3 = 0 over the first 6 of 8
+# positions (the first block's prefix) and send over the last 2, at x3 = 1
+# (a finite delta) or x3 = 0 (inf).  The zero mixture entries lie in every
+# block and the inf in a block other than the first.
+ZERO_PLANS = {
+    f"zeros-{tag}": PhasePlan(p_t=(0.75, 0.25),
+                              p_x3_given_t=((1.0, 0.0), last),
+                              rho1=(0.0, 2.0), rho2=(0.0, 2.0))
+    for tag, last in (("finite", (0.0, 1.0)), ("inf", (1.0, 0.0)))}
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_PLANS))
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("name", sorted(KERNEL_PLANS) + sorted(ZERO_PLANS))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_exact_delta_bits_match_reference_kernel(paper, name, n):
-    cfg = SimConfig(n=n, plan=KERNEL_PLANS[name], m1=2, m2=2, m3=2, k1=1,
-                    k2=1, trials=0)
-    ens = build_codebooks(cfg, rng_for(44, n), d=paper)
+    """16 pairs, both padding sides, and n across the block size (6^6 <=
+    _SUM_CHUNK < 6^7, so n = 7 and 8 take 6 and 36 blocks)."""
+    from conftest import make_dmc
+    d = paper if name in KERNEL_PLANS else make_dmc(paper.gamma_y, GZ_ZEROS)
+    plan = KERNEL_PLANS[name] if name in KERNEL_PLANS else ZERO_PLANS[name]
+    cfg = SimConfig(n=n, plan=plan, m1=2, m2=2, m3=2, k1=2, k2=2, trials=0)
+    ens = build_codebooks(cfg, rng_for(44, n), d=d)
+    deltas = []
     for w3, unit in enumerate(("nats", "bits")):
-        assert (exact_delta(ens, paper, w3, unit).hex()
-                == _reference_exact_delta(ens, paper, w3, unit).hex())
+        deltas.append(exact_delta(ens, d, w3, unit))
+        want = _reference_exact_delta(ens, d, w3, unit)
+        assert deltas[-1].hex() == want.hex()
+    if n == 8 and name in ZERO_PLANS:
+        assert not ens.x1[..., :6].any() and ens.x1[..., 6:].any()
+        assert [math.isinf(v) for v in deltas] == [name == "zeros-inf"] * 2
+
+
+def test_exact_delta_many_pairs_shrink_the_block(paper):
+    """With 128 pairs at n = 6 the prefix laws of 6 positions would hold
+    129 * 6^6 doubles, over _PREFIX_CAP: the block drops to 6^5 outputs,
+    the bits stay the reference kernel's, and memory stays bounded."""
+    cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=4, m2=4, m3=1, k1=4, k2=2,
+                    trials=0)
+    assert 129 * 6 ** 5 <= simulator._PREFIX_CAP < 129 * 6 ** 6
+    ens = build_codebooks(cfg, rng_for(50), d=paper)
+    got, peak = _traced_peak(lambda: exact_delta(ens, paper, 0))
+    assert got.hex() == _reference_exact_delta(ens, paper, 0).hex()
+    assert peak <= 16e6
+
+
+@pytest.mark.parametrize("plan, deltas", [
+    (PLAN_X0, ("0x1.877c0274cc780p+0",) * 2),
+    (PLAN_DENSE, ("0x1.bb25f657a215fp+1", "0x1.92116ac454f0bp+1")),
+], ids=["plan-A", "plan-B"])
+def test_exact_delta_enumerate_workload_pinned(paper, plan, deltas):
+    """The n = 8, 16-pair configurations of the benchmark's enumerate
+    workload (its ENUM_PLAN_A and ENUM_PLAN_B), 36 blocks each, recorded
+    with the whole-array kernel."""
+    cfg = SimConfig(n=8, plan=plan, m1=2, m2=2, m3=2, k1=2, k2=2, trials=0)
+    ens = build_codebooks(cfg, rng_for(48), d=paper)
+    got = [exact_delta(ens, paper, w3).hex() for w3 in range(2)]
+    assert got == list(deltas)
+
+
+def test_exact_delta_memory_is_not_exponential_in_n(paper):
+    """One call at n = 8 with 16 pairs on plan B peaks at about 9 MB under
+    tracemalloc; the whole-array kernel held three 6^8 arrays (a 44 MB
+    peak)."""
+    cfg = SimConfig(n=8, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
+                    trials=0)
+    ens = build_codebooks(cfg, rng_for(48), d=paper)
+    assert _traced_peak(lambda: exact_delta(ens, paper, 0))[1] <= 16e6
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc saw it use."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("w3, unit, error, match", [
+    (-1, "nats", IndexError, "w3 out of range"),
+    (2, "nats", IndexError, "w3 out of range"),
+    (0, "furlongs", ValueError, "unit must be"),
+], ids=["w3-negative", "w3-m3", "unit"])
+def test_exact_delta_checks_arguments_before_enumerating(paper, monkeypatch,
+                                                         w3, unit, error,
+                                                         match):
+    cfg = SimConfig(n=4, plan=PLAN_Q, m3=2, trials=0)
+    ens = build_codebooks(cfg, rng_for(49), d=paper)
+    laws = []
+    monkeypatch.setattr(simulator, "_product_law",
+                        lambda *args: laws.append(args))
+    with pytest.raises(error, match=match):
+        exact_delta(ens, paper, w3, unit)
+    assert laws == []
 
 
 def _same_sum(a):
@@ -602,6 +691,29 @@ def test_exact_sum_over_chunks(length, seed, lo, hi):
     a = gen.standard_normal(length) * 10.0 ** gen.uniform(lo, hi, length)
     _same_sum(a)
     _same_sum(np.concatenate([a, -a[::-1], a[:7]]))
+
+
+def _outcome(total):
+    """total()'s hex, or the message of fsum's ValueError on inf + -inf."""
+    try:
+        return total().hex()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(FINITE, st.sampled_from(
+           [-0.0, 5e-324, math.inf, -math.inf, math.nan])), max_size=60),
+       st.lists(st.integers(0, 60), max_size=6))
+@example([-0.0, -0.0], [1])
+@example([1.0, -1.0, -0.0], [1, 2])
+@example([math.inf, 1.0, -math.inf], [1, 2])
+def test_exact_sum_accumulator_any_split(xs, cuts):
+    """_ExactSum fed the pieces of any split of a list returns fsum's bits."""
+    acc = _ExactSum()
+    for part in np.split(np.asarray(xs, dtype=float), sorted(cuts)):
+        acc.add(part)
+    assert _outcome(acc.value) == _outcome(lambda: math.fsum(xs))
 
 
 PIN_PLAN = dict(p_t=(0.4, 0.6), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
