@@ -227,12 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covert/non-covert MAC rate regions and simulation")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False):
+    def common(p, budget=False, threads=False):
         p.add_argument("--channel", required=True,
                        help="channel JSON file, or 'paper' for the shipped example")
         p.add_argument("--unit", choices=("bits", "nats"), default="bits")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        if threads:     # accepted and ignored: every run is single-threaded
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if budget:      # --restarts and --max-iter are accepted and ignored
             p.add_argument("--restarts", type=int, default=64,
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("region", help="trace the (r2, R3) boundary")
-    common(p, budget=True)
+    common(p, budget=True, threads=True)
     p.add_argument("--r1", type=float, default=0.5)
     p.add_argument("--k1-max", type=float, default=0.8)
     p.add_argument("--k2-max", type=float, default=0.8)
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("curve", help="max r2 as a function of the k2 cap")
-    common(p, budget=True)
+    common(p, budget=True, threads=True)
     p.add_argument("--r1", type=float, default=0.1)
     p.add_argument("--k1-max", type=float, default=0.8)
     p.add_argument("--k2-grid", default="0:1:21")
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("simulate", help="finite-blocklength Monte-Carlo run")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--plan", required=True, help="phase-plan JSON file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega", type=float, default=None)

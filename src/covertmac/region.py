@@ -33,12 +33,15 @@ whole phases (lam, q, a), a = rho1 + rho2, and the only LP variables are
 p, beta2 times their time shares (Charnes-Cooper again): the numerators,
 G = D^2 and R3 are all linear in p.  Normalizing G <= sum p <= 1 makes
 r2 = sqrt2 N2 and k2 = sqrt2 K2, so each column set is one LP, max sqrt2
-N2 under homogeneous rows and the k2 cap.  A new column's lam and a
-minimize its reduced cost in closed form at each law q, so pricing is a
-search over laws alone (_best_laws: a pattern search from the best points
-of a lattice, its peaks in pricing), shared with the single phase, whose
-r2 is closed form in lam at each law too.  That search is local, so the
-LP's upper bound on r2 is measured, not proven.  A polish, priced at the
+N2 under homogeneous rows and the k2 cap.  Every row is linear in seven
+terms of a column, (n1, n2, key1, key2, chi, info, 1), so a solve prices
+from one table of its rows at the unit terms, as the mode LP does from
+its five mode terms.  A new column's lam and a minimize its reduced cost
+in closed form at each law q, so pricing is a search over laws alone
+(_best_laws: a pattern search from the best points of a lattice, its
+peaks in pricing), shared with the single phase, whose r2 is closed form
+in lam at each law too.  That search is local, so the LP's upper bound
+on r2 is measured, not proven.  A polish, priced at the
 plan's laws alone, merges the columns of each law into one phase.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
@@ -422,13 +425,11 @@ def _lp_solve(cols, cons: Constraints, eq_row):
                         np.full(n, math.inf))
 
 
-def _price(tab: _ChannelTerms, cons: Constraints, y, x: int):
-    """(reduced cost, lam) of the cheapest mode at x3 = x under the LP's row
-    duals ``y``.  The LP rows are linear in the mode terms, so the reduced
-    cost is c sqrt(chi2) + b lam + const; with chi2 = a2 lam^2 + 2 a1 lam + C
-    its minimum is at 0, 1 or a root of c^2 (a2 lam + a1)^2 = b^2 chi2."""
-    eye = np.eye(5)                     # reduced cost per unit mode term
-    w = -(y[:-1] @ _lp_rows(tuple(eye), cons)[0]) - y[-1] * eye[2]
+def _price(tab: _ChannelTerms, w, x: int):
+    """(reduced cost, lam) of the cheapest mode at x3 = x, whose reduced
+    cost is w . (sqrt(chi2), n1, n2, key1, key2), so c sqrt(chi2) + b lam +
+    const; with chi2 = a2 lam^2 + 2 a1 lam + C its minimum is at 0, 1 or a
+    root of c^2 (a2 lam + a1)^2 = b^2 chi2."""
     # n1, key1 grow with lam and n2, key2 with 1 - lam
     c, b = w[0], w[1:] @ (tab.one_hot[0][:, x] * [1.0, -1.0, 1.0, -1.0])
     A, B, C = tab.coef[:, x]
@@ -504,6 +505,7 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
     if modes is None:
         return None
     xs, lam, x, cols = modes
+    rows = _lp_rows(np.eye(5), cons)[0]   # the v part at unit mode terms
     for rnd in range(_LP_MAX_ROUNDS):
         sol = _lp_solve(cols, cons, cols[2])
         r2_zero = sol is _INFEASIBLE
@@ -515,7 +517,9 @@ def _lp_max_r2(d: Dmc, cons: Constraints, unit: str):
             return None
         if r2_zero or rnd == _LP_MAX_ROUNDS - 1:
             break
-        priced = [(*_price(tab, cons, sol[1], xx), xx) for xx in xs]
+        # reduced cost per unit mode term; the equality row is N2 = 1
+        w = -(sol[1][:-1] @ rows) - sol[1][-1] * np.eye(5)[2]
+        priced = [(*_price(tab, w, xx), xx) for xx in xs]
         new = [(l, xx) for val, l, xx in priced if val < -_LP_RC_TOL
                and not np.any((x == xx) & (np.abs(lam - l) <= 1e-12))]
         if not new:
@@ -655,10 +659,12 @@ def _law_lattice(cons: Constraints, cap: float, q_cap):
 
 
 def _r3_rows(cons: Constraints, t, phase1: bool):
-    """Objective and inequality rows of the master over (p >= 0, w, e), one
-    tuple (const, lin, quad, e, rhs) per row: column (lam, q, a) enters with
-    const + a lin + a^2 quad and e, the phase-1 slack, with its entry.  The
-    first row is the objective, maximized: sqrt2 N2, or -e in phase 1.
+    """(parts, (e, rhs)) of the objective and inequality rows of the master
+    over (p >= 0, w, e).  parts[i] = (const, lin, quad) of row i at the
+    terms t = (n1, n2, key1, key2, chi, info, 1), each linear in them:
+    column (lam, q, a) enters with const + a lin + a^2 quad and e, the
+    phase-1 slack, with its entry.  The first row is the objective,
+    maximized: sqrt2 N2, or -e in phase 1.
 
     p is beta2 times the time shares and w = 1 - sum p (Charnes-Cooper, as
     in the mode LP).  Rates are scale-free, so G <= sum p normalizes D, and
@@ -667,59 +673,46 @@ def _r3_rows(cons: Constraints, t, phase1: bool):
     k2_max = 0, as a smaller beta2 meets any positive cap.  beta1 drops out
     as in _lp_rows.
     """
-    n1, n2, key1, key2, chi, info, _ = t
+    n1, n2, key1, key2, chi, info, one = t
     u1, u2 = _cap_unit(cons.k1_max), _cap_unit(cons.k2_max)
-    rows = [(0.0, 0.0, 0.0, -1.0, 0.0) if phase1
-            else (0.0, SQRT2 * n2, 0.0, 0.0, 0.0), (-1.0, 0.0, chi, 0.0, 0.0)]
+    zero = 0.0 * one
+    rows = [(zero, zero, zero, -1.0, 0.0) if phase1
+            else (zero, SQRT2 * n2, zero, 0.0, 0.0),
+            (-one, zero, chi, 0.0, 0.0)]
     if cons.r1_min > 0:
-        rows.append((cons.r1_min, -SQRT2 * n1, 0.0, -1.0, 0.0))
+        rows.append((cons.r1_min * one, -SQRT2 * n1, zero, -1.0, 0.0))
     if cons.r1_min > 0 and math.isfinite(cons.k1_max):
-        rows.append((0.0, cons.r1_min / u1 * key1 - cons.k1_max / u1 * n1,
-                     0.0, -1.0, 0.0))
+        rows.append((zero, cons.r1_min / u1 * key1 - cons.k1_max / u1 * n1,
+                     zero, -1.0, 0.0))
     elif cons.k1_max == 0:
-        rows.append((0.0, key1, 0.0, -1.0, 0.0))
-    rows.append((cons.R3_min - info, 0.0, 0.0, -1.0, 0.0))
+        rows.append((zero, key1, zero, -1.0, 0.0))
+    rows.append((cons.R3_min * one - info, zero, zero, -1.0, 0.0))
     if cons.k2_max == 0 or (math.isfinite(cons.k2_max) and not phase1):
-        rows.append((0.0, SQRT2 / u2 * key2, 0.0, -1.0, cons.k2_max / u2))
-    return rows
+        rows.append((zero, SQRT2 / u2 * key2, zero, -1.0, cons.k2_max / u2))
+    return np.array([r[:3] for r in rows]), np.array([r[3:] for r in rows]).T
 
 
 def _r3_solve(t, a, cons: Constraints, phase1: bool):
-    """HiGHS optimum of the master over (p >= 0, w >= 0, e >= 0) with
-    sum p + w = 1: w = 0 in phase 1, e = 0 otherwise."""
-    rows = _r3_rows(cons, t, phase1)
+    """HiGHS optimum of the master over the columns (lam, q, a) with terms
+    t (_terms), p >= 0, w >= 0 and e >= 0 with sum p + w = 1: w = 0 in
+    phase 1, e = 0 otherwise."""
     n = len(a)
-    m = np.zeros((len(rows), n + 2))
-    for i, (const, lin, quad, e, _) in enumerate(rows):
-        m[i, :n] = const + a * lin + a * a * quad
-        m[i, n + 1] = e
+    parts, (e, rhs) = _r3_rows(cons, (*t[:6], np.ones(n)), phase1)
+    const, lin, quad = parts.transpose(1, 0, 2)
+    m = np.column_stack([const + a * lin + a * a * quad, np.zeros(len(e)), e])
     ub = np.full(n + 2, math.inf)
     ub[n if phase1 else n + 1] = 0.0
-    return _highs_solve(-m[0], m[1:], np.array([r[4] for r in rows[1:]]),
-                        np.append(np.ones(n + 1), 0.0), np.zeros(n + 2), ub)
+    return _highs_solve(-m[0], m[1:], rhs[1:], np.append(np.ones(n + 1), 0.0),
+                        np.zeros(n + 2), ub)
 
 
-def _r3_duals(y, cons: Constraints, phase1: bool):
-    """(coef, const): the reduced cost of a column under the LP's row duals
-    ``y``.  Every row is affine in the terms (n1, n2, key1, key2, chi,
-    info), so the rows at zero terms give const, their constants weighted
-    by the duals (the objective's by 1) plus the dual of sum p + w = 1, and
-    the rows at unit terms less those give, per part (const, lin, quad), a
-    coefficient of each term."""
-    yy = np.append(1.0, y[:-1])
-    zero = _r3_rows(cons, (0.0,) * 6 + (None,), phase1)
-    unit = _r3_rows(cons, tuple(np.eye(6)) + (None,), phase1)
-    coef = [-sum(y_i * (np.broadcast_to(u[k], 6) - z[k])
-                 for y_i, u, z in zip(yy, unit, zero)) for k in range(3)]
-    return coef, -(yy @ [z[0] for z in zero]) - y[-1]
-
-
-def _r3_price(duals, laws):
+def _r3_price(coef, laws):
     """(reduced cost, lam, a) of the cheapest column at each law of
-    ``laws`` (_ChannelTerms.laws) under ``duals`` (_r3_duals).
+    ``laws`` (_ChannelTerms.laws) under a round's 3 x 7 ``coef``: the
+    reduced cost is sum_k a^k coef[k] . (n1, n2, key1, key2, chi, info, 1).
 
-    _r3_rows puts I(q) in the constant part, the numerators in the linear
-    part and chi in the quadratic one, so the reduced cost is
+    _r3_rows puts I(q) and 1 in the constant part, the numerators in the
+    linear part and chi in the quadratic one, so the reduced cost is
     beta + alpha a + g chi a^2: beta depends on the law only, alpha is
     affine in lam, and g >= 0 is the dual of G <= sum p.  In s = a sqrt(chi),
     s in [0, _R3_U_MAX], its minimum is non-decreasing in
@@ -727,9 +720,8 @@ def _r3_price(duals, laws):
     root of r' = 0, which is linear in lam.  Then s = -r / (2 g) (capped)
     where r < 0.  A law the warden forbids, or a lam at which it sees
     nothing (chi = 0), gets a = 0."""
-    coef, const = duals
     dq, (A, B, C), info, ok = laws
-    y, g = coef[1][:4], coef[2][4]
+    y, g = coef[1, :4], coef[2, 4]
     b0 = y[1::2] @ dq[1::2]                     # alpha = b0 + b1 lam
     b1 = y[0::2] @ dq[0::2] - b0
     a2, a1 = A - 2.0 * B + C, B - C     # chi = a2 lam^2 + 2 a1 lam + C
@@ -747,19 +739,19 @@ def _r3_price(duals, laws):
         s = np.where(r < 0, np.minimum(-r / (2.0 * g), _R3_U_MAX)
                      if g > 0 else _R3_U_MAX, 0.0)
         a = np.where(s > 0, s / np.sqrt(chi), 0.0)
-    return coef[0][5] * info + const + (r * s + g * s * s), lam, a
+    return coef[0, 5] * info + coef[0, 6] + (r * s + g * s * s), lam, a
 
 
-def _priced(duals, tab: _ChannelTerms, laws):
+def _priced(coef, tab: _ChannelTerms, laws):
     """[(reduced cost, lam, q, a)] of the cheapest column at each law q of
-    ``laws`` under ``duals`` (_r3_duals), lam and a in closed form
-    (_r3_price), best first; ties keep the order of ``laws``."""
-    rc, lam, a = (v.tolist() for v in _r3_price(duals, tab.laws(laws)))
+    ``laws`` under a round's ``coef`` (_r3_price), lam and a in closed form,
+    best first; ties keep the order of ``laws``."""
+    rc, lam, a = (v.tolist() for v in _r3_price(coef, tab.laws(laws)))
     return sorted(zip(rc, lam, laws, a), key=lambda c: c[0])
 
 
 def _law_search(tab: _ChannelTerms, laws, step: float):
-    """Pricer over the lattice ``laws`` (_law_lattice): price(duals) prices
+    """Pricer over the lattice ``laws`` (_law_lattice): price(coef) prices
     the lattice and runs _best_laws from its peaks, the laws that no law
     within 1.5 steps (max-norm) beats, so that no start walks the slope of
     another, and returns _priced at the laws found.  The search stops at
@@ -770,13 +762,13 @@ def _law_search(tab: _ChannelTerms, laws, step: float):
                     np.arange(len(laws))[:, None])
     terms = tab.laws(laws)
 
-    def price(duals):
-        val = -_r3_price(duals, terms)[0]
+    def price(coef):
+        val = -_r3_price(coef, terms)[0]
         peaks = laws[val >= val[near].max(axis=1)]
         q = [s[0] for s in _best_laws(
-            lambda q: (q, -_r3_price(duals, tab.laws(q))[0]), peaks, step,
+            lambda q: (q, -_r3_price(coef, tab.laws(q))[0]), peaks, step,
             1e-7)]
-        return _priced(duals, tab, np.array(q))
+        return _priced(coef, tab, np.array(q))
     return price
 
 
@@ -805,10 +797,14 @@ def _r3_between(new, lam, q, a):
 
 def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
     """Column generation from the columns (lam, q, a), priced each round
-    by price(_r3_duals(...)), which gives [(reduced cost, lam, q, a)] best
-    first: (p, lam, q, a, bound) of the last master solved outside phase 1
-    with its columns priced.  None when HiGHS fails before that; raises
+    by price(coef), which gives [(reduced cost, lam, q, a)] best first:
+    (p, lam, q, a, bound) of the last master solved outside phase 1 with
+    its columns priced.  None when HiGHS fails before that; raises
     InfeasibleError when no columns meet the constraints.
+
+    Each phase's rows are evaluated once, at the unit terms (_r3_rows), and
+    a round's coef (_r3_price) is -(1, y_ub) . table, less the dual of
+    sum p + w = 1 in the term 1.
 
     Each priced column also brings the columns between it and its nearest
     column of the same law group (_r3_between): the LP then holds the
@@ -825,6 +821,7 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
     e <= _R3_S_TOL, and its plan is the r2 = 0 answer where the master
     comes back to p = 0.
     """
+    table = {ph: _r3_rows(cons, np.eye(7), ph)[0] for ph in (False, True)}
     phase1 = was_phase1 = False
     last = kept = None
     for _ in range(_R3_MAX_ROUNDS):
@@ -840,7 +837,9 @@ def _r3_generate(tab: _ChannelTerms, cons: Constraints, price, lam, q, a):
         if not was_phase1 and p.sum() <= _R3_S_TOL:
             phase1 = was_phase1 = True      # find a feasible column set first
             continue
-        cols = price(_r3_duals(y, cons, phase1))
+        coef = -np.tensordot(np.append(1.0, y[:-1]), table[phase1], 1)
+        coef[0, 6] -= y[-1]
+        cols = price(coef)
         r2 = 0.0 if phase1 else SQRT2 * (p @ (a * t[1]))
         tol = _LP_RC_TOL * min(1.0, r2 or 1.0)  # relative to r2 below 1
         new = [c for c in cols if c[0] < -tol and not np.any(
@@ -931,7 +930,7 @@ def _lp_max_r2_r3(d: Dmc, cons: Constraints, unit: str):
     at = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     try:
         found = _r3_generate(
-            tab, cons, lambda duals: _priced(duals, tab, laws),
+            tab, cons, lambda coef: _priced(coef, tab, laws),
             np.append(lam[sup], np.zeros(len(laws))),
             np.vstack([laws[at], laws]),
             np.append(a[sup], np.zeros(len(laws))))

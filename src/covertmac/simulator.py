@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import Dmc
 from .infotheory import unit_factor
-from .region import (PhasePlan, _active_fractions, _plan_quantities, _rates,
-                     theorem1_sizing)
+from .region import (PhasePlan, _active_fractions, _plan_quantities,
+                     rate_tuple, theorem1_sizing)
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 MU = 0.5                          # auto-threshold backoff
@@ -278,7 +278,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     """
     t0 = time.perf_counter()
     if cfg.exact_divergence:    # an infinite chi-square fails before a trial
-        _rates(cfg.plan, "nats", *_plan_quantities(d, cfg.plan, "nats"))
+        rate_tuple(d, cfg.plan, "nats")
     eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
@@ -431,14 +431,12 @@ def _scaled(law: np.ndarray, factors: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_law(rows, out=None) -> np.ndarray:
+def _product_law(rows, out: np.ndarray) -> np.ndarray:
     """Product law of independent symbols with laws ``rows``, in reversed
     layout: z = (z_0, ..., z_{n-1}) sits at sum_i z_i |Z|^i.  Each entry is
     the left-to-right product ((1 * r_0[z_0]) * r_1[z_1]) * ..., bit for bit
     the entry of the lexicographic kron chain.  Every outer product runs its
     inner loop over the long axis and writes into ``out`` in place."""
-    if out is None:
-        out = np.empty(math.prod(len(r) for r in rows))
     out[0] = 1.0
     size = 1
     for r in rows:
@@ -511,11 +509,3 @@ class _ExactSum:
             return math.fsum([-0.0]) if self.negative else 0.0
         shift = base - _EXP_OFFSET - 53
         return float(total << shift) if shift >= 0 else total / (1 << -shift)
-
-
-def _exact_sum(a: np.ndarray) -> float:
-    """math.fsum(a.tolist()), bit for bit, without making Python floats:
-    an ``_ExactSum`` fed the whole of ``a``."""
-    acc = _ExactSum()
-    acc.add(np.asarray(a, dtype=float))
-    return acc.value()

@@ -111,6 +111,20 @@ def test_region_infeasible_exit_4(capsys, chan_file):
         assert code == 4 and "infeasible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--channel", "paper"],
+    ["sizing", "--channel", "paper", "--plan", "PLAN", "--n", "1000"],
+    ["verify-asymptotics", "--channel", "paper", "--random", "1"]],
+    ids=["profile", "sizing", "verify-asymptotics"])
+def test_threads_is_a_usage_error_where_never_passed(capsys, plan_file, argv):
+    """profile, sizing and verify-asymptotics take no --threads: with it they
+    exit 2 naming the flag, without it they run."""
+    argv = [plan_file if a == "PLAN" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--threads", "1")
+    assert code == 2 and "--threads" in err
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_simulate_report(capsys, chan_file, plan_file, tmp_path):
     f = tmp_path / "rep.json"
     code = main(["simulate", "--channel", chan_file, "--plan", plan_file,

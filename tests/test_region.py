@@ -633,6 +633,53 @@ def test_max_r2_r3_corner_work(monkeypatch):
     assert calls["_highs_solve"] <= 17 and calls["_r3_price"] <= 197
 
 
+@pytest.mark.parametrize("key", [("corner", 0), ("random", 0)],
+                         ids=["corner", "random0"])
+def test_r3_pricing_agrees_with_the_master_lp(key, monkeypatch):
+    """At every priced master LP of the paper corner at R3_min = 0.1 and of
+    random_problem(0) at 0.3 x capacity (x3_size 3), each column's reduced
+    cost from the round's coefficients, sum_k a^k (coef[k] . t) over the
+    terms t = (n1, n2, key1, key2, chi, info, 1), is cost_j - y . A_j of
+    the LP that HiGHS solved, to 1e-12 relative, and 0 within 1e-9 at
+    every support column: the one table of unit-term rows prices the LP
+    it came from."""
+    rounds = []
+    solve, master, generate = (region._highs_solve, region._r3_solve,
+                               region._r3_generate)
+
+    def solved(*args):
+        rounds[-1]["lp"] = args, solve(*args)
+        return rounds[-1]["lp"][1]
+
+    def mastered(t, a, *args):
+        rounds.append({"t": t, "a": a})
+        return master(t, a, *args)
+
+    def generated(tab, cons, price, *cols):
+        def priced(coef):
+            rounds[-1]["coef"] = coef
+            return price(coef)
+        return generate(tab, cons, priced, *cols)
+
+    monkeypatch.setattr(region, "_highs_solve", solved)
+    monkeypatch.setattr(region, "_r3_solve", mastered)
+    monkeypatch.setattr(region, "_r3_generate", generated)
+    max_r2(*_band_problem(*key))
+    priced = [r for r in rounds if "coef" in r]
+    assert len(priced) > 2
+    for r in priced:
+        (cost, a_ub, _, eq_row, _, _), (x, y) = r["lp"]
+        a = r["a"]
+        n = len(a)
+        terms = np.vstack([*r["t"][:6], np.ones(n)])
+        rc = sum(a ** k * (r["coef"][k] @ terms) for k in range(3))
+        parts = np.vstack([cost[:n], -y[:-1, None] * a_ub[:, :n],
+                           -y[-1] * eq_row[:n]])
+        assert np.all(np.abs(rc - parts.sum(axis=0))
+                      <= 1e-12 * np.abs(parts).sum(axis=0))
+        assert np.all(np.abs(rc[x[:n] > 1e-12]) <= 1e-9)
+
+
 def test_max_r2_r3_prices_forbidden_laws_as_silent(lp_bounds):
     """A law that sends the x3 symbol outside the warden's support can only
     be silent: pricing gives it a = 0 without NaN, so the R3 > 0 solve on
@@ -832,12 +879,17 @@ def test_price_is_exact(paper, monkeypatch, seed):
         d, cons = paper, Constraints(r1_min=0.5, k1_max=0.8, k2_max=0.8)
     else:
         d, cons, _ = random_problem(seed)
-    calls, inner = [], region._price
+    calls, lps, inner, solve = [], [], region._price, region._highs_solve
 
-    def recorded(tab, c, y, x):
-        calls.append((tab, y, x, inner(tab, c, y, x)))
+    def solved(*args):
+        lps.append(solve(*args))
+        return lps[-1]
+
+    def recorded(tab, w, x):             # priced at the last LP's duals
+        calls.append((tab, lps[-1][1], x, inner(tab, w, x)))
         return calls[-1][3]
 
+    monkeypatch.setattr(region, "_highs_solve", solved)
     monkeypatch.setattr(region, "_price", recorded)
     max_r2(d, cons)
     scan = np.linspace(0.0, 1.0, 10001)

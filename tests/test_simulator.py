@@ -13,7 +13,7 @@ from covertmac import simulator
 from covertmac.infotheory import unit_factor
 from covertmac.region import PhasePlan, theorem1_sizing
 from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
-                                 _ExactSum, _exact_sum, _receiver_sample,
+                                 _ExactSum, _receiver_sample,
                                  auto_thresholds, build_codebooks,
                                  channel_sample, decode, encode, exact_delta,
                                  phase_lengths, run_trials, wilson_interval)
@@ -650,8 +650,11 @@ def test_exact_delta_checks_arguments_before_enumerating(paper, monkeypatch,
 
 
 def _same_sum(a):
+    """An _ExactSum fed the whole of ``a`` returns fsum's bits."""
     a = np.asarray(a, dtype=float)
-    assert _exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+    acc = _ExactSum()
+    acc.add(a)
+    assert acc.value().hex() == math.fsum(a.tolist()).hex()
 
 
 # |a_i| <= 1e300 keeps fsum clear of intermediate overflow
