@@ -748,6 +748,60 @@ def test_simulator_outputs_pinned(paper, betas, fixed, counts, deltas):
     assert [exact_delta(ens, paper, w3).hex() for w3 in range(2)] == list(deltas)
 
 
+def _three_symbol_channel():
+    """x3_size 3, |Y| 5, |Z| 4: gamma_y has a zero column (-inf logs)."""
+    gen = np.random.default_rng(123)
+    gy = gen.dirichlet(np.ones(5), 12)
+    gy[:, 1] = 0
+    gy /= gy.sum(axis=1, keepdims=True)
+    gz = gen.dirichlet(np.ones(4), 12)
+    return cm.channel.Dmc(3, 5, 4, gy, gz)
+
+
+# REF_PLAN of tests/test_region.py and the benchmark's simulate workload
+SIM_REF_PLAN = PhasePlan(p_t=(0.6, 0.4), p_x3_given_t=((0.7, 0.3), (0.2, 0.8)),
+                         rho1=(0.9, 0.3), rho2=(0.4, 1.1), beta1=0.9, beta2=0.8)
+# a zero x3 entry in the first phase
+PLAN_THREE = PhasePlan(p_t=(0.5, 0.5), p_x3_given_t=((0.2, 0.0, 0.8),
+                                                      (0.3, 0.3, 0.4)),
+                       rho1=(1.0, 0.5), rho2=(0.7, 1.2), beta1=0.7, beta2=1.0)
+
+
+@pytest.mark.parametrize("chan, plan, seed, n, trials, fixed, counts", [
+    # the benchmark's two simulate configurations at seeds 0-2
+    ("paper", SIM_REF_PLAN, 0, 1000, 200, False,
+     (0, 151, {"w3_h0": 0, "w3": 0, "w1": 86, "w2": 102})),
+    ("paper", SIM_REF_PLAN, 0, 10_000, 40, True,
+     (0, 26, {"w3_h0": 0, "w3": 0, "w1": 15, "w2": 17})),
+    ("paper", SIM_REF_PLAN, 1, 1000, 200, False,
+     (0, 139, {"w3_h0": 0, "w3": 0, "w1": 77, "w2": 98})),
+    ("paper", SIM_REF_PLAN, 1, 10_000, 40, True,
+     (0, 20, {"w3_h0": 0, "w3": 0, "w1": 7, "w2": 16})),
+    ("paper", SIM_REF_PLAN, 2, 1000, 200, False,
+     (0, 125, {"w3_h0": 0, "w3": 0, "w1": 74, "w2": 87})),
+    ("paper", SIM_REF_PLAN, 2, 10_000, 40, True,
+     (0, 23, {"w3_h0": 0, "w3": 0, "w1": 17, "w2": 12})),
+    # -inf receiver logs and a zero x3 entry; n = 40 makes w3 errors
+    ("three", PLAN_THREE, 0, 1000, 60, False,
+     (0, 41, {"w3_h0": 0, "w3": 0, "w1": 15, "w2": 33})),
+    ("three", PLAN_THREE, 0, 40, 80, True,
+     (20, 75, {"w3_h0": 20, "w3": 28, "w1": 51, "w2": 63})),
+], ids=["ref-s0-n1e3", "ref-s0-n1e4-fixed", "ref-s1-n1e3",
+        "ref-s1-n1e4-fixed", "ref-s2-n1e3", "ref-s2-n1e4-fixed",
+        "three-n1e3", "three-n40-fixed"])
+def test_simulate_workload_reports_pinned(paper, chan, plan, seed, n, trials,
+                                          fixed, counts):
+    """Error counts recorded before the trial kernels were rewritten; the
+    draws, the sampling and every decode decision must keep them."""
+    d = paper if chan == "paper" else _three_symbol_channel()
+    rep = run_trials(SimConfig(n=n, plan=plan, m1=4, m2=4, m3=16, k1=2, k2=2,
+                               trials=trials, seed=seed, fixed_codebook=fixed),
+                     d)
+    e0, e1, stage = counts
+    assert (rep.pe0_hat, rep.pe1_hat) == (e0 / trials, e1 / trials)
+    assert rep.stage_errors == stage
+
+
 def test_codebook_storage_read_only(paper):
     plan = PhasePlan.single_phase((0.535, 0.465), 1.0, 1.0, beta1=1.0, beta2=0.5)
     cfg = SimConfig(n=40, plan=plan, trials=0)
