@@ -13,6 +13,9 @@ over the active fraction of each phase; the non-covert codewords are i.i.d.
 from the phase's x3 distribution.  Under hypothesis 0 the covert users send
 all-zero sequences.  All randomness flows through numpy Generators seeded
 from (seed, trial index), so reports are reproducible under any scheduling.
+The x3 draws equal rng.choice's bit for bit, from the same uniforms.
+Sampling and decoding read per-channel tables (cumulative output laws and
+log gamma_y) built once and kept on the Dmc.
 """
 from __future__ import annotations
 
@@ -116,7 +119,7 @@ class CodebookEnsemble:
             q = np.asarray(plan.p_x3_given_t[t], dtype=float)
             if len(q) != d_x3_size:
                 raise ValueError("plan x3 alphabet does not match the channel")
-            self.x3[:, off:off + nt] = rng.choice(d_x3_size, size=(cfg.m3, nt), p=q)
+            _choice_into(rng, q, self.x3[:, off:off + nt])
             # the shorter-active user pads [active_short, active_long)
             lo, hi = sorted((a1, a2))
             pad_idx.append(np.arange(off + lo, off + hi))
@@ -132,6 +135,20 @@ class CodebookEnsemble:
     def covert_sequence(self, user: int, w: int, s: int) -> np.ndarray:
         """Codeword symbols placed in the block, zeros elsewhere (no padding)."""
         return (self.x1 if user == 1 else self.x2)[w, s].copy()
+
+
+def _choice_into(rng: np.random.Generator, q: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Fill the zero array ``out`` with rng.choice(len(q), out.shape, p=q),
+    bit for bit and from the same uniforms.  choice normalises the cdf by its
+    last entry, draws rng.random(shape) and takes searchsorted(cdf, u,
+    "right"); as the cdf never falls and its last entry is exactly 1 > u,
+    that index is the number of the other entries at or below u."""
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(out.shape)
+    for c in cdf[:-1]:
+        out += u >= c
 
 
 def build_codebooks(cfg: SimConfig, rng: np.random.Generator,
@@ -165,21 +182,45 @@ def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
     return x[0], x[1], x3
 
 
+class _Tables:
+    """The tables the trial path reads, built once per channel.
+
+    ``cum_y``/``cum_z`` hold the first |Y| - 1 (|Z| - 1) columns of the
+    row-wise cumulative sums, transposed, and ``log_y`` is log(gamma_y)
+    raveled, so row r's entry for y sits at r |Y| + y.
+    """
+
+    def __init__(self, d: Dmc):
+        self.cum_y, self.cum_z = (np.cumsum(m, axis=1)[:, :-1].T.copy()
+                                  for m in (d.gamma_y, d.gamma_z))
+        with np.errstate(divide="ignore"):
+            self.log_y = np.log(d.gamma_y).ravel()
+
+
+def _tables(d: Dmc) -> _Tables:
+    """The trial tables of d, built on first use and kept on d."""
+    if "_sim_tables" not in d.__dict__:
+        object.__setattr__(d, "_sim_tables", _Tables(d))
+    return d.__dict__["_sim_tables"]
+
+
 def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
-    """Memoryless outputs (y, z); the two sides are sampled independently."""
-    rows = _input_rows(d, x1, x2, x3)
-    if len(rows) == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    y = _sample_rows(d.gamma_y, rows, rng)
-    z = _sample_rows(d.gamma_z, rows, rng)
-    return y, z
+    """Memoryless outputs (y, z); the two sides are sampled independently.
+    A symbol outside its input alphabet raises IndexError."""
+    xs = [np.asarray(x, dtype=int) for x in (x1, x2, x3)]
+    for name, x, size in zip(("x1", "x2", "x3"), xs, (2, 2, d.x3_size)):
+        if x.size and not (x.min() >= 0 and x.max() < size):
+            raise IndexError(f"{name} has a symbol outside [0, {size})")
+    rows = _input_rows(d, *xs)
+    tab = _tables(d)
+    return _sample(tab.cum_y, rows, rng), _sample(tab.cum_z, rows, rng)
 
 
 def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
-    """The y of channel_sample(d, x1, x2, x3, rng): z's uniforms are drawn and
-    dropped, so rng ends in the same state."""
+    """The y of channel_sample(d, x1, x2, x3, rng) for inputs in range: z's
+    uniforms are drawn and dropped, so rng ends in the same state."""
     rows = _input_rows(d, x1, x2, x3)
-    y = _sample_rows(d.gamma_y, rows, rng)
+    y = _sample(_tables(d).cum_y, rows, rng)
     rng.random(len(rows))
     return y
 
@@ -194,12 +235,17 @@ def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
     return x1 * (2 * d.x3_size) + x2 * d.x3_size + x3
 
 
-def _sample_rows(mat: np.ndarray, rows: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(mat, axis=1)[rows]
+def _sample(cum_t: np.ndarray, rows: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """One output per row by inverse CDF: the number of the row's first
+    |Y| - 1 cumulative sums at or below a uniform u.  A row's cumulative
+    sums never fall, so that is min((u >= cumsum(row)).sum(), |Y| - 1): the
+    last symbol also takes any mass that rounding leaves above the sums."""
     u = rng.random(len(rows))
-    out = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(out, mat.shape[1] - 1)
+    out = np.zeros(len(rows), dtype=int)
+    for c in cum_t:
+        out += u >= c.take(rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,20 +268,31 @@ def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
     """Successive decoder: w3 by maximum likelihood assuming silent covert
     users, then each covert message by a unique-above-threshold rule within
     the known key's sub-codebook.  Ties and failures resolve to the lowest
-    index and stage errors respectively."""
+    index and stage errors respectively.  An output outside [0, |Y|) raises
+    IndexError."""
     y = np.asarray(yn, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_gy = np.log(d.gamma_y)
-        # step 1: non-covert message, all-zero covert inputs assumed
-        w3_hat = int(np.argmax(log_gy[ens.x3, y].sum(axis=1)))
-        if hypothesis == 0:
-            return DecodeResult(w3=w3_hat)
-        x3 = ens.x3[w3_hat]
-        base = log_gy[x3, y]                    # (0,0,x3) index equals x3
-        hats = []
+    if y.size and not (y.min() >= 0 and y.max() < d.y_size):
+        raise IndexError(f"y has a symbol outside [0, {d.y_size})")
+    log_y = _tables(d).log_y
+    # step 1: non-covert message, all-zero covert inputs assumed; the
+    # (0,0,x3) row index equals x3.  The scores overwrite their index array
+    # (take reads each index before it writes that entry, mode "clip" writes
+    # in place, and every index is in range): with a second m3 x n array
+    # the allocator returned the memory to the OS after each decode and
+    # faulted it back in, which doubled the decode time at n = 10^4.
+    idx = ens.x3 * d.y_size
+    idx += y
+    scores = log_y.take(idx, out=idx.view(float), mode="clip")
+    w3_hat = int(np.argmax(scores.sum(axis=1)))
+    if hypothesis == 0:
+        return DecodeResult(w3=w3_hat)
+    base = scores[w3_hat]
+    row = ens.x3[w3_hat] * d.y_size + y
+    hats = []
+    with np.errstate(invalid="ignore"):
         for sub, row_off, eta in ((ens.x1[:, s1], 2 * d.x3_size, eta1),
                                   (ens.x2[:, s2], d.x3_size, eta2)):
-            gain = log_gy[row_off + x3, y] - base
+            gain = log_y.take(row + row_off * d.y_size) - base
             llr = np.where(sub == 1, gain, 0.0).sum(axis=1)
             hits = np.flatnonzero(llr > eta)
             hats.append(int(hits[0]) if len(hits) == 1 else None)

@@ -159,12 +159,85 @@ def test_channel_sample_empty(paper):
     assert len(y) == 0 and len(z) == 0
 
 
+@pytest.mark.parametrize("x1, x2, x3, name", [
+    (0, 0, 2, "x3"),        # would sample row (0, 1, 0)
+    (0, 0, -1, "x3"),       # would sample row (1, 1, 1)
+    (0, 2, 0, "x2"),        # would sample row (1, 0, 0)
+    (1, 1, 5, "x3"),        # row 11 of 8
+    (-1, 0, 0, "x1"),
+])
+def test_channel_sample_rejects_symbols_outside_the_alphabet(paper, x1, x2,
+                                                             x3, name):
+    xs = [np.array([0, v]) for v in (x1, x2, x3)]
+    with pytest.raises(IndexError, match=f"^{name} "):
+        channel_sample(paper, *xs, rng_for(19))
+
+
+# rows with zeros, and one whose cumulative sum ends below 1
+SAMPLE_ROWS = st.integers(1, 7).flatmap(lambda size: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+             min_size=size, max_size=size).filter(any),
+    min_size=4, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SAMPLE_ROWS, st.lists(st.integers(0, 3), max_size=60),
+       st.integers(0, 2**32 - 1))
+@example([[0.1] * 10, [0.0] * 9 + [1.0], [1.0] + [0.0] * 9,
+          [0.0, 0.5, 0.0, 0.5] + [0.0] * 6], [0, 1, 2, 3] * 5, 0)
+def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
+    mat = np.array(rows)
+    mat /= mat.sum(axis=1, keepdims=True)
+    if len(mat[0]) == 10:       # the example's first row as written
+        mat[0] = 0.1
+    size = mat.shape[1]
+    d = cm.channel.Dmc(1, size, size, mat, mat)
+    picks = np.array(picks, dtype=int)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulator._sample(simulator._tables(d).cum_y, picks, a)
+    u = b.random(len(picks))
+    want = [min(int((v >= np.cumsum(mat[r])).sum()), size - 1)
+            for v, r in zip(u, picks)]
+    assert got.tolist() == want
+    assert a.random() == b.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+           st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+           min_size=k, max_size=k).filter(any)),
+       st.integers(1, 4), st.integers(0, 50), st.integers(0, 2**32 - 1))
+@example([0.1] * 10, 3, 20, 0)
+@example([0.0, 1.0, 0.0], 2, 30, 1)
+def test_x3_draw_is_rng_choice(weights, m3, nt, seed):
+    q = np.array(weights) / sum(weights)
+    if len(q) == 10:            # cumsum ends below 1
+        q[:] = 0.1
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.zeros((m3, nt), dtype=int)
+    simulator._choice_into(a, q, got)
+    want = b.choice(len(q), size=(m3, nt), p=q)
+    np.testing.assert_array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_decode_m3_one_always_correct(paper):
     cfg = SimConfig(n=30, plan=PLAN_Q, m3=1, trials=0)
     ens = build_codebooks(cfg, rng_for(20), d=paper)
     x1, x2, x3 = encode(ens, 0, 0, 0, 0, 0, 0, rng_for(21))
     y, _ = channel_sample(paper, x1, x2, x3, rng_for(22))
     assert decode(ens, paper, y, 0, 0, 0, 0.0, 0.0).w3 == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("hypothesis", [0, 1])
+def test_decode_rejects_outputs_outside_the_alphabet(paper, bad, hypothesis):
+    cfg = SimConfig(n=30, plan=PLAN_Q, trials=0)
+    ens = build_codebooks(cfg, rng_for(20), d=paper)
+    y = np.zeros(30, dtype=int)
+    y[7] = bad
+    with pytest.raises(IndexError, match="^y "):
+        decode(ens, paper, y, 0, 0, hypothesis, 0.0, 0.0)
 
 
 def test_decode_threshold_minus_inf_trivial(paper):
