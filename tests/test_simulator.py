@@ -173,10 +173,10 @@ def test_channel_sample_rejects_symbols_outside_the_alphabet(paper, x1, x2,
         channel_sample(paper, *xs, rng_for(19))
 
 
-# rows with zeros, and one whose cumulative sum ends below 1
+# rows with zeros; their sums fall below 1 as well as above it
 SAMPLE_ROWS = st.integers(1, 7).flatmap(lambda size: st.lists(
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
-             min_size=size, max_size=size).filter(any),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+             min_size=size, max_size=size),
     min_size=4, max_size=4))
 
 
@@ -187,9 +187,6 @@ SAMPLE_ROWS = st.integers(1, 7).flatmap(lambda size: st.lists(
           [0.0, 0.5, 0.0, 0.5] + [0.0] * 6], [0, 1, 2, 3] * 5, 0)
 def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
     mat = np.array(rows)
-    mat /= mat.sum(axis=1, keepdims=True)
-    if len(mat[0]) == 10:       # the example's first row as written
-        mat[0] = 0.1
     size = mat.shape[1]
     d = cm.channel.Dmc(1, size, size, mat, mat)
     picks = np.array(picks, dtype=int)
@@ -205,17 +202,15 @@ def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda k: st.lists(
            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
-           min_size=k, max_size=k).filter(any)),
+           min_size=k, max_size=k).filter(any)).map(
+               lambda w: [v / sum(w) for v in w]),
        st.integers(1, 4), st.integers(0, 50), st.integers(0, 2**32 - 1))
-@example([0.1] * 10, 3, 20, 0)
+@example([0.1] * 10, 3, 20, 0)          # the cdf ends below 1
 @example([0.0, 1.0, 0.0], 2, 30, 1)
-def test_x3_draw_is_rng_choice(weights, m3, nt, seed):
-    q = np.array(weights) / sum(weights)
-    if len(q) == 10:            # cumsum ends below 1
-        q[:] = 0.1
+def test_x3_draw_is_rng_choice(q, m3, nt, seed):
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = np.zeros((m3, nt), dtype=int)
-    simulator._choice_into(a, q, got)
+    simulator._choice_into(a, np.array(q), got)
     want = b.choice(len(q), size=(m3, nt), p=q)
     np.testing.assert_array_equal(got, want)
     assert a.bit_generator.state == b.bit_generator.state
