@@ -245,3 +245,47 @@ def test_mixture_kl_second_order_ratio(paper):
         if prev_gap is not None:
             assert gap < prev_gap       # monotone approach to 1
         prev_gap = gap
+
+
+# capacity_x3 (cap, law) by float.hex on the shipped channel and on the
+# seeded random channels of _capacity_channel, frozen from the scalar
+# Blahut-Arimoto loop
+CAPACITY_PINS = {
+    ("paper", "bits"): ("0x1.948cbbafcb393p-3",
+                        ("0x1.11e61ce137c08p-1", "0x1.dc33c63d907eep-2")),
+    ("paper", "nats"): ("0x1.18699a5063ff6p-3",
+                        ("0x1.11e61ce0707cap-1", "0x1.dc33c63f1f06cp-2")),
+    (0, "bits"): ("0x1.bfaa3d078b308p-4",
+                  ("0x1.02fe3bf85ec16p-1", "0x1.fa03880f427d4p-2")),
+    (0, "nats"): ("0x1.364c37eb0c39ep-4",
+                  ("0x1.02fe3bf7a9686p-1", "0x1.fa038810ad2f4p-2")),
+    (1, "bits"): ("0x1.a827071aa2f5ap-3",
+                  ("0x1.75a8507ff8c7ep-3", "0x1.98ae2d4a21cc2p-2",
+                   "0x1.ac7daa75e1cffp-2")),
+    (1, "nats"): ("0x1.26000500af734p-3",
+                  ("0x1.75a8508a419a9p-3", "0x1.98ae2d474908ap-2",
+                   "0x1.ac7daa73962a2p-2")),
+    (2, "bits"): ("0x1.3467eeaaf5b5cp-3",
+                  ("0x1.56f89d800509ap-38", "0x1.c9b2c29a37830p-2",
+                   "0x1.8482ac3b901a4p-2", "0x1.6395225445e67p-3")),
+    (2, "nats"): ("0x1.ab8a9e58bcb94p-4",
+                  ("0x1.0ee00a608faf8p-37", "0x1.c9b2c295adac6p-2",
+                   "0x1.8482ac360d64fp-2", "0x1.6395226846257p-3")),
+}
+
+
+def _capacity_channel(seed):
+    """Positive Dirichlet rows over x3_size seed + 2 and |Y| = seed + 3."""
+    rng = np.random.default_rng([25, seed])
+    k = seed + 2
+    return make_dmc(rng.dirichlet(np.full(seed + 3, 2.0), size=4 * k),
+                    rng.dirichlet(np.full(4, 2.0), size=4 * k))
+
+
+@pytest.mark.parametrize("name, unit", list(CAPACITY_PINS))
+def test_capacity_pinned_bits(name, unit):
+    """capacity_x3's value and law, bit for bit."""
+    d = cm.paper_channel() if name == "paper" else _capacity_channel(name)
+    cap, law = capacity_x3(d, unit)
+    assert (float.hex(cap), tuple(float.hex(float(v)) for v in law)) == \
+        CAPACITY_PINS[name, unit]

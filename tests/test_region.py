@@ -21,6 +21,7 @@ from covertmac.region import (Constraints, InfeasibleError, PhasePlan,
                               trace_r2_R3, curve_r2_vs_k2, _feasible, _pareto)
 
 import lp_oracle
+import plan_oracle
 from conftest import make_dmc
 
 # Globally-optimal values certified by an independent LP solve over the
@@ -1253,3 +1254,82 @@ def test_channel_terms_read_only_and_equal_to_public(paper):
     assert tab.mutual_info(q) == mutual_info_x3(paper, q, "nats")
     for x in range(paper.x3_size):
         assert tab.chi_square(0.3, 1.1, x) == chi_square(paper, 0.3, 1.1, x)
+
+
+# ---- the plan evaluator against its scalar oracle ------------------------
+
+
+def _oracle_channel(rng, k, kind):
+    """A random channel over k symbols with output sizes 2-9: ``plain`` has
+    positive rows, ``zero-y-column`` a gamma_y output no row reaches,
+    ``zero-z-column`` a warden output no row reaches (the warden's support
+    is partial, absolute continuity holds), ``ac-violation`` a zero in one
+    all-off warden row where its one-user rows have mass (infinite chi)."""
+    ny, nz = (int(v) for v in rng.integers(2, 10, size=2))
+    gy = rng.dirichlet(np.ones(ny), size=4 * k)
+    gz = rng.dirichlet(np.ones(nz), size=4 * k)
+    if kind == "zero-y-column" and ny > 2:
+        gy[:, rng.integers(ny)] = 0.0
+    if kind == "zero-z-column" and nz > 2:
+        gz[:, rng.integers(nz)] = 0.0
+    if kind == "ac-violation":
+        gz[rng.integers(k), rng.integers(nz)] = 0.0
+    d = make_dmc(gy / gy.sum(1, keepdims=True), gz / gz.sum(1, keepdims=True))
+    assert (kind == "ac-violation") == bool(d.ac_violations)
+    return d
+
+
+def _oracle_plans(rng, k, count, all_sent=False):
+    """Plans of 1-6 phases with zeros in q (unless ``all_sent``), p = 0
+    phases and users with rho = 0."""
+    out = []
+    for _ in range(count):
+        tau = int(rng.integers(1, region.MAX_PHASES + 1))
+        p = rng.dirichlet(np.ones(tau)) * (rng.random(tau) > 0.15)
+        if not p.any():
+            p[0] = 1.0
+        q = rng.dirichlet(np.ones(k), size=tau)
+        if not all_sent:
+            q *= rng.random((tau, k)) > 0.3
+            q[~q.any(axis=1), 0] = 1.0
+        rho = rng.uniform(0.05, 2.0, (2, tau)) * (rng.random((2, tau)) > 0.2)
+        out.append(PhasePlan(
+            p_t=tuple(map(float, p / p.sum())),
+            p_x3_given_t=tuple(tuple(map(float, r / r.sum())) for r in q),
+            rho1=tuple(map(float, rho[0])), rho2=tuple(map(float, rho[1]))))
+    return out
+
+
+
+def _same_bits(d, plans, unit):
+    for plan in plans:
+        want = plan_oracle.hexed(plan_oracle.plan_quantities(d, plan, unit))
+        got = plan_oracle.hexed(region._plan_quantities(d, plan, unit))
+        assert got == want, plan
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+       st.sampled_from(["plain", "zero-y-column", "zero-z-column",
+                        "ac-violation"]),
+       st.sampled_from(["bits", "nats"]))
+def test_plan_quantities_same_bits_as_scalar_oracle(seed, k, kind, unit):
+    """_plan_quantities gives, by float.hex, the scalar per-(phase, x3)
+    oracle's numerators, key numerators, Dsq and R3: zeros in q, silent
+    users and phases, infinite chi and divergences included."""
+    rng = np.random.default_rng(seed)
+    d = _oracle_channel(rng, k, kind)
+    _same_bits(d, _oracle_plans(rng, k, 12), unit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_quantities_same_bits_with_every_symbol_sent(seed):
+    """At x3_size 4 with every symbol sent the mask q > 0 is all true; the
+    numerators' dots must still run over C-contiguous rows, as the oracle's
+    do, or BLAS may sum them in another order."""
+    rng = np.random.default_rng([25, seed])
+    d = _oracle_channel(rng, 4, "plain")
+    plans = _oracle_plans(rng, 4, 60, all_sent=True)
+    for unit in ("bits", "nats"):
+        _same_bits(d, plans, unit)
+    _same_bits(cm.paper_channel(), _oracle_plans(rng, 2, 30, True), "bits")
