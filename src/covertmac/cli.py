@@ -92,10 +92,10 @@ def cmd_profile(args) -> int:
         lines.append(",".join(f"{v:.12g}" for v in row))
     lines.append("# chi-square at mixing ratios lambda = rho1/(rho1+rho2)")
     lines.append("x3,lambda,chi2")
+    lams = (0.0, 0.25, 0.5, 0.75, 1.0)
+    chi = tab.chi(np.array(lams), 1.0 - np.array(lams))
     for x3 in range(d.x3_size):
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            chi = tab.chi_square(lam, 1.0 - lam, x3)
-            lines.append(f"{x3},{lam},{chi:.12g}")
+        lines += [f"{x3},{lam},{c:.12g}" for lam, c in zip(lams, chi[:, x3])]
     if d.ac_violations:
         lines.append(f"# absolute-continuity violations at x3: "
                      f"{list(d.ac_violations)}")

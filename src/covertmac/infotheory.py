@@ -5,7 +5,13 @@ of the receiver sub-channel via Blahut-Arimoto.
 chi_square, mutual_info_x3 and capacity_x3 check their inputs and then read
 one _ChannelTerms table per (Dmc, unit), built on first use and kept on the
 frozen Dmc; the region evaluators and LPs read the same table.  So
-capacity_x3(d, unit) runs Blahut-Arimoto once per (channel, unit).
+capacity_x3(d, unit) runs Blahut-Arimoto once per (channel, unit).  The
+table keeps the receiver rows with their mask and a zero-free copy, and the
+warden rows stacked by support size, for two kernels that every caller
+shares: _ChannelTerms.divergences, D(row_x || q sub) for a stack of laws q
+(I(X3; Y), Blahut-Arimoto and the plan evaluator), and _ChannelTerms.chi,
+the chi-square at every x3 for a stack of mixtures (chi_square and the
+plan evaluator).
 
 All log-based quantities take a ``unit`` argument, either ``"bits"`` or
 ``"nats"``.  The library default is bits: it is the unit that reproduces the
@@ -49,6 +55,8 @@ def _check_distribution(name: str, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"{name} must be a vector")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} is not a probability distribution")
     return p
@@ -119,7 +127,9 @@ def chi_square(d: Dmc, rho1: float, rho2: float, x3: int) -> float:
                          "(degenerate phases contribute zero by convention)")
     d.row_index(0, 0, x3)          # IndexError for an x3 outside the alphabet
     # chi-square is unit-free: any unit's table gives the same value
-    return _channel_terms(d, DEFAULT_UNIT).chi_square(rho1, rho2, x3)
+    chi = _channel_terms(d, DEFAULT_UNIT).chi(np.array([rho1], dtype=float),
+                                              np.array([rho2], dtype=float))
+    return float(chi[0, x3])
 
 
 def mutual_info_x3(d: Dmc, p_x3, unit: str = DEFAULT_UNIT) -> float:
@@ -127,7 +137,7 @@ def mutual_info_x3(d: Dmc, p_x3, unit: str = DEFAULT_UNIT) -> float:
     p = _check_distribution("p_x3", p_x3)
     if p.shape != (d.x3_size,):
         raise ValueError(f"p_x3 must have length {d.x3_size}")
-    return _channel_terms(d, unit).mutual_info(p)
+    return _channel_terms(d, unit).mutual_info(p[None])[0]
 
 
 def capacity_x3(d: Dmc, unit: str = DEFAULT_UNIT) -> tuple[float, np.ndarray]:
@@ -164,14 +174,6 @@ def _xlogx(v):
     return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
 
 
-def _output_divergences(sub: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """D(row_x || p @ sub) in nats for every row x of ``sub``."""
-    py = p @ sub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
-    return np.sum(sub * lg, axis=1)
-
-
 class _ChannelTerms:
     """Per-x3 terms of one channel in one unit, in read-only arrays.
 
@@ -180,23 +182,36 @@ class _ChannelTerms:
     and infinite ``inf``, both zero where the warden's support is violated
     (``ok`` False; a law sending it must be silent).
     ``coef``: (A, B, C), chi2(lam, x3) = A lam^2 + 2B lam(1-lam) +
-    C (1-lam)^2.  ``warden[x3]``: rows G00, G10, G01 on the support of G00.
-    ``sub``: the receiver rows with both covert users off."""
+    C (1-lam)^2.
+    ``chi_rows``: the tables of the chi-square kernel ``chi``, one group per
+    support size of the all-off warden row: the group's symbols x and
+    their rows G00, G10, G01 on the support of G00, stacked.
+    ``sub``: the receiver rows with both covert users off; ``sub_pos`` its
+    mask sub > 0, ``sub_one`` sub with its zeros set to 1, and ``positive``
+    True when sub has no zero: the tables of the divergence kernel
+    ``divergences``."""
 
     def __init__(self, d: Dmc, unit: str):
         self.fac = unit_factor(unit)
         self.profile = prof = divergence_profile(d, unit)
         self.div = np.array([prof.d_y1, prof.d_y2, prof.d_zy1, prof.d_zy2])
         self.ok = ~np.isin(np.arange(d.x3_size), d.ac_violations)
-        self.warden = [None] * d.x3_size
+        warden = {}
         self.coef = np.zeros((3, d.x3_size))
         for x in np.flatnonzero(self.ok):
             sup = d.row(SIDE_Z, 0, 0, x) > 0
-            self.warden[x] = w = tuple(d.row(SIDE_Z, *on, x)[sup]
-                                       for on in ((0, 0), (1, 0), (0, 1)))
+            warden[x] = w = tuple(d.row(SIDE_Z, *on, x)[sup]
+                                  for on in ((0, 0), (1, 0), (0, 1)))
             b = w[1] / w[0] - 1.0, w[2] / w[0] - 1.0
             self.coef[:, x] = [float(np.sum(w[0] * b[i] * b[j]))
                                for i, j in ((0, 0), (0, 1), (1, 1))]
+        # grouped by support size, so that each chi-square is the sum of
+        # one row of exactly its support's length
+        self.chi_rows = []
+        for size in sorted({len(w[0]) for w in warden.values()}):
+            xs = [x for x, w in warden.items() if len(w[0]) == size]
+            self.chi_rows.append((np.array(xs), *(
+                np.array([warden[x][i] for x in xs]) for i in range(3))))
         fin = np.isfinite(self.div) | ~self.ok
         self.divs = np.where(fin & self.ok, self.div, 0.0)
         self.inf = np.where(fin, 0.0, self.div)
@@ -204,10 +219,13 @@ class _ChannelTerms:
         self.inf_on, self.off = self.inf != 0, ~self.ok
         self.inf_sum = self.inf.sum(axis=1)[:, None]
         self.sub = d.gamma_y[:d.x3_size]
+        self.sub_pos = self.sub > 0
+        self.sub_one = np.where(self.sub_pos, self.sub, 1.0)
+        self.positive = bool(self.sub_pos.all())
         self.neg_h = _xlogx(self.sub).sum(axis=1)
         self.one_hot = self.laws(np.eye(d.x3_size))
         for v in (*vars(self).values(), *vars(prof).values(), *self.one_hot,
-                  *(a for w in self.warden if w for a in w)):
+                  *(a for group in self.chi_rows for a in group)):
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
 
@@ -220,30 +238,49 @@ class _ChannelTerms:
         r = np.full(m, 1.0 / m)
         lower = 0.0
         for _ in range(10_000):
-            dkl = _output_divergences(self.sub, r)
-            upper = float(dkl.max()) / self.fac
+            dkl = self.divergences(r)
+            top = dkl.max()
+            upper = float(top) / self.fac
             lower = float(r @ dkl) / self.fac
             if upper - lower < 1e-10:
                 break
-            w = r * np.exp(dkl - dkl.max())
+            w = r * np.exp(dkl - top)
             r = w / w.sum()
         r.setflags(write=False)
         return max(0.0, lower), r
 
-    def chi_square(self, rho1, rho2, x: int) -> float:
-        """Chi-square at x for rho1 + rho2 > 0 (+inf where the warden's
-        support is violated); chi_square checks the inputs."""
-        if self.warden[x] is None:
-            return math.inf
-        q00, g10, g01 = self.warden[x]
-        diff = (rho1 * g10 + rho2 * g01) / (rho1 + rho2) - q00
-        return float(np.sum(diff * diff / q00))
+    def divergences(self, q):
+        """D(row_x || q sub) in nats for every row x of sub, for one law q
+        or for each law of a stack (rows of q, giving one row each); +inf
+        where q sub misses part of row x's support.  A stack goes through
+        matmul as (laws, 1, x3) @ sub, one gemv per law as for one law;
+        (laws, x3) @ sub would be one gemm, which sums in another order."""
+        py = np.matmul(q[..., None, :], self.sub)
+        if self.positive:
+            return (self.sub * np.log(self.sub_one / py)).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.where(self.sub_pos, np.log(self.sub_one / py), 0.0)
+        return (self.sub * lg).sum(axis=-1)
 
-    def mutual_info(self, q) -> float:
-        """I(X3; Y) of one law q; mutual_info_x3 checks q.  A symbol q never
-        sends adds 0, though its divergence may be infinite."""
-        div = _output_divergences(self.sub, q)
-        return max(0.0, float(q @ np.where(q > 0, div, 0.0))) / self.fac
+    def chi(self, rho1, rho2):
+        """Chi-square at every x (columns) of the mixture of each pair
+        (rho1[j], rho2[j]) (rows of the vectors rho1, rho2), all with
+        rho1 + rho2 > 0; +inf where the warden's support is violated.
+        chi_square checks the inputs."""
+        r1, r2 = rho1[:, None, None], rho2[:, None, None]
+        out = np.full((len(rho1), len(self.ok)), math.inf)
+        for xs, q00, g10, g01 in self.chi_rows:
+            diff = (r1 * g10 + r2 * g01) / (r1 + r2) - q00
+            out[:, xs] = (diff * diff / q00).sum(axis=2)
+        return out
+
+    def mutual_info(self, q) -> list:
+        """I(X3; Y) of each law (rows of q), as floats; mutual_info_x3
+        checks q.  A symbol a law never sends adds 0, though its divergence
+        may be infinite."""
+        div = np.where(q > 0, self.divergences(q), 0.0)
+        return [max(0.0, float(law @ row)) / self.fac
+                for law, row in zip(q, div)]
 
     def info(self, q):
         """I(q) per law (rows of q)."""

@@ -86,24 +86,39 @@ class PhasePlan:
         return len(self.p_t)
 
     def validate(self, x3_size: int | None = None) -> None:
+        self._arrays(x3_size)
+
+    def _arrays(self, x3_size: int | None):
+        """p_x3_given_t and (rho1, rho2) as float arrays, after the checks
+        of validate; a ValueError names the field at fault."""
         tau = self.tau
         if not 1 <= tau <= MAX_PHASES:
             raise ValueError(f"tau must be in [1, {MAX_PHASES}], got {tau}")
         for name in ("p_x3_given_t", "rho1", "rho2"):
             if len(getattr(self, name)) != tau:
                 raise ValueError(f"{name} must have one entry per phase")
+        k = len(self.p_x3_given_t[0]) if x3_size is None else x3_size
+        if any(len(q) != k for q in self.p_x3_given_t):
+            raise ValueError(f"p_x3_given_t rows must have length {k}")
+        flat = np.array([*self.p_t, *itertools.chain(*self.p_x3_given_t),
+                         *self.rho1, *self.rho2], dtype=float)
+        if not np.isfinite(flat).all():
+            for field in ("p_t", "p_x3_given_t", "rho1", "rho2"):
+                if not np.isfinite(np.array(getattr(self, field),
+                                            dtype=float)).all():
+                    raise ValueError(f"{field} has a non-finite entry")
         if abs(sum(self.p_t) - 1.0) > 1e-12 or min(self.p_t) < 0:
             raise ValueError("p_t must be a distribution (sum 1 within 1e-12)")
         for q in self.p_x3_given_t:
             if abs(sum(q) - 1.0) > 1e-12 or min(q) < 0:
                 raise ValueError("each p_x3_given_t row must be a distribution")
-            if x3_size is not None and len(q) != x3_size:
-                raise ValueError(f"p_x3_given_t rows must have length {x3_size}")
         if any(r < 0 for r in self.rho1) or any(r < 0 for r in self.rho2):
             raise ValueError("rho prefactors must be non-negative")
         for b in (self.beta1, self.beta2):
             if not 0 < b <= 1:
                 raise ValueError("beta1, beta2 must lie in (0, 1]")
+        return (flat[tau:-2 * tau].reshape(tau, k),
+                flat[-2 * tau:].reshape(2, tau))
 
     def scaled(self, c: float) -> "PhasePlan":
         """Same plan with all rho's multiplied by c > 0 (rates unchanged)."""
@@ -175,25 +190,35 @@ def _terms(lam, laws):
 
 
 def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
-    """(num1, num2, keynum1, keynum2, Dsq, R3) without beta/sqrt2; validates."""
-    plan.validate(d.x3_size)
+    """(num1, num2, keynum1, keynum2, Dsq, R3) without beta/sqrt2; validates.
+
+    The table's kernels give every phase's I(q) and every (phase, x3)
+    chi-square in a few array operations; the loop adds them up in the
+    order of a per-phase, per-symbol sum, with one BLAS dot over the
+    symbols a phase sends per (user, numerator)."""
+    q, rho = plan._arrays(d.x3_size)
     tab = _channel_terms(d, unit)
+    info = tab.mutual_info(q)
+    sent = q > 0
+    # a silent phase adds nothing, so any mixture serves for its chi-square
+    chi = tab.chi(*np.where(rho[0] + rho[1] == 0, 1.0, rho))
+    # 0 * inf = 0 for symbols a phase never sends; a running sum over x3
+    chi = np.add.accumulate(q * np.where(sent, chi, 0.0), axis=1)[:, -1]
+    whole = sent.all(axis=1)
     nk = [0.0] * 4            # num1, num2, keynum1, keynum2
     dsq = r3 = 0.0
-    for p, q, rho1, rho2 in zip(plan.p_t, plan.p_x3_given_t, plan.rho1,
-                                plan.rho2):
-        q = np.asarray(q, dtype=float)
-        r3 += p * tab.mutual_info(q)
+    for t, (pt, rho1, rho2) in enumerate(zip(plan.p_t, plan.rho1, plan.rho2)):
+        r3 += pt * info[t]
         a = rho1 + rho2
-        if a == 0 or p == 0:
+        if a == 0 or pt == 0:
             continue
-        m = q > 0          # 0 * inf = 0 for symbols the phase never sends
-        for i, rho in enumerate((rho1, rho2) * 2):
-            if rho:        # and for a silent user
-                nk[i] += p * rho * float(q[m] @ tab.div[i, m])
-        chi = sum(q[x] * tab.chi_square(rho1, rho2, x)
-                  for x in np.flatnonzero(m))
-        dsq += p * a * a * chi
+        # C-contiguous rows: BLAS may sum a strided row in another order
+        qm, dm = (q[t], tab.div) if whole[t] else \
+            (q[t][sent[t]], tab.div.compress(sent[t], axis=1))
+        for i, r in enumerate((rho1, rho2) * 2):
+            if r:          # a silent user adds nothing, not 0 * inf
+                nk[i] += pt * r * float(qm @ dm[i])
+        dsq += pt * a * a * chi[t]
     return nk[:2], nk[2:], float(dsq), r3
 
 

@@ -21,8 +21,8 @@ def output_divergences(sub, p):
     """D(row_x || p @ sub) in nats for every row x of ``sub``."""
     py = p @ sub
     with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0) / py[None, :]),
-                      0.0)
+        lg = np.where(sub > 0,
+                      np.log(np.where(sub > 0, sub, 1.0) / py[None, :]), 0.0)
     return np.sum(sub * lg, axis=1)
 
 

@@ -314,6 +314,25 @@ def test_invalid_input_exit_3(capsys, plan_file, tmp_path, uniform_channel,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p_t", [math.nan]), ("p_x3_given_t", [[math.nan, 1.0]]),
+    ("rho1", [math.inf]), ("rho2", [math.nan])])
+@pytest.mark.parametrize("cmd", [["sizing", "--n", "1000000"],
+                                 ["simulate", "--n", "24", "--trials", "2"]],
+                         ids=["sizing", "simulate"])
+def test_non_finite_plan_exit_3(capsys, tmp_path, field, value, cmd):
+    """json.load reads NaN and Infinity, so a plan file can hold them: it
+    exits 3 with a message naming the field, not a report or a crash."""
+    doc = {**cm.PhasePlan.single_phase((0.535, 0.465), 0.5, 0.5).to_dict(),
+           field: value}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, cmd[0], "--channel", "paper", "--plan",
+                         str(path), *cmd[1:])
+    assert (code, out) == (3, "")
+    assert err == f"error: {field} has a non-finite entry\n"
+
+
 def test_profile_ac_violation_rows(capsys, tmp_path):
     """A warden-side absolute-continuity violation at x3 = 0 gives inf
     chi-square rows there, finite ones at x3 = 1, a comment line naming the

@@ -74,6 +74,19 @@ def test_invalid_arguments_raise(paper, call, match):
         call(paper)
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: mutual_info_x3(d, [math.nan, math.nan]),
+    lambda d: mutual_info_x3(d, [math.inf, 0.0]),
+    lambda d: kl_div([math.nan, 1.0], [0.5, 0.5]),
+    lambda d: kl_div([0.5, 0.5], [0.5, math.nan]),
+], ids=["mi-nan", "mi-inf", "kl-nan-p", "kl-nan-q"])
+def test_non_finite_distribution_rejected(paper, call):
+    """NaN passes a sum-within-tolerance test (every comparison with NaN is
+    false), so non-finite entries are rejected first."""
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        call(paper)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dists(5), dists(5))
 def test_kl_nonnegative_zero_iff_equal(p, q):

@@ -205,6 +205,21 @@ def test_plan_validation():
         seven.validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p_t", (math.nan,)), ("p_x3_given_t", ((math.nan, 1.0),)),
+    ("p_x3_given_t", ((-math.inf, 1.0),)), ("rho1", (math.inf,)),
+    ("rho2", (math.nan,))])
+def test_plan_rejects_non_finite_entries(paper, field, value):
+    """A NaN or infinite entry fails validation with a message naming its
+    field, before any rate is evaluated (NaN rates or R3 = 0 otherwise)."""
+    plan = replace(PhasePlan.single_phase((0.5, 0.5), 1.0, 1.0),
+                   **{field: value})
+    for call in (plan.validate, lambda: rate_tuple(paper, plan),
+                 lambda: theorem1_sizing(paper, plan, 10**6, 1e-2, (0.1,) * 6)):
+        with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
+            call()
+
+
 def test_plan_json_roundtrip():
     doc = json.loads(REF_PLAN.to_json())
     again = PhasePlan.from_dict(doc)
@@ -1246,14 +1261,15 @@ def test_channel_terms_read_only_and_equal_to_public(paper):
     assert tab is region._channel_terms(paper, "nats")
     cap, law = cm.capacity_x3(paper, unit="nats")
     assert tab.capacity[0] == cap and np.array_equal(tab.capacity[1], law)
-    for arr in (tab.div, tab.divs, tab.coef, tab.sub, tab.capacity[1],
-                tab.warden[0][0], tab.one_hot[0]):
+    for arr in (tab.div, tab.divs, tab.coef, tab.sub, tab.sub_one,
+                tab.capacity[1], *tab.chi_rows[0], tab.one_hot[0]):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
     q = np.array([0.3, 0.7])
-    assert tab.mutual_info(q) == mutual_info_x3(paper, q, "nats")
+    assert tab.mutual_info(q[None]) == [mutual_info_x3(paper, q, "nats")]
+    chi = tab.chi(np.array([0.3]), np.array([1.1]))
     for x in range(paper.x3_size):
-        assert tab.chi_square(0.3, 1.1, x) == chi_square(paper, 0.3, 1.1, x)
+        assert chi[0, x] == chi_square(paper, 0.3, 1.1, x)
 
 
 # ---- the plan evaluator against its scalar oracle ------------------------
@@ -1263,8 +1279,10 @@ def _oracle_channel(rng, k, kind):
     """A random channel over k symbols with output sizes 2-9: ``plain`` has
     positive rows, ``zero-y-column`` a gamma_y output no row reaches,
     ``zero-z-column`` a warden output no row reaches (the warden's support
-    is partial, absolute continuity holds), ``ac-violation`` a zero in one
-    all-off warden row where its one-user rows have mass (infinite chi)."""
+    is partial, absolute continuity holds), ``zero-z-at-x`` one output that
+    no warden row of one x3 reaches (supports of two sizes),
+    ``ac-violation`` a zero in one all-off warden row where its one-user
+    rows have mass (infinite chi)."""
     ny, nz = (int(v) for v in rng.integers(2, 10, size=2))
     gy = rng.dirichlet(np.ones(ny), size=4 * k)
     gz = rng.dirichlet(np.ones(nz), size=4 * k)
@@ -1272,6 +1290,8 @@ def _oracle_channel(rng, k, kind):
         gy[:, rng.integers(ny)] = 0.0
     if kind == "zero-z-column" and nz > 2:
         gz[:, rng.integers(nz)] = 0.0
+    if kind == "zero-z-at-x" and nz > 2:
+        gz[rng.integers(k) + np.arange(4) * k, rng.integers(nz)] = 0.0
     if kind == "ac-violation":
         gz[rng.integers(k), rng.integers(nz)] = 0.0
     d = make_dmc(gy / gy.sum(1, keepdims=True), gz / gz.sum(1, keepdims=True))
@@ -1311,7 +1331,7 @@ def _same_bits(d, plans, unit):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
        st.sampled_from(["plain", "zero-y-column", "zero-z-column",
-                        "ac-violation"]),
+                        "zero-z-at-x", "ac-violation"]),
        st.sampled_from(["bits", "nats"]))
 def test_plan_quantities_same_bits_as_scalar_oracle(seed, k, kind, unit):
     """_plan_quantities gives, by float.hex, the scalar per-(phase, x3)
