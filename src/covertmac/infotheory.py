@@ -5,13 +5,11 @@ of the receiver sub-channel via Blahut-Arimoto.
 chi_square, mutual_info_x3 and capacity_x3 check their inputs and then read
 one _ChannelTerms table per (Dmc, unit), built on first use and kept on the
 frozen Dmc; the region evaluators and LPs read the same table.  So
-capacity_x3(d, unit) runs Blahut-Arimoto once per (channel, unit).  The
-table keeps the receiver rows with their mask and a zero-free copy, and the
-warden rows stacked by support size, for two kernels that every caller
-shares: _ChannelTerms.divergences, D(row_x || q sub) for a stack of laws q
-(I(X3; Y), Blahut-Arimoto and the plan evaluator), and _ChannelTerms.chi,
-the chi-square at every x3 for a stack of mixtures (chi_square and the
-plan evaluator).
+capacity_x3(d, unit) runs Blahut-Arimoto once per (channel, unit).  Two
+kernels of the table serve every caller: ``divergences`` (I(X3; Y),
+Blahut-Arimoto, the plan evaluator) reads the receiver rows, their mask and
+a zero-free copy; ``chi`` (chi_square, the plan evaluator) reads the warden
+rows stacked by support size.
 
 All log-based quantities take a ``unit`` argument, either ``"bits"`` or
 ``"nats"``.  The library default is bits: it is the unit that reproduces the

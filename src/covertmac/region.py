@@ -85,12 +85,9 @@ class PhasePlan:
     def tau(self) -> int:
         return len(self.p_t)
 
-    def validate(self, x3_size: int | None = None) -> None:
-        self._arrays(x3_size)
-
-    def _arrays(self, x3_size: int | None):
-        """p_x3_given_t and (rho1, rho2) as float arrays, after the checks
-        of validate; a ValueError names the field at fault."""
+    def validate(self, x3_size: int | None = None):
+        """p_x3_given_t and (rho1, rho2) as float arrays once every check
+        passes; a ValueError names the field at fault."""
         tau = self.tau
         if not 1 <= tau <= MAX_PHASES:
             raise ValueError(f"tau must be in [1, {MAX_PHASES}], got {tau}")
@@ -196,7 +193,7 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
     chi-square in a few array operations; the loop adds them up in the
     order of a per-phase, per-symbol sum, with one BLAS dot over the
     symbols a phase sends per (user, numerator)."""
-    q, rho = plan._arrays(d.x3_size)
+    q, rho = plan.validate(d.x3_size)
     tab = _channel_terms(d, unit)
     info = tab.mutual_info(q)
     sent = q > 0

@@ -226,15 +226,13 @@ def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
 
 
 def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
-    """Channel matrix row of each input triple.  The int64 ufunc loops read
-    the uint8 covert words as they are, with no int64 copy of them."""
-    x1, x2, x3 = (np.asarray(x) for x in (x1, x2, x3))
+    """Channel matrix row of each input triple."""
+    x1 = np.asarray(x1, dtype=int)
+    x2 = np.asarray(x2, dtype=int)
+    x3 = np.asarray(x3, dtype=int)
     if not (len(x1) == len(x2) == len(x3)):
         raise ValueError("input sequences must have equal length")
-    rows = np.multiply(x1, 2 * d.x3_size, dtype=np.int64)
-    rows += np.multiply(x2, d.x3_size, dtype=np.int64)
-    rows += x3
-    return rows
+    return x1 * (2 * d.x3_size) + x2 * d.x3_size + x3
 
 
 def _sample(cum_t: np.ndarray, rows: np.ndarray,
