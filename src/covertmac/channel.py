@@ -92,6 +92,8 @@ def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
     if arr.shape != (n_rows, n_cols):
         raise ChannelFormatError(
             f"{name}: expected shape ({n_rows}, {n_cols}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ChannelFormatError(f"{name}: non-finite entries")
     if np.any(arr < 0):
         raise ChannelFormatError(f"{name}: negative entries")
     sums = arr.sum(axis=1)

@@ -236,6 +236,7 @@ def _bad_docs():
     negative = [[-0.1, 0.3, 0.2, 0.2, 0.2, 0.2]] + paper["gamma_y"][1:]
     return {
         "NEGATIVE": {**paper, "gamma_y": negative},
+        "NANCHAN": {**paper, "gamma_z": [[math.nan] * 6] + paper["gamma_z"][1:]},
         "BADSIZE": {**paper, "x3_size": "two"},
         "ZEROSIZE": {**paper, "x3_size": 0},
         "LISTDOC": [paper],
@@ -275,6 +276,7 @@ def _bad_docs():
      "--omega", "nan"],
     ["verify-asymptotics", "--channel", "UNIFORM", "--random", "2"],
     ["profile", "--channel", "NEGATIVE"],
+    ["profile", "--channel", "NANCHAN"],
     ["profile", "--channel", "BADSIZE"],
     ["profile", "--channel", "ZEROSIZE"],
     ["profile", "--channel", "LISTDOC"],
@@ -295,6 +297,7 @@ def _bad_docs():
         "curve-empty-grid", "max-phases-zero", "max-phases-below-optimum",
         "alpha-zero", "alpha-nan", "omega-zero", "omega-negative",
         "omega-nan", "warden-blind", "channel-negative-entry",
+        "channel-nan-entry",
         "channel-bad-size", "channel-zero-size", "channel-not-an-object",
         "plan-ragged", "plan-row-not-a-distribution", "sizing-xi-above-one",
         "sizing-omega-above-one", "simulate-m1-zero",

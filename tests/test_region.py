@@ -1320,7 +1320,6 @@ def _oracle_plans(rng, k, count, all_sent=False):
     return out
 
 
-
 def _same_bits(d, plans, unit):
     for plan in plans:
         want = plan_oracle.hexed(plan_oracle.plan_quantities(d, plan, unit))
