@@ -666,6 +666,31 @@ def test_exact_delta_many_pairs_shrink_the_block(paper):
     assert peak <= 16e6
 
 
+def test_exact_delta_prefix_cap_binds_on_a_small_warden(monkeypatch):
+    """128 pairs at n = 8 on a 4-symbol warden: the prefix laws stop at 6
+    positions, as 129 * 4^7 doubles exceed _PREFIX_CAP while 4^7 outputs
+    fit in a block, and the bits stay the reference kernel's."""
+    from conftest import make_dmc
+    gen = np.random.default_rng(5)
+    gz = gen.dirichlet(np.full(4, 2.0), size=8)
+    gz /= gz.sum(axis=1, keepdims=True)
+    d = make_dmc(gz, gz)
+    assert 129 * 4 ** 6 <= simulator._PREFIX_CAP < 129 * 4 ** 7
+    assert 4 ** 7 <= _SUM_CHUNK
+    cfg = SimConfig(n=8, plan=PLAN_DENSE, m1=4, m2=4, m3=2, k1=4, k2=2,
+                    trials=0)
+    ens = build_codebooks(cfg, rng_for(51), d=d)
+    prefix = []
+    product_law = simulator._product_law
+    monkeypatch.setattr(simulator, "_product_law",
+                        lambda rows, out: prefix.append(len(rows))
+                        or product_law(rows, out))
+    for w3, unit in enumerate(("nats", "bits")):
+        got = exact_delta(ens, d, w3, unit)
+        assert got.hex() == _reference_exact_delta(ens, d, w3, unit).hex()
+    assert set(prefix) == {6}
+
+
 @pytest.mark.parametrize("plan, deltas", [
     (PLAN_X0, ("0x1.877c0274cc780p+0",) * 2),
     (PLAN_DENSE, ("0x1.bb25f657a215fp+1", "0x1.92116ac454f0bp+1")),
