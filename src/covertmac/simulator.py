@@ -372,8 +372,12 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     if cfg.exact_divergence:
         if ens is None or not cfg.fixed_codebook:
             ens = build_codebooks(cfg, rng_cb, d=d)
-        deltas = [exact_delta(ens, d, w3, unit="nats")
-                  for w3 in range(cfg.m3)]
+        deltas, by_word = [], {}    # exact_delta reads w3 only via x3[w3]
+        for w3 in range(cfg.m3):
+            word = ens.x3[w3].tobytes()
+            if word not in by_word:
+                by_word[word] = exact_delta(ens, d, w3, unit="nats")
+            deltas.append(by_word[word])
         delta_exact = float(np.mean(deltas))
         if delta_exact == math.inf:     # (1,0,x3) and (0,1,x3) passed above
             raise ValueError("the exact divergence is infinite: a (1,1,x3) "

@@ -424,6 +424,52 @@ def test_run_trials_exact_divergence_fields(paper, fixed):
     assert rep.delta_bound_ratio == mean / (bound / 1.1) == 0.22240158134118262
 
 
+def _spy_exact_delta(monkeypatch):
+    """The w3 of every exact_delta call run_trials makes."""
+    calls = []
+    real = simulator.exact_delta
+    monkeypatch.setattr(simulator, "exact_delta",
+                        lambda ens, d, w3, unit: calls.append(w3)
+                        or real(ens, d, w3, unit))
+    return calls
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_run_trials_enumerates_a_one_hot_codeword_once(paper, monkeypatch,
+                                                       fixed):
+    """Under a one-hot x3 law the m3 = 8 codewords are equal, so run_trials
+    enumerates once, and delta_exact keeps the bits of the mean of the
+    eight per-w3 calls."""
+    cfg = SimConfig(n=6, plan=PLAN_X0, m1=2, m2=2, m3=8, k1=2, k2=2,
+                    trials=2, seed=3, exact_divergence=True,
+                    fixed_codebook=fixed)
+    calls = _spy_exact_delta(monkeypatch)
+    rep = run_trials(cfg, paper)
+    assert calls == [0]
+    ens = build_codebooks(cfg, rng_for(3, 2**31), paper)
+    mean = float(np.mean([exact_delta(ens, paper, w3, "nats")
+                          for w3 in range(8)]))
+    assert rep.delta_exact.hex() == mean.hex()
+
+
+def test_run_trials_enumerates_each_distinct_codeword_once(paper,
+                                                           monkeypatch):
+    """A skewed x3 law at n = 4 and m3 = 16 repeats codewords: run_trials
+    enumerates each distinct one once, at its first w3."""
+    plan = PhasePlan.single_phase((0.9, 0.1), rho1=1.0, rho2=1.0)
+    cfg = SimConfig(n=4, plan=plan, m1=2, m2=2, m3=16, k1=2, k2=2,
+                    trials=0, seed=1, exact_divergence=True)
+    calls = _spy_exact_delta(monkeypatch)
+    rep = run_trials(cfg, paper)
+    ens = build_codebooks(cfg, rng_for(1, 2**31), paper)
+    _, first = np.unique(ens.x3, axis=0, return_index=True)
+    assert 1 < len(first) < 16
+    assert calls == sorted(first.tolist())
+    mean = float(np.mean([exact_delta(ens, paper, w3, "nats")
+                          for w3 in range(16)]))
+    assert rep.delta_exact.hex() == mean.hex()
+
+
 def test_divergence_bound_and_ratio_are_floats(paper):
     """theorem1_sizing's divergence bound and run_trials' delta_bound_ratio
     are Python floats, not numpy scalars."""
