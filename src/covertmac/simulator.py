@@ -332,6 +332,8 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     ``fixed_codebook`` one ensemble (stream (seed, 2^31)) serves every trial,
     otherwise each trial draws a fresh ensemble (random-coding average) and
     the exact divergence, if asked for, is taken on stream (seed, 2^31).
+    That divergence is the mean of exact_delta over w3, which reads w3 only
+    through the codeword x3[w3]: each distinct codeword is enumerated once.
     """
     t0 = time.perf_counter()
     if cfg.exact_divergence:    # an infinite chi-square fails before a trial
@@ -372,7 +374,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     if cfg.exact_divergence:
         if ens is None or not cfg.fixed_codebook:
             ens = build_codebooks(cfg, rng_cb, d=d)
-        deltas, by_word = [], {}    # exact_delta reads w3 only via x3[w3]
+        deltas, by_word = [], {}
         for w3 in range(cfg.m3):
             word = ens.x3[w3].tobytes()
             if word not in by_word:
@@ -417,18 +419,20 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     enumeration.  The shorter user's padding segment enters as an exact
     per-symbol Bernoulli mixture.
 
-    The outputs are taken in the reversed layout of ``_product_law`` (z_0
-    varies fastest), in blocks of |Z|^s contiguous outputs: s is the largest
-    number of leading positions with |Z|^s <= _SUM_CHUNK and
-    (pairs + 1) |Z|^s <= _PREFIX_CAP (s = 6 at n >= 6 on a 6-symbol warden
-    with up to 21 pairs).  The product law of each pair, and of the all-off
-    reference, over those s positions is built once.  A block's entries are
-    that law times the block's symbol probabilities at the other positions,
-    left to right, summed over the pairs in order, so every probability is
-    bit for bit the entry of the whole product law.  The KL terms go block
-    by block to ``_ExactSum``, which is correctly rounded and so returns the
-    same value in any order.  Memory is O(pairs |Z|^s), at most _PREFIX_CAP
-    doubles, plus three blocks, not O(|Z|^n).
+    The product law of each pair, and of the all-off reference, over the
+    first s positions is built once (``_product_law``): s is the largest
+    number with s <= n - 1, |Z|^(s+1) <= _SUM_CHUNK and
+    (pairs + 1) |Z|^s <= _PREFIX_CAP (s = 5 at n >= 6 on a 6-symbol warden
+    with up to 133 pairs).  A block fixes the symbols at positions s to
+    n - 2 and holds the |Z|^(s+1) outputs of the prefix and the last
+    position.  Per pair it forms the head ((prefix law * f_s) * ...) *
+    f_(n-2) of the block's symbol probabilities once, left to right, and
+    its product with each of the last position's |Z| probabilities, and
+    sums the pairs in order: every probability is bit for bit the entry of
+    the whole product law.  The KL terms go block by block to
+    ``_ExactSum``, which is correctly rounded and so returns the same value
+    in any order.  Memory is O(pairs |Z|^s), at most _PREFIX_CAP doubles,
+    plus three blocks, not O(|Z|^n).
     """
     cfg = ens.cfg
     if not (0 <= w3 < cfg.m3):
@@ -450,31 +454,33 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     pad_step = 2 * k if ens.swapped else k
     mixed = gz[idx[:-1, pad] + pad_step]
     laws[:-1, pad] = (1 - p) * laws[:-1, pad] + p * mixed
-    s, size = 0, 1                      # positions 0..s-1 vary in a block
-    while (s < n and size * zs <= _SUM_CHUNK
+    s, size = 0, 1          # positions 0..s-1 and n-1 vary in a block
+    while (s < n - 1 and size * zs * zs <= _SUM_CHUNK
            and (pairs + 1) * size * zs <= _PREFIX_CAP):
         s, size = s + 1, size * zs
     prefix = np.empty((pairs + 1, size))
     for rows, out in zip(laws, prefix):
         _product_law(rows[:s], out)
-    cols = np.arange(s, n)
-    q, law, ref = np.empty(size), np.empty(size), np.empty(size)
+    cols, last = np.arange(s, n - 1), laws[:, -1]
+    head = np.empty(size)
+    q, law, ref = (np.empty((zs, size)) for _ in range(3))
     acc = _ExactSum()
-    for block in range(zs ** (n - s)):
-        digits = [block // zs ** i % zs for i in range(n - s)]  # z_s, ...
+    for block in range(zs ** (n - 1 - s)):
+        digits = [block // zs ** i % zs for i in range(n - 1 - s)]  # z_s, ...
         *factors, ref_factors = laws[:, cols, digits].tolist()
         q.fill(0.0)
-        for pre, f in zip(prefix, factors):
-            q += _scaled(pre, f, law)
+        for pre, f, z_last in zip(prefix, factors, last):
+            q += np.multiply.outer(z_last, _scaled(pre, f, head), out=law)
         q /= pairs
-        r = _scaled(prefix[-1], ref_factors, ref)
-        qb = q
-        if not q.all():             # drop the 0 log 0 terms
-            mask = q > 0
-            qb, r = q[mask], r[mask]
+        np.multiply.outer(last[-1], _scaled(prefix[-1], ref_factors, head),
+                          out=ref)
+        qb, r = q.ravel(), ref.ravel()
+        if not qb.all():            # drop the 0 log 0 terms
+            mask = qb > 0
+            qb, r = qb[mask], r[mask]
         if not r.all():
             return math.inf
-        terms = np.divide(qb, r, out=law[:len(qb)])
+        terms = np.divide(qb, r, out=law.ravel()[:len(qb)])
         np.log(terms, out=terms)
         terms *= qb
         acc.add(terms)

@@ -682,8 +682,9 @@ ZERO_PLANS = {
 @pytest.mark.parametrize("name", sorted(KERNEL_PLANS) + sorted(ZERO_PLANS))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_exact_delta_bits_match_reference_kernel(paper, name, n):
-    """16 pairs, both padding sides, and n across the block size (6^6 <=
-    _SUM_CHUNK < 6^7, so n = 7 and 8 take 6 and 36 blocks)."""
+    """16 pairs, both padding sides, and n across the block size (n = 1
+    has no prefix, and 6^6 <= _SUM_CHUNK < 6^7, so n = 7 and 8 take 6 and
+    36 blocks of 6^6 outputs)."""
     from conftest import make_dmc
     d = paper if name in KERNEL_PLANS else make_dmc(paper.gamma_y, GZ_ZEROS)
     plan = KERNEL_PLANS[name] if name in KERNEL_PLANS else ZERO_PLANS[name]
@@ -700,9 +701,9 @@ def test_exact_delta_bits_match_reference_kernel(paper, name, n):
 
 
 def test_exact_delta_many_pairs_shrink_the_block(paper):
-    """With 128 pairs at n = 6 the prefix laws of 6 positions would hold
-    129 * 6^6 doubles, over _PREFIX_CAP: the block drops to 6^5 outputs,
-    the bits stay the reference kernel's, and memory stays bounded."""
+    """With 128 pairs at n = 6 the prefix laws of 5 positions hold
+    129 * 6^5 doubles, just under _PREFIX_CAP: the bits stay the reference
+    kernel's, and memory stays bounded."""
     cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=4, m2=4, m3=1, k1=4, k2=2,
                     trials=0)
     assert 129 * 6 ** 5 <= simulator._PREFIX_CAP < 129 * 6 ** 6
@@ -712,29 +713,55 @@ def test_exact_delta_many_pairs_shrink_the_block(paper):
     assert peak <= 16e6
 
 
+def _spy_prefix(monkeypatch):
+    """The number of positions of every prefix law exact_delta builds."""
+    prefix = []
+    product_law = simulator._product_law
+    monkeypatch.setattr(simulator, "_product_law",
+                        lambda rows, out: prefix.append(len(rows))
+                        or product_law(rows, out))
+    return prefix
+
+
 def test_exact_delta_prefix_cap_binds_on_a_small_warden(monkeypatch):
     """128 pairs at n = 8 on a 4-symbol warden: the prefix laws stop at 6
-    positions, as 129 * 4^7 doubles exceed _PREFIX_CAP while 4^7 outputs
-    fit in a block, and the bits stay the reference kernel's."""
+    positions, as 129 * 4^7 doubles exceed _PREFIX_CAP while a block of
+    4^8 outputs would fit, and the bits stay the reference kernel's."""
     from conftest import make_dmc
     gen = np.random.default_rng(5)
     gz = gen.dirichlet(np.full(4, 2.0), size=8)
     gz /= gz.sum(axis=1, keepdims=True)
     d = make_dmc(gz, gz)
     assert 129 * 4 ** 6 <= simulator._PREFIX_CAP < 129 * 4 ** 7
-    assert 4 ** 7 <= _SUM_CHUNK
+    assert 4 ** 8 <= _SUM_CHUNK
     cfg = SimConfig(n=8, plan=PLAN_DENSE, m1=4, m2=4, m3=2, k1=4, k2=2,
                     trials=0)
     ens = build_codebooks(cfg, rng_for(51), d=d)
-    prefix = []
-    product_law = simulator._product_law
-    monkeypatch.setattr(simulator, "_product_law",
-                        lambda rows, out: prefix.append(len(rows))
-                        or product_law(rows, out))
+    prefix = _spy_prefix(monkeypatch)
     for w3, unit in enumerate(("nats", "bits")):
         got = exact_delta(ens, d, w3, unit)
         assert got.hex() == _reference_exact_delta(ens, d, w3, unit).hex()
     assert set(prefix) == {6}
+
+
+@pytest.mark.parametrize("n, sizes, s", [
+    (1, (2, 2, 2, 2), 0),       # s <= n - 1
+    (6, (2, 2, 2, 2), 5),       # s <= n - 1, and 6^6 <= _SUM_CHUNK
+    (8, (2, 2, 2, 2), 5),       # 6^7 > _SUM_CHUNK
+    (6, (4, 4, 3, 3), 4),       # 145 * 6^5 > _PREFIX_CAP
+])
+def test_exact_delta_block_rule(paper, monkeypatch, n, sizes, s):
+    """The prefix spans the most positions s with s <= n - 1,
+    |Z|^(s+1) <= _SUM_CHUNK and (pairs + 1) |Z|^s <= _PREFIX_CAP, and the
+    bits stay the reference kernel's whichever condition binds."""
+    m1, k1, m2, k2 = sizes
+    cfg = SimConfig(n=n, plan=PLAN_DENSE, m1=m1, m2=m2, m3=1, k1=k1, k2=k2,
+                    trials=0)
+    ens = build_codebooks(cfg, rng_for(52, n), d=paper)
+    prefix = _spy_prefix(monkeypatch)
+    got = exact_delta(ens, paper, 0)
+    assert prefix == [s] * (cfg.pair_count() + 1)
+    assert got.hex() == _reference_exact_delta(ens, paper, 0).hex()
 
 
 @pytest.mark.parametrize("plan, deltas", [
@@ -752,13 +779,13 @@ def test_exact_delta_enumerate_workload_pinned(paper, plan, deltas):
 
 
 def test_exact_delta_memory_is_not_exponential_in_n(paper):
-    """One call at n = 8 with 16 pairs on plan B peaks at about 9 MB under
-    tracemalloc; the whole-array kernel held three 6^8 arrays (a 44 MB
-    peak)."""
+    """One call at n = 8 with 16 pairs on plan B peaks at about 4 MB under
+    tracemalloc (17 prefix laws of 6^5 doubles and three blocks of 6^6);
+    the whole-array kernel held three 6^8 arrays (a 44 MB peak)."""
     cfg = SimConfig(n=8, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
                     trials=0)
     ens = build_codebooks(cfg, rng_for(48), d=paper)
-    assert _traced_peak(lambda: exact_delta(ens, paper, 0))[1] <= 16e6
+    assert _traced_peak(lambda: exact_delta(ens, paper, 0))[1] <= 6e6
 
 
 def _traced_peak(call):
