@@ -123,12 +123,14 @@ def _find_ac_violations(gz: np.ndarray, x3_size: int) -> tuple[int, ...]:
 
 
 def from_dict(doc: dict) -> Dmc:
-    try:
-        x3_size = int(doc["x3_size"])
-        y_size = int(doc["y_size"])
-        z_size = int(doc["z_size"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ChannelFormatError(f"bad or missing size field: {e}") from e
+    """The channel of a JSON document; its sizes must be JSON integers."""
+    for key in ("x3_size", "y_size", "z_size"):
+        if key not in doc:
+            raise ChannelFormatError(f"missing size field {key}")
+        if type(doc[key]) is not int:   # not a bool, float or string
+            raise ChannelFormatError(
+                f"{key} must be an integer, got {doc[key]!r}")
+    x3_size, y_size, z_size = doc["x3_size"], doc["y_size"], doc["z_size"]
     if x3_size < 1 or y_size < 1 or z_size < 1:
         raise ChannelFormatError("sizes must be positive")
     n_rows = 4 * x3_size

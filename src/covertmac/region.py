@@ -133,9 +133,25 @@ class PhasePlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PhasePlan":
-        return cls(p_t=tuple(doc["p_t"]),
-                   p_x3_given_t=tuple(tuple(q) for q in doc["p_x3_given_t"]),
-                   rho1=tuple(doc["rho1"]), rho2=tuple(doc["rho2"]),
+        """The plan of a JSON document: an object with lists of numbers
+        p_t, rho1 and rho2, a list of such lists p_x3_given_t, and optional
+        numbers beta1 and beta2.  A ValueError names the key at fault."""
+        if not isinstance(doc, dict):
+            raise ValueError("a plan must be a JSON object")
+        for key in ("p_t", "p_x3_given_t", "rho1", "rho2"):
+            if key not in doc:
+                raise ValueError(f"the plan lacks {key}")
+        rows = doc["p_x3_given_t"]
+        if not isinstance(rows, list):
+            raise ValueError("p_x3_given_t must be a list of lists")
+        for key in ("beta1", "beta2"):
+            if not _is_number(doc.get(key, 1.0)):
+                raise ValueError(f"{key} must be a number")
+        return cls(p_t=_numbers(doc["p_t"], "p_t"),
+                   p_x3_given_t=tuple(_numbers(q, "each p_x3_given_t row")
+                                      for q in rows),
+                   rho1=_numbers(doc["rho1"], "rho1"),
+                   rho2=_numbers(doc["rho2"], "rho2"),
                    beta1=float(doc.get("beta1", 1.0)),
                    beta2=float(doc.get("beta2", 1.0)))
 
@@ -144,6 +160,18 @@ class PhasePlan:
                      beta1: float = 1.0, beta2: float = 1.0) -> "PhasePlan":
         return cls(p_t=(1.0,), p_x3_given_t=(tuple(p_x3),),
                    rho1=(rho1,), rho2=(rho2,), beta1=beta1, beta2=beta2)
+
+
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool or null."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(value, key: str) -> tuple:
+    """A list of JSON numbers as a tuple; else a ValueError naming key."""
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ValueError(f"{key} must be a list of numbers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -261,12 +289,24 @@ def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
     beta_max^2, the longer-active user's, ``phi2`` the other's, and
     ``swapped`` is True when beta2 > beta1.
     """
+    xi = _slack(xi, omega_n)
+    return _sizing(plan, n, omega_n, xi, unit,
+                   *_plan_quantities(d, plan, unit))
+
+
+def _slack(xi, omega_n: float) -> tuple:
+    """theorem1_sizing's xi as floats, once xi and omega_n pass its checks."""
     xi = tuple(float(v) for v in xi)
     if len(xi) != 6 or any(not 0 < v < 1 for v in xi):
         raise ValueError("xi must be six slack values in (0, 1)")
     if not 0 < omega_n < 1:
         raise ValueError("omega_n must lie in (0, 1)")
-    num, key, dsq, r3 = _plan_quantities(d, plan, unit)
+    return xi
+
+
+def _sizing(plan: PhasePlan, n: int, omega_n: float, xi: tuple, unit: str,
+            num, key, dsq, r3) -> Theorem1Sizing:
+    """theorem1_sizing from checked xi and the plan's _plan_quantities."""
     phi_u1, phi_u2, swapped = _active_fractions(plan)
     bmax = max(plan.beta1, plan.beta2)
     root = omega_n * math.sqrt(n)

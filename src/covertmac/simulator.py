@@ -27,8 +27,8 @@ import numpy as np
 
 from .channel import Dmc
 from .infotheory import unit_factor
-from .region import (PhasePlan, _active_fractions, _plan_quantities,
-                     rate_tuple, theorem1_sizing)
+from .region import (PhasePlan, _active_fractions, _plan_quantities, _rates,
+                     _sizing, _slack)
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 MU = 0.5                          # auto-threshold backoff
@@ -258,7 +258,11 @@ class DecodeResult:
 def auto_thresholds(d: Dmc, plan: PhasePlan, n: int,
                     omega_n: float) -> tuple[float, float]:
     """eta_l = (1 - MU) * omega_n * sqrt(n) * E[rho_l D_Y^(l)], natural log."""
-    num, _, _, _ = _plan_quantities(d, plan, "nats")
+    return _thresholds(_plan_quantities(d, plan, "nats")[0], n, omega_n)
+
+
+def _thresholds(num, n: int, omega_n: float) -> tuple[float, float]:
+    """auto_thresholds from the plan's nats numerators (num1, num2)."""
     root = omega_n * math.sqrt(n)
     return (1 - MU) * root * num[0], (1 - MU) * root * num[1]
 
@@ -336,9 +340,10 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     through the codeword x3[w3]: each distinct codeword is enumerated once.
     """
     t0 = time.perf_counter()
+    quantities = _plan_quantities(d, cfg.plan, "nats")
     if cfg.exact_divergence:    # an infinite chi-square fails before a trial
-        rate_tuple(d, cfg.plan, "nats")
-    eta1, eta2 = auto_thresholds(d, cfg.plan, cfg.n, cfg.omega_n)
+        _rates(cfg.plan, "nats", *quantities)
+    eta1, eta2 = _thresholds(quantities[0], cfg.n, cfg.omega_n)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0
@@ -385,8 +390,8 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
             raise ValueError("the exact divergence is infinite: a (1,1,x3) "
                              "warden row puts mass outside the support of "
                              "the (0,0,x3) row")
-        sz = theorem1_sizing(d, cfg.plan, cfg.n, cfg.omega_n,
-                             (0.1,) * 6, unit="nats")
+        sz = _sizing(cfg.plan, cfg.n, cfg.omega_n,
+                     _slack((0.1,) * 6, cfg.omega_n), "nats", *quantities)
         predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack
         delta_ratio = delta_exact / predictor if predictor > 0 else None
     # every ensemble of one (plan, n, omega_n) clips alike

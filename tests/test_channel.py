@@ -79,6 +79,20 @@ def test_dimension_mismatch_rejected(paper):
         from_dict(doc)
 
 
+@pytest.mark.parametrize("value", ["2", 2.5, 2.0, True, None, [2]])
+def test_sizes_must_be_json_integers(paper, value):
+    doc = {**paper.to_dict(), "x3_size": value}
+    with pytest.raises(ChannelFormatError, match="^x3_size must be an integ"):
+        from_dict(doc)
+
+
+def test_missing_size_named(paper):
+    doc = paper.to_dict()
+    del doc["z_size"]
+    with pytest.raises(ChannelFormatError, match="^missing size field z_size"):
+        from_dict(doc)
+
+
 def test_parse_failure(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("not json at all {")

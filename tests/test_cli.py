@@ -336,6 +336,49 @@ def test_non_finite_plan_exit_3(capsys, tmp_path, field, value, cmd):
     assert err == f"error: {field} has a non-finite entry\n"
 
 
+PLAN_DOC = cm.PhasePlan.single_phase((0.535, 0.465), 0.5, 0.5).to_dict()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ([PLAN_DOC], "JSON object"),
+    ({k: v for k, v in PLAN_DOC.items() if k != "rho2"}, "rho2"),
+    ({**PLAN_DOC, "beta1": None}, "beta1"),
+    ({**PLAN_DOC, "beta2": True}, "beta2"),
+    ({**PLAN_DOC, "p_t": "1.0"}, "p_t"),
+    ({**PLAN_DOC, "rho1": [True]}, "rho1"),
+    ({**PLAN_DOC, "p_x3_given_t": [[0.5, None]]}, "p_x3_given_t"),
+    ({**PLAN_DOC, "p_x3_given_t": 1.0}, "p_x3_given_t"),
+], ids=["list", "no-rho2", "null-beta1", "bool-beta2", "string-p_t",
+        "bool-rho1", "null-q-entry", "number-q"])
+@pytest.mark.parametrize("cmd", [["sizing", "--n", "1000000"],
+                                 ["sizing", "--n", "1000000", "--xi", "0.2"],
+                                 ["simulate", "--n", "24", "--trials", "2"]],
+                         ids=["sizing", "sizing-xi", "simulate"])
+def test_malformed_plan_exit_3(capsys, tmp_path, doc, key, cmd):
+    """A plan file that is not an object, lacks a key, or holds a value
+    that is not a (list of) JSON number(s) exits 3 with a one-line message
+    naming the key, not a traceback."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, cmd[0], "--channel", "paper", "--plan",
+                         str(path), *cmd[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x3_size", "2"), ("x3_size", 2.5), ("y_size", 6.0), ("z_size", True),
+    ("y_size", None)])
+def test_channel_size_must_be_an_integer_exit_3(capsys, tmp_path, key, value):
+    """Sizes that int() would accept (a string, a float, a bool) are not
+    JSON integers: exit 3 with a message naming the size."""
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({**cm.paper_channel().to_dict(), key: value}))
+    code, out, err = run(capsys, "profile", "--channel", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {key} must be an integer, got {value!r}\n"
+
+
 def test_profile_ac_violation_rows(capsys, tmp_path):
     """A warden-side absolute-continuity violation at x3 = 0 gives inf
     chi-square rows there, finite ones at x3 = 1, a comment line naming the
@@ -405,6 +448,30 @@ def test_curve_fix_x3_zero_key_cap(capsys):
                        "--k1-max", "0.8", "--fix-x3", "0")
     assert code == 0
     assert out.splitlines()[1:3] == ["k2,r2", "0,0"]
+
+
+def test_sizing_evaluates_the_plan_once(capsys, monkeypatch, plan_file):
+    """The sizing report's bounds and rates come from one evaluation of the
+    plan, and equal theorem1_sizing's and rate_tuple's."""
+    from covertmac import cli
+    units = []
+    real = cli._plan_quantities
+    monkeypatch.setattr(cli, "_plan_quantities",
+                        lambda d, plan, unit: units.append(unit)
+                        or real(d, plan, unit))
+    code, out, _ = run(capsys, "sizing", "--channel", "paper", "--plan",
+                       plan_file, "--n", "1000", "--unit", "nats")
+    assert code == 0 and units == ["nats"]
+    doc = json.loads(out)
+    with open(plan_file) as f:
+        plan = cm.PhasePlan.from_dict(json.load(f))
+    d = cm.paper_channel()
+    sz = cm.theorem1_sizing(d, plan, 1000, 1000 ** -0.25, (0.1,) * 6, "nats")
+    rt = cm.rate_tuple(d, plan, "nats")
+    assert doc["log_m1"] == sz.log_m1
+    assert doc["divergence_bound"] == sz.divergence_bound
+    assert doc["asymptotic_rates"] == {"r1": rt.r1, "r2": rt.r2, "R3": rt.R3,
+                                       "k1": rt.k1, "k2": rt.k2}
 
 
 def test_sizing_json_pinned(capsys, monkeypatch, tmp_path):

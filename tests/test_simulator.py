@@ -470,6 +470,21 @@ def test_run_trials_enumerates_each_distinct_codeword_once(paper,
     assert rep.delta_exact.hex() == mean.hex()
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_run_trials_evaluates_the_plan_once(paper, monkeypatch, exact):
+    """The rate check, the thresholds and the Theorem-1 predictor share one
+    evaluation of the plan, in nats."""
+    units = []
+    real = simulator._plan_quantities
+    monkeypatch.setattr(simulator, "_plan_quantities",
+                        lambda d, plan, unit: units.append(unit)
+                        or real(d, plan, unit))
+    cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
+                    trials=2, seed=7, exact_divergence=exact)
+    run_trials(cfg, paper)
+    assert units == ["nats"]
+
+
 def test_divergence_bound_and_ratio_are_floats(paper):
     """theorem1_sizing's divergence bound and run_trials' delta_bound_ratio
     are Python floats, not numpy scalars."""
