@@ -728,55 +728,39 @@ def test_exact_delta_many_pairs_shrink_the_block(paper):
     assert peak <= 16e6
 
 
-def _spy_prefix(monkeypatch):
-    """The number of positions of every prefix law exact_delta builds."""
-    prefix = []
+def _four_symbol_warden():
+    """A channel whose rows are strictly positive laws on 4 symbols."""
+    from conftest import make_dmc
+    gz = np.random.default_rng(5).dirichlet(np.full(4, 2.0), size=8)
+    gz /= gz.sum(axis=1, keepdims=True)
+    return make_dmc(gz, gz)
+
+
+@pytest.mark.parametrize("zs, n, sizes, s", [
+    (6, 1, (2, 2, 2, 2), 0),        # s <= n - 1
+    (6, 6, (2, 2, 2, 2), 5),        # s <= n - 1, and 6^6 <= _SUM_CHUNK
+    (6, 8, (2, 2, 2, 2), 5),        # 6^7 > _SUM_CHUNK
+    (6, 6, (4, 4, 3, 3), 4),        # 145 * 6^5 > _PREFIX_CAP
+    (4, 8, (4, 4, 4, 2), 6),        # 129 * 4^7 > _PREFIX_CAP, 4^8 fits
+])
+def test_exact_delta_block_rule(paper, monkeypatch, zs, n, sizes, s):
+    """The prefix spans the most positions s with s <= n - 1,
+    |Z|^(s+1) <= _SUM_CHUNK and (pairs + 1) |Z|^s <= _PREFIX_CAP, and the
+    bits stay the reference kernel's whichever condition binds."""
+    d = paper if zs == 6 else _four_symbol_warden()
+    m1, k1, m2, k2 = sizes
+    cfg = SimConfig(n=n, plan=PLAN_DENSE, m1=m1, m2=m2, m3=2, k1=k1, k2=k2,
+                    trials=0)
+    ens = build_codebooks(cfg, rng_for(52, n), d=d)
+    prefix = []             # the positions of each prefix law built
     product_law = simulator._product_law
     monkeypatch.setattr(simulator, "_product_law",
                         lambda rows, out: prefix.append(len(rows))
                         or product_law(rows, out))
-    return prefix
-
-
-def test_exact_delta_prefix_cap_binds_on_a_small_warden(monkeypatch):
-    """128 pairs at n = 8 on a 4-symbol warden: the prefix laws stop at 6
-    positions, as 129 * 4^7 doubles exceed _PREFIX_CAP while a block of
-    4^8 outputs would fit, and the bits stay the reference kernel's."""
-    from conftest import make_dmc
-    gen = np.random.default_rng(5)
-    gz = gen.dirichlet(np.full(4, 2.0), size=8)
-    gz /= gz.sum(axis=1, keepdims=True)
-    d = make_dmc(gz, gz)
-    assert 129 * 4 ** 6 <= simulator._PREFIX_CAP < 129 * 4 ** 7
-    assert 4 ** 8 <= _SUM_CHUNK
-    cfg = SimConfig(n=8, plan=PLAN_DENSE, m1=4, m2=4, m3=2, k1=4, k2=2,
-                    trials=0)
-    ens = build_codebooks(cfg, rng_for(51), d=d)
-    prefix = _spy_prefix(monkeypatch)
     for w3, unit in enumerate(("nats", "bits")):
         got = exact_delta(ens, d, w3, unit)
         assert got.hex() == _reference_exact_delta(ens, d, w3, unit).hex()
-    assert set(prefix) == {6}
-
-
-@pytest.mark.parametrize("n, sizes, s", [
-    (1, (2, 2, 2, 2), 0),       # s <= n - 1
-    (6, (2, 2, 2, 2), 5),       # s <= n - 1, and 6^6 <= _SUM_CHUNK
-    (8, (2, 2, 2, 2), 5),       # 6^7 > _SUM_CHUNK
-    (6, (4, 4, 3, 3), 4),       # 145 * 6^5 > _PREFIX_CAP
-])
-def test_exact_delta_block_rule(paper, monkeypatch, n, sizes, s):
-    """The prefix spans the most positions s with s <= n - 1,
-    |Z|^(s+1) <= _SUM_CHUNK and (pairs + 1) |Z|^s <= _PREFIX_CAP, and the
-    bits stay the reference kernel's whichever condition binds."""
-    m1, k1, m2, k2 = sizes
-    cfg = SimConfig(n=n, plan=PLAN_DENSE, m1=m1, m2=m2, m3=1, k1=k1, k2=k2,
-                    trials=0)
-    ens = build_codebooks(cfg, rng_for(52, n), d=paper)
-    prefix = _spy_prefix(monkeypatch)
-    got = exact_delta(ens, paper, 0)
-    assert prefix == [s] * (cfg.pair_count() + 1)
-    assert got.hex() == _reference_exact_delta(ens, paper, 0).hex()
+    assert prefix == [s] * 2 * (cfg.pair_count() + 1)
 
 
 @pytest.mark.parametrize("plan, deltas", [
