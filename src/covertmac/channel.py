@@ -88,6 +88,11 @@ class Dmc:
 
 
 def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
+    # np.asarray would read the string "0.28" as 0.28 and true as 1.0
+    if not (isinstance(mat, list) and all(
+            isinstance(r, list) and all(map(_is_number, r)) for r in mat)):
+        raise ChannelFormatError(
+            f"{name} must be a list of rows of JSON numbers")
     arr = np.asarray(mat, dtype=float)
     if arr.shape != (n_rows, n_cols):
         raise ChannelFormatError(
@@ -110,6 +115,11 @@ def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
     return arr
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool or null."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _find_ac_violations(gz: np.ndarray, x3_size: int) -> tuple[int, ...]:
     bad = []
     for x3 in range(x3_size):
@@ -123,7 +133,8 @@ def _find_ac_violations(gz: np.ndarray, x3_size: int) -> tuple[int, ...]:
 
 
 def from_dict(doc: dict) -> Dmc:
-    """The channel of a JSON document; its sizes must be JSON integers."""
+    """The channel of a JSON document; its sizes must be JSON integers and
+    its matrices lists of lists of JSON numbers."""
     for key in ("x3_size", "y_size", "z_size"):
         if key not in doc:
             raise ChannelFormatError(f"missing size field {key}")

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .channel import ChannelFormatError, load_channel, paper_channel
 from .infotheory import _channel_terms, capacity_x3, chi_square, mixture_kl
-from .region import (InfeasibleError, PhasePlan, _plan_quantities, _rates,
-                     _sizing, _slack, curve_r2_vs_k2, trace_r2_R3)
+from .region import (InfeasibleError, PhasePlan, _evaluate, _slack,
+                     curve_r2_vs_k2, trace_r2_R3)
 from .simulator import EnumerationCapError, SimConfig, exact_delta, run_trials
 
 # A chi-square at or below this is rounding noise (0 or about 4e-33 on a
@@ -207,9 +207,8 @@ def cmd_sizing(args) -> int:
     omega = args.omega if args.omega is not None else float(args.n) ** -0.25
     xi = _slack(xi, omega)
     # theorem1_sizing and rate_tuple from one evaluation of the plan
-    quantities = _plan_quantities(d, plan, args.unit)
-    sz = _sizing(plan, args.n, omega, xi, args.unit, *quantities)
-    rt = _rates(plan, args.unit, *quantities)
+    ev = _evaluate(d, plan, args.unit)
+    sz, rt = ev.sizing(args.n, omega, xi), ev.rates()
     doc = {
         "manifest": _manifest(args, d, {"n": args.n, "omega_n": omega}),
         "phi1": sz.phi1, "phi2": sz.phi2, "swapped": sz.swapped,

@@ -44,6 +44,13 @@ in lam at each law too.  That search is local, so the LP's upper bound
 on r2 is measured, not proven.  A polish, priced at the
 plan's laws alone, merges the columns of each law into one phase.
 
+A plan becomes numbers here only: the methods of its _evaluate record
+give the rates, sizing, thresholds and divergence predictor, which weight
+phase t by p_t, and _codeword_densities gives the simulator's codeword
+density rho_t omega_n / sqrt(n_t), which does not.  One-phase plans agree
+under both; on the tests' two-phase REF_PLAN the ensemble's warden
+divergence is about 1.98 times the predictor.
+
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
 capacity) from infotheory's _ChannelTerms table, one per (Dmc, unit), which
 the public measures of infotheory read too.
@@ -55,10 +62,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Dmc
+from .channel import Dmc, _is_number
 from .infotheory import (DEFAULT_UNIT, _channel_terms, _ChannelTerms,
                          unit_factor)
 
@@ -162,11 +170,6 @@ class PhasePlan:
                    rho1=(rho1,), rho2=(rho2,), beta1=beta1, beta2=beta2)
 
 
-def _is_number(v) -> bool:
-    """A JSON number: an int or a float, not a bool or null."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _numbers(value, key: str) -> tuple:
     """A list of JSON numbers as a tuple; else a ValueError naming key."""
     if not (isinstance(value, list) and all(map(_is_number, value))):
@@ -247,29 +250,74 @@ def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
     return nk[:2], nk[2:], float(dsq), r3
 
 
+class _Evaluated(NamedTuple):
+    """A plan evaluated in one unit by _plan_quantities, and the numbers
+    each consumer makes of it."""
+    plan: PhasePlan
+    unit: str
+    num: list
+    key: list
+    dsq: float
+    r3: float
+
+    def rates(self, betas=None) -> RateTuple:
+        """rate_tuple, at ``betas`` in place of the plan's if given."""
+        plan, unit, num, key, dsq, r3 = self
+        r3 = float(r3)              # plans may hold numpy scalars
+        if math.isinf(dsq):
+            raise ValueError("chi-square is infinite at an active (phase, x3); "
+                             "the plan violates absolute continuity")
+        if dsq == 0.0:
+            if num[0] == 0.0 and num[1] == 0.0:
+                return RateTuple(0.0, 0.0, r3, 0.0, 0.0, unit)
+            # active covert users that the warden cannot see at all
+            return RateTuple(math.inf if num[0] > 0 else 0.0,
+                             math.inf if num[1] > 0 else 0.0,
+                             r3, 0.0, 0.0, unit, perfectly_covert=True)
+        dd = math.sqrt(dsq)
+        betas = betas or (plan.beta1, plan.beta2)
+        r1, r2 = (float(SQRT2 * b * n / dd) for b, n in zip(betas, num))
+        k1, k2 = (float(max(0.0, SQRT2 * b * k / dd))
+                  for b, k in zip(betas, key))
+        return RateTuple(r1, r2, r3, k1, k2, unit)
+
+    def sizing(self, n: int, omega_n: float, xi: tuple) -> Theorem1Sizing:
+        """theorem1_sizing at xi and omega_n that passed _slack."""
+        plan, unit, num, key, dsq, r3 = self
+        phi_u1, phi_u2, swapped = _active_fractions(plan)
+        bmax = max(plan.beta1, plan.beta2)
+        root = omega_n * math.sqrt(n)
+        return Theorem1Sizing(
+            n=n, omega_n=omega_n, xi=xi, phi1=bmax ** 2,
+            phi2=min(phi_u1, phi_u2), swapped=swapped,
+            log_m1=phi_u1 * (1 - xi[0]) * root * num[0],
+            log_m2=phi_u2 * (1 - xi[1]) * root * num[1],
+            log_m3=(1 - xi[2]) * n * r3,
+            log_k1=max(0.0, phi_u1 * (1 - xi[3]) * root * key[0]),
+            log_k2=max(0.0, phi_u2 * (1 - xi[4]) * root * key[1]),
+            divergence_bound=(bmax ** 2 * (1 + xi[5]) * omega_n ** 2 / 2
+                              * dsq / unit_factor(unit)), unit=unit)
+
+    def predictor(self, n: int, omega_n: float) -> float:
+        """The warden bound beta_max^2 omega_n^2 / 2 * D^2 as the sizing's
+        at xi = 0.1 over 1 + 0.1, bit for bit; omega_n must lie in (0, 1)."""
+        sz = self.sizing(n, omega_n, _slack((0.1,) * 6, omega_n))
+        return sz.divergence_bound / (1 + 0.1)
+
+    def thresholds(self, n: int, omega_n: float, backoff: float) -> tuple:
+        """(1 - backoff) * omega_n * sqrt(n) * num_l for l = 1, 2."""
+        root = omega_n * math.sqrt(n)
+        return tuple((1 - backoff) * root * v for v in self.num)
+
+
+def _evaluate(d: Dmc, plan: PhasePlan, unit: str) -> _Evaluated:
+    """The plan's _Evaluated record; validates the plan against d."""
+    return _Evaluated(plan, unit, *_plan_quantities(d, plan, unit))
+
+
 def rate_tuple(d: Dmc, plan: PhasePlan, unit: str = DEFAULT_UNIT) -> RateTuple:
     """Evaluate the asymptotic rate/key tuple of a plan."""
-    return _rates(plan, unit, *_plan_quantities(d, plan, unit))
-
-
-def _rates(plan: PhasePlan, unit: str, num, key, dsq, r3) -> RateTuple:
-    """rate_tuple from the plan's _plan_quantities (free of its betas)."""
-    r3 = float(r3)              # plans may hold numpy scalars
-    if math.isinf(dsq):
-        raise ValueError("chi-square is infinite at an active (phase, x3); "
-                         "the plan violates absolute continuity")
-    if dsq == 0.0:
-        if num[0] == 0.0 and num[1] == 0.0:
-            return RateTuple(0.0, 0.0, r3, 0.0, 0.0, unit)
-        # active covert users that the warden cannot see at all
-        return RateTuple(math.inf if num[0] > 0 else 0.0,
-                         math.inf if num[1] > 0 else 0.0,
-                         r3, 0.0, 0.0, unit, perfectly_covert=True)
-    dd = math.sqrt(dsq)
-    betas = (plan.beta1, plan.beta2)
-    r1, r2 = (float(SQRT2 * b * n / dd) for b, n in zip(betas, num))
-    k1, k2 = (float(max(0.0, SQRT2 * b * k / dd)) for b, k in zip(betas, key))
-    return RateTuple(r1, r2, r3, k1, k2, unit)
+    return _evaluate(d, plan, unit).rates()
 
 
 def _active_fractions(plan: PhasePlan) -> tuple[float, float, bool]:
@@ -281,6 +329,24 @@ def _active_fractions(plan: PhasePlan) -> tuple[float, float, bool]:
     return plan.beta1 * bmax, plan.beta2 * bmax, plan.beta2 > plan.beta1
 
 
+def _codeword_densities(plan: PhasePlan, n_t, omega_n: float):
+    """(_active_fractions, per user the active lengths floor(phi_l n_t),
+    per user the densities rho_l,t omega_n / sqrt(n_t) clipped to 1, the
+    clip warnings) of the covert codewords at phase lengths n_t."""
+    fractions = _active_fractions(plan)
+    active = tuple([int(math.floor(phi * nt)) for nt in n_t]
+                   for phi in fractions[:2])
+    dens, warnings = ([], []), []
+    for t, nt in enumerate(n_t):
+        for user, rho in enumerate((plan.rho1[t], plan.rho2[t])):
+            p = rho * omega_n / math.sqrt(nt) if nt > 0 else 0.0
+            if p > 1.0:
+                warnings.append(
+                    f"phase {t}: user-{user + 1} density {p:.3g} clipped to 1")
+            dens[user].append(min(p, 1.0))
+    return fractions, active, dens, warnings
+
+
 def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
                     xi, unit: str = DEFAULT_UNIT) -> Theorem1Sizing:
     """Finite-blocklength message/key sizing and warden-divergence bound.
@@ -290,8 +356,7 @@ def theorem1_sizing(d: Dmc, plan: PhasePlan, n: int, omega_n: float,
     ``swapped`` is True when beta2 > beta1.
     """
     xi = _slack(xi, omega_n)
-    return _sizing(plan, n, omega_n, xi, unit,
-                   *_plan_quantities(d, plan, unit))
+    return _evaluate(d, plan, unit).sizing(n, omega_n, xi)
 
 
 def _slack(xi, omega_n: float) -> tuple:
@@ -302,26 +367,6 @@ def _slack(xi, omega_n: float) -> tuple:
     if not 0 < omega_n < 1:
         raise ValueError("omega_n must lie in (0, 1)")
     return xi
-
-
-def _sizing(plan: PhasePlan, n: int, omega_n: float, xi: tuple, unit: str,
-            num, key, dsq, r3) -> Theorem1Sizing:
-    """theorem1_sizing from checked xi and the plan's _plan_quantities."""
-    phi_u1, phi_u2, swapped = _active_fractions(plan)
-    bmax = max(plan.beta1, plan.beta2)
-    root = omega_n * math.sqrt(n)
-    log_m1 = phi_u1 * (1 - xi[0]) * root * num[0]
-    log_m2 = phi_u2 * (1 - xi[1]) * root * num[1]
-    log_m3 = (1 - xi[2]) * n * r3
-    log_k1 = max(0.0, phi_u1 * (1 - xi[3]) * root * key[0])
-    log_k2 = max(0.0, phi_u2 * (1 - xi[4]) * root * key[1])
-    bound = bmax ** 2 * (1 + xi[5]) * omega_n ** 2 / 2 * dsq / unit_factor(unit)
-    return Theorem1Sizing(n=n, omega_n=omega_n, xi=xi,
-                          phi1=bmax ** 2, phi2=min(phi_u1, phi_u2),
-                          swapped=swapped,
-                          log_m1=log_m1, log_m2=log_m2, log_m3=log_m3,
-                          log_k1=log_k1, log_k2=log_k2,
-                          divergence_bound=bound, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +584,18 @@ def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     the smallest beta1 that meets r1_min (the largest under the k1 cap when
     r1_min = 0 or r1 = inf) and the largest beta2 under the k2 cap; None
     when a beta would be 0 or the plan misses a cap by more than 1e-9."""
-    num, key, dsq, r3 = _plan_quantities(d, plan, unit)
-    dd = math.sqrt(dsq)
-    if cons.r1_min > 0 and dd > 0 and math.isfinite(num[0]):
-        b1 = min(1.0, cons.r1_min * dd / (SQRT2 * num[0]))
+    ev = _evaluate(d, plan, unit)
+    dd = math.sqrt(ev.dsq)
+    if cons.r1_min > 0 and dd > 0 and math.isfinite(ev.num[0]):
+        b1 = min(1.0, cons.r1_min * dd / (SQRT2 * ev.num[0]))
     else:
-        b1 = _key_beta(cons.k1_max, key[0], dd)
-    b2 = _key_beta(cons.k2_max, key[1], dd)
+        b1 = _key_beta(cons.k1_max, ev.key[0], dd)
+    b2 = _key_beta(cons.k2_max, ev.key[1], dd)
     if not (b1 > 0 and b2 > 0):
         return None
-    plan = replace(plan, beta1=float(b1), beta2=float(b2))
-    rt = _rates(plan, unit, num, key, dsq, r3)
+    betas = float(b1), float(b2)
+    plan = replace(plan, beta1=betas[0], beta2=betas[1])
+    rt = ev.rates(betas)
     if not _feasible((rt.r1, rt.r2, rt.R3, rt.k1, rt.k2), cons):
         return None
     return plan, rt

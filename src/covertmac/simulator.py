@@ -9,11 +9,12 @@ so its memory is bounded by _PREFIX_CAP doubles plus a few blocks for any n,
 and ENUM_CAP bounds only its time.
 
 Covert codewords are i.i.d. Bernoulli at density rho * omega_n / sqrt(n_t)
-over the active fraction of each phase; the non-covert codewords are i.i.d.
-from the phase's x3 distribution.  Under hypothesis 0 the covert users send
-all-zero sequences.  All randomness flows through numpy Generators seeded
-from (seed, trial index), so reports are reproducible under any scheduling.
-The x3 draws equal rng.choice's bit for bit, from the same uniforms.
+(region._codeword_densities) over the active fraction of each phase, while
+the thresholds and the divergence predictor weight phase t by p_t (region's
+docstring); the non-covert codewords are i.i.d. from the phase's x3
+distribution.  Under hypothesis 0 the covert users send all-zero sequences.
+All randomness flows through numpy Generators seeded from (seed, trial
+index), so reports are reproducible under any scheduling.  The x3 draws equal rng.choice's bit for bit, from the same uniforms.
 Sampling and decoding read per-channel tables (cumulative output laws and
 log gamma_y) built once and kept on the Dmc.
 """
@@ -27,8 +28,7 @@ import numpy as np
 
 from .channel import Dmc
 from .infotheory import unit_factor
-from .region import (PhasePlan, _active_fractions, _plan_quantities, _rates,
-                     _sizing, _slack)
+from .region import PhasePlan, _codeword_densities, _evaluate
 
 WILSON_Z = 1.959963984540054      # 95% two-sided
 MU = 0.5                          # auto-threshold backoff
@@ -95,10 +95,9 @@ class CodebookEnsemble:
         self.n = cfg.n
         self.n_t = phase_lengths(cfg.n, plan.p_t)
         self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
-        self.phi1, self.phi2, self.swapped = _active_fractions(plan)
-        self.active1 = [int(math.floor(self.phi1 * nt)) for nt in self.n_t]
-        self.active2 = [int(math.floor(self.phi2 * nt)) for nt in self.n_t]
-        self.clip_warnings: list[str] = []
+        ((self.phi1, self.phi2, self.swapped), (self.active1, self.active2),
+         dens, self.clip_warnings) = _codeword_densities(plan, self.n_t,
+                                                         cfg.omega_n)
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
         self.x3 = np.zeros((cfg.m3, cfg.n), dtype=int)
@@ -106,16 +105,8 @@ class CodebookEnsemble:
         for t in range(plan.tau):
             nt, off = self.n_t[t], self.offsets[t]
             a1, a2 = self.active1[t], self.active2[t]
-            dens = []
-            for user, rho in ((1, plan.rho1[t]), (2, plan.rho2[t])):
-                p = rho * cfg.omega_n / math.sqrt(nt) if nt > 0 else 0.0
-                if p > 1.0:
-                    self.clip_warnings.append(
-                        f"phase {t}: user-{user} density {p:.3g} clipped to 1")
-                    p = 1.0
-                dens.append(p)
-            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < dens[0]
-            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < dens[1]
+            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < dens[0][t]
+            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < dens[1][t]
             q = np.asarray(plan.p_x3_given_t[t], dtype=float)
             if len(q) != d_x3_size:
                 raise ValueError("plan x3 alphabet does not match the channel")
@@ -123,7 +114,7 @@ class CodebookEnsemble:
             # the shorter-active user pads [active_short, active_long)
             lo, hi = sorted((a1, a2))
             pad_idx.append(np.arange(off + lo, off + hi))
-            pad_p.append(np.full(hi - lo, dens[0] if self.swapped else dens[1]))
+            pad_p.append(np.full(hi - lo, dens[0 if self.swapped else 1][t]))
         self.pad_idx = np.concatenate(pad_idx)
         self.pad_p = np.concatenate(pad_p)
         for a in (self.x1, self.x2, self.x3, self.pad_idx, self.pad_p):
@@ -258,13 +249,7 @@ class DecodeResult:
 def auto_thresholds(d: Dmc, plan: PhasePlan, n: int,
                     omega_n: float) -> tuple[float, float]:
     """eta_l = (1 - MU) * omega_n * sqrt(n) * E[rho_l D_Y^(l)], natural log."""
-    return _thresholds(_plan_quantities(d, plan, "nats")[0], n, omega_n)
-
-
-def _thresholds(num, n: int, omega_n: float) -> tuple[float, float]:
-    """auto_thresholds from the plan's nats numerators (num1, num2)."""
-    root = omega_n * math.sqrt(n)
-    return (1 - MU) * root * num[0], (1 - MU) * root * num[1]
+    return _evaluate(d, plan, "nats").thresholds(n, omega_n, MU)
 
 
 def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
@@ -340,10 +325,11 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     through the codeword x3[w3]: each distinct codeword is enumerated once.
     """
     t0 = time.perf_counter()
-    quantities = _plan_quantities(d, cfg.plan, "nats")
-    if cfg.exact_divergence:    # an infinite chi-square fails before a trial
-        _rates(cfg.plan, "nats", *quantities)
-    eta1, eta2 = _thresholds(quantities[0], cfg.n, cfg.omega_n)
+    ev = _evaluate(d, cfg.plan, "nats")
+    if cfg.exact_divergence:    # an infinite chi2 or a bad omega_n fails now
+        ev.rates()
+        predictor = ev.predictor(cfg.n, cfg.omega_n)
+    eta1, eta2 = ev.thresholds(cfg.n, cfg.omega_n, MU)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0
@@ -390,9 +376,6 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
             raise ValueError("the exact divergence is infinite: a (1,1,x3) "
                              "warden row puts mass outside the support of "
                              "the (0,0,x3) row")
-        sz = _sizing(cfg.plan, cfg.n, cfg.omega_n,
-                     _slack((0.1,) * 6, cfg.omega_n), "nats", *quantities)
-        predictor = sz.divergence_bound / (1 + 0.1)  # strip the slack
         delta_ratio = delta_exact / predictor if predictor > 0 else None
     # every ensemble of one (plan, n, omega_n) clips alike
     clip = tuple(ens.clip_warnings) if ens is not None else ()

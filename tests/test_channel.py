@@ -86,6 +86,26 @@ def test_sizes_must_be_json_integers(paper, value):
         from_dict(doc)
 
 
+@pytest.mark.parametrize("name", ["gamma_y", "gamma_z"])
+@pytest.mark.parametrize("value", ["0.28", True, False, None, [0.28]])
+def test_matrix_entries_must_be_json_numbers(paper, name, value):
+    """A string, bool, null or list entry is not converted: the load fails
+    with a message naming the matrix."""
+    doc = paper.to_dict()
+    doc[name][0][0] = value
+    with pytest.raises(ChannelFormatError,
+                       match=f"^{name} must be a list of rows of JSON numbers"):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [None, "0.5", [0.5] * 6, {"0": [0.5]}])
+def test_matrix_must_be_a_list_of_rows(paper, value):
+    doc = {**paper.to_dict(), "gamma_z": value}
+    with pytest.raises(ChannelFormatError,
+                       match="^gamma_z must be a list of rows of JSON numbers"):
+        from_dict(doc)
+
+
 def test_missing_size_named(paper):
     doc = paper.to_dict()
     del doc["z_size"]

@@ -379,6 +379,18 @@ def test_channel_size_must_be_an_integer_exit_3(capsys, tmp_path, key, value):
     assert err == f"error: {key} must be an integer, got {value!r}\n"
 
 
+def test_channel_string_entry_exit_3(capsys, tmp_path):
+    """A matrix entry that is a JSON string is not read as a number: exit 3
+    with a message naming the matrix."""
+    doc = cm.paper_channel().to_dict()
+    doc["gamma_y"][0][0] = str(doc["gamma_y"][0][0])
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "profile", "--channel", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: gamma_y must be a list of rows of JSON numbers\n"
+
+
 def test_profile_ac_violation_rows(capsys, tmp_path):
     """A warden-side absolute-continuity violation at x3 = 0 gives inf
     chi-square rows there, finite ones at x3 = 1, a comment line naming the
@@ -453,10 +465,10 @@ def test_curve_fix_x3_zero_key_cap(capsys):
 def test_sizing_evaluates_the_plan_once(capsys, monkeypatch, plan_file):
     """The sizing report's bounds and rates come from one evaluation of the
     plan, and equal theorem1_sizing's and rate_tuple's."""
-    from covertmac import cli
+    from covertmac import region
     units = []
-    real = cli._plan_quantities
-    monkeypatch.setattr(cli, "_plan_quantities",
+    real = region._plan_quantities
+    monkeypatch.setattr(region, "_plan_quantities",
                         lambda d, plan, unit: units.append(unit)
                         or real(d, plan, unit))
     code, out, _ = run(capsys, "sizing", "--channel", "paper", "--plan",

@@ -1211,7 +1211,6 @@ def test_evaluators_match_public_reference(paper, monkeypatch, case):
 
     got = evaluate()
     monkeypatch.setattr(region, "_plan_quantities", _reference_quantities)
-    monkeypatch.setattr(simulator, "_plan_quantities", _reference_quantities)
     assert got == evaluate()
 
 

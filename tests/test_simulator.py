@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
-from covertmac import simulator
+from covertmac import region, simulator
 from covertmac.infotheory import unit_factor
 from covertmac.region import PhasePlan, theorem1_sizing
 from covertmac.simulator import (_SUM_CHUNK, EnumerationCapError, SimConfig,
@@ -475,14 +475,66 @@ def test_run_trials_evaluates_the_plan_once(paper, monkeypatch, exact):
     """The rate check, the thresholds and the Theorem-1 predictor share one
     evaluation of the plan, in nats."""
     units = []
-    real = simulator._plan_quantities
-    monkeypatch.setattr(simulator, "_plan_quantities",
+    real = region._plan_quantities
+    monkeypatch.setattr(region, "_plan_quantities",
                         lambda d, plan, unit: units.append(unit)
                         or real(d, plan, unit))
     cfg = SimConfig(n=6, plan=PLAN_DENSE, m1=2, m2=2, m3=2, k1=2, k2=2,
                     trials=2, seed=7, exact_divergence=exact)
     run_trials(cfg, paper)
     assert units == ["nats"]
+
+
+def test_run_trials_checks_the_predictors_omega_before_a_trial(
+        paper, monkeypatch):
+    """At n = 1 the default omega_n is 1, outside theorem1_sizing's (0, 1):
+    with the exact divergence asked for, run_trials fails before it draws
+    an ensemble or enumerates."""
+    drawn = []
+    monkeypatch.setattr(simulator, "build_codebooks",
+                        lambda *a, **k: drawn.append(1))
+    calls = _spy_exact_delta(monkeypatch)
+    cfg = SimConfig(n=1, plan=PLAN_X0, trials=50, exact_divergence=True)
+    with pytest.raises(ValueError, match="^omega_n must lie in \\(0, 1\\)$"):
+        run_trials(cfg, paper)
+    assert drawn == [] and calls == []
+
+
+def _recording_rng(seen: list):
+    """A generator whose uniforms append to ``seen`` every value they are
+    compared below (u < p): the densities an ensemble draws its covert
+    codewords at."""
+    class Uniforms(np.ndarray):
+        def __lt__(self, other):
+            seen.append(other)
+            return np.asarray(self) < other
+
+    class Rng:
+        rng = rng_for(0)
+
+        def random(self, shape):
+            return self.rng.random(shape).view(Uniforms)
+    return Rng()
+
+
+@pytest.mark.parametrize("case", ["ref", "clipped"])
+def test_ensemble_draws_at_region_densities(paper, case):
+    """CodebookEnsemble draws each phase's covert codewords at the
+    densities, and warns of the clips, that region._codeword_densities
+    gives, by float.hex; at n = 3 PLAN_DENSE's densities pass 1."""
+    from test_region import REF_PLAN
+    plan, n = (REF_PLAN, 1000) if case == "ref" else (PLAN_DENSE, 3)
+    cfg = SimConfig(n=n, plan=plan, trials=0)
+    seen = []
+    ens = cm.CodebookEnsemble(cfg, _recording_rng(seen), paper.x3_size)
+    fractions, active, dens, warnings = region._codeword_densities(
+        plan, phase_lengths(n, plan.p_t), cfg.omega_n)
+    assert [float(p).hex() for p in seen] == [
+        p.hex() for t in range(plan.tau) for p in (dens[0][t], dens[1][t])]
+    assert ens.clip_warnings == warnings
+    assert bool(warnings) == (case == "clipped")
+    assert (ens.active1, ens.active2) == active
+    assert (ens.phi1, ens.phi2, ens.swapped) == fractions
 
 
 def test_divergence_bound_and_ratio_are_floats(paper):
