@@ -3,13 +3,14 @@
 The channel is a pair of conditional probability matrices: ``gamma_y`` to the
 legitimate receiver and ``gamma_z`` to the warden.  Rows are indexed by the
 input triple (x1, x2, x3) in lexicographic order with x3 fastest, i.e. row
-``x1*(2*x3_size) + x2*x3_size + x3``.  Input symbol 0 is the off-symbol for
-the two covert users.
+``x1*(2*x3_size) + x2*x3_size + x3``; ``_rows`` is the one place that layout
+lives.  Input symbol 0 is the off-symbol for the two covert users.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -59,7 +60,7 @@ class Dmc:
             raise IndexError(f"covert inputs must be bits, got ({x1}, {x2})")
         if not 0 <= x3 < self.x3_size:
             raise IndexError(f"x3={x3} out of range [0, {self.x3_size})")
-        return x1 * (2 * self.x3_size) + x2 * self.x3_size + x3
+        return _rows(self.x3_size, x1, x2, x3)
 
     def row(self, side: str, x1: int, x2: int, x3: int) -> np.ndarray:
         """Conditional output distribution for one input triple."""
@@ -85,6 +86,18 @@ class Dmc:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+def _rows(x3_size: int, x1, x2, x3):
+    """Matrix row of each input triple (ints or int64 arrays); no checks."""
+    return x1 * (2 * x3_size) + x2 * x3_size + x3
+
+
+def _cached(d: Dmc, key: str, build, *args):
+    """build(d, *args), made on the first call and kept on d under key."""
+    if key not in d.__dict__:
+        object.__setattr__(d, key, build(d, *args))
+    return d.__dict__[key]
 
 
 def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
@@ -116,20 +129,18 @@ def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def _is_number(v) -> bool:
-    """A JSON number: an int or a float, not a bool or null."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that a float holds: a float, or an int (not a bool)
+    no larger in size than the largest float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, float) or abs(v) <= sys.float_info.max  # exact test
 
 
 def _find_ac_violations(gz: np.ndarray, x3_size: int) -> tuple[int, ...]:
-    bad = []
-    for x3 in range(x3_size):
-        off = gz[x3]                                     # (0,0,x3)
-        on1 = gz[1 * (2 * x3_size) + 0 * x3_size + x3]   # (1,0,x3)
-        on2 = gz[0 * (2 * x3_size) + 1 * x3_size + x3]   # (0,1,x3)
-        null = off == 0.0
-        if np.any(null & ((on1 > 0) | (on2 > 0))):
-            bad.append(x3)
-    return tuple(bad)
+    off, on1, on2 = (gz[_rows(x3_size, *on, np.arange(x3_size))]
+                     for on in ((0, 0), (1, 0), (0, 1)))
+    bad = (off == 0.0) & ((on1 > 0) | (on2 > 0))
+    return tuple(np.flatnonzero(bad.any(axis=1)).tolist())
 
 
 def from_dict(doc: dict) -> Dmc:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .channel import ChannelFormatError, load_channel, paper_channel
+from .channel import load_channel, paper_channel
 from .infotheory import _channel_terms, capacity_x3, chi_square, mixture_kl
 from .region import (InfeasibleError, PhasePlan, _evaluate, _slack,
                      curve_r2_vs_k2, trace_r2_R3)
@@ -311,16 +311,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ChannelFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except EnumerationCapError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_ENUM_CAP
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # ChannelFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

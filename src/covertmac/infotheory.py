@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .channel import Dmc, SIDE_Y, SIDE_Z
+from .channel import Dmc, SIDE_Y, SIDE_Z, _cached, _rows
 
 DEFAULT_UNIT = "bits"
 _LN2 = math.log(2.0)
@@ -85,10 +85,8 @@ class DivergenceProfile:
     """
 
     def __init__(self, d_y1, d_y2, d_z1, d_z2, unit: str):
-        self.d_y1 = np.asarray(d_y1, dtype=float)
-        self.d_y2 = np.asarray(d_y2, dtype=float)
-        self.d_z1 = np.asarray(d_z1, dtype=float)
-        self.d_z2 = np.asarray(d_z2, dtype=float)
+        self.d_y1, self.d_y2, self.d_z1, self.d_z2 = (
+            np.asarray(v, dtype=float) for v in (d_y1, d_y2, d_z1, d_z2))
         self.d_zy1 = self.d_z1 - self.d_y1
         self.d_zy2 = self.d_z2 - self.d_y2
         self.unit = unit
@@ -101,15 +99,10 @@ class DivergenceProfile:
 
 def divergence_profile(d: Dmc, unit: str = DEFAULT_UNIT) -> DivergenceProfile:
     """All six one-user divergences for every x3."""
-    vals = {k: [] for k in ("y1", "y2", "z1", "z2")}
-    for x3 in range(d.x3_size):
-        off_y = d.row(SIDE_Y, 0, 0, x3)
-        off_z = d.row(SIDE_Z, 0, 0, x3)
-        vals["y1"].append(kl_div(d.row(SIDE_Y, 1, 0, x3), off_y, unit))
-        vals["y2"].append(kl_div(d.row(SIDE_Y, 0, 1, x3), off_y, unit))
-        vals["z1"].append(kl_div(d.row(SIDE_Z, 1, 0, x3), off_z, unit))
-        vals["z2"].append(kl_div(d.row(SIDE_Z, 0, 1, x3), off_z, unit))
-    return DivergenceProfile(vals["y1"], vals["y2"], vals["z1"], vals["z2"], unit)
+    return DivergenceProfile(*(
+        [kl_div(d.row(side, *on, x3), d.row(side, 0, 0, x3), unit)
+         for x3 in range(d.x3_size)]
+        for side in (SIDE_Y, SIDE_Z) for on in ((1, 0), (0, 1))), unit)
 
 
 def chi_square(d: Dmc, rho1: float, rho2: float, x3: int) -> float:
@@ -216,7 +209,7 @@ class _ChannelTerms:
         # what laws() reads of inf and ok on every call
         self.inf_on, self.off = self.inf != 0, ~self.ok
         self.inf_sum = self.inf.sum(axis=1)[:, None]
-        self.sub = d.gamma_y[:d.x3_size]
+        self.sub = d.gamma_y[_rows(d.x3_size, 0, 0, np.arange(d.x3_size))]
         self.sub_pos = self.sub > 0
         self.sub_one = np.where(self.sub_pos, self.sub, 1.0)
         self.positive = bool(self.sub_pos.all())
@@ -295,7 +288,4 @@ class _ChannelTerms:
 
 def _channel_terms(d: Dmc, unit: str) -> _ChannelTerms:
     """The terms of d in ``unit``, built on first use and kept on d."""
-    key = "_terms_" + unit
-    if key not in d.__dict__:
-        object.__setattr__(d, key, _ChannelTerms(d, unit))
-    return d.__dict__[key]
+    return _cached(d, "_terms_" + unit, _ChannelTerms, unit)

@@ -587,6 +587,8 @@ def _with_betas(d: Dmc, plan: PhasePlan, cons: Constraints, unit: str):
     ev = _evaluate(d, plan, unit)
     dd = math.sqrt(ev.dsq)
     if cons.r1_min > 0 and dd > 0 and math.isfinite(ev.num[0]):
+        if ev.num[0] == 0:      # user 1 is silent: no beta1 meets r1_min
+            return None
         b1 = min(1.0, cons.r1_min * dd / (SQRT2 * ev.num[0]))
     else:
         b1 = _key_beta(cons.k1_max, ev.key[0], dd)

@@ -14,9 +14,11 @@ the thresholds and the divergence predictor weight phase t by p_t (region's
 docstring); the non-covert codewords are i.i.d. from the phase's x3
 distribution.  Under hypothesis 0 the covert users send all-zero sequences.
 All randomness flows through numpy Generators seeded from (seed, trial
-index), so reports are reproducible under any scheduling.  The x3 draws equal rng.choice's bit for bit, from the same uniforms.
-Sampling and decoding read per-channel tables (cumulative output laws and
-log gamma_y) built once and kept on the Dmc.
+index), so reports are reproducible under any scheduling.  The x3 draws
+equal rng.choice's bit for bit, from the same uniforms.  Sampling and
+decoding read per-channel tables (cumulative output laws and log gamma_y),
+built once and cached on the Dmc through channel._cached, and every input
+row comes from the channel's row map, channel._rows.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dmc
+from .channel import Dmc, _cached, _rows
 from .infotheory import unit_factor
 from .region import PhasePlan, _codeword_densities, _evaluate
 
@@ -177,22 +179,23 @@ class _Tables:
     """The tables the trial path reads, built once per channel.
 
     ``cum_y``/``cum_z`` hold the first |Y| - 1 (|Z| - 1) columns of the
-    row-wise cumulative sums, transposed, and ``log_y`` is log(gamma_y)
-    raveled, so row r's entry for y sits at r |Y| + y.
+    row-wise cumulative sums, transposed, and ``log_y`` log(gamma_y) at the
+    rows (0,0,x3), (1,0,x3) and (0,1,x3), each raveled, so that the entry
+    for (x3, y) sits at x3 |Y| + y.
     """
 
     def __init__(self, d: Dmc):
         self.cum_y, self.cum_z = (np.cumsum(m, axis=1)[:, :-1].T.copy()
                                   for m in (d.gamma_y, d.gamma_z))
+        xs = np.arange(d.x3_size)
         with np.errstate(divide="ignore"):
-            self.log_y = np.log(d.gamma_y).ravel()
+            self.log_y = [np.log(d.gamma_y[_rows(d.x3_size, *on, xs)]).ravel()
+                          for on in ((0, 0), (1, 0), (0, 1))]
 
 
 def _tables(d: Dmc) -> _Tables:
     """The trial tables of d, built on first use and kept on d."""
-    if "_sim_tables" not in d.__dict__:
-        object.__setattr__(d, "_sim_tables", _Tables(d))
-    return d.__dict__["_sim_tables"]
+    return _cached(d, "_sim_tables", _Tables)
 
 
 def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
@@ -218,12 +221,10 @@ def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
 
 def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
     """Channel matrix row of each input triple."""
-    x1 = np.asarray(x1, dtype=int)
-    x2 = np.asarray(x2, dtype=int)
-    x3 = np.asarray(x3, dtype=int)
+    x1, x2, x3 = (np.asarray(x, dtype=int) for x in (x1, x2, x3))
     if not (len(x1) == len(x2) == len(x3)):
         raise ValueError("input sequences must have equal length")
-    return x1 * (2 * d.x3_size) + x2 * d.x3_size + x3
+    return _rows(d.x3_size, x1, x2, x3)
 
 
 def _sample(cum_t: np.ndarray, rows: np.ndarray,
@@ -262,26 +263,25 @@ def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
     y = np.asarray(yn, dtype=int)
     if y.size and not (y.min() >= 0 and y.max() < d.y_size):
         raise IndexError(f"y has a symbol outside [0, {d.y_size})")
-    log_y = _tables(d).log_y
-    # step 1: non-covert message, all-zero covert inputs assumed; the
-    # (0,0,x3) row index equals x3.  The scores overwrite their index array
+    log_off, *log_on = _tables(d).log_y
+    # step 1: non-covert message, all-zero covert inputs assumed.  The
+    # scores overwrite their index array, the one m3 x n array made here
     # (take reads each index before it writes that entry, mode "clip" writes
     # in place, and every index is in range): with a second m3 x n array
     # the allocator returned the memory to the OS after each decode and
     # faulted it back in, which doubled the decode time at n = 10^4.
     idx = ens.x3 * d.y_size
     idx += y
-    scores = log_y.take(idx, out=idx.view(float), mode="clip")
+    scores = log_off.take(idx, out=idx.view(float), mode="clip")
     w3_hat = int(np.argmax(scores.sum(axis=1)))
     if hypothesis == 0:
         return DecodeResult(w3=w3_hat)
-    base = scores[w3_hat]
-    row = ens.x3[w3_hat] * d.y_size + y
+    base, at = scores[w3_hat], ens.x3[w3_hat] * d.y_size + y
     hats = []
     with np.errstate(invalid="ignore"):
-        for sub, row_off, eta in ((ens.x1[:, s1], 2 * d.x3_size, eta1),
-                                  (ens.x2[:, s2], d.x3_size, eta2)):
-            gain = log_y.take(row + row_off * d.y_size) - base
+        for sub, log, eta in ((ens.x1[:, s1], log_on[0], eta1),
+                              (ens.x2[:, s2], log_on[1], eta2)):
+            gain = log.take(at) - base
             llr = np.where(sub == 1, gain, 0.0).sum(axis=1)
             hits = np.flatnonzero(llr > eta)
             hats.append(int(hits[0]) if len(hits) == 1 else None)
@@ -380,7 +380,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     # every ensemble of one (plan, n, omega_n) clips alike
     clip = tuple(ens.clip_warnings) if ens is not None else ()
     n_tr = cfg.trials
-    report = SimReport(
+    return SimReport(
         trials_run=n_tr,
         pe0_hat=(e0 / n_tr) if n_tr else None,
         pe0_interval=wilson_interval(e0, n_tr),
@@ -393,7 +393,6 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         clip_warnings=clip,
         wall_time=time.perf_counter() - t0,
     )
-    return report
 
 
 def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
@@ -435,13 +434,14 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     gz, k = d.gamma_z, d.x3_size
     x1 = ens.x1.reshape(cfg.m1 * cfg.k1, 1, n).astype(int)
     x2 = ens.x2.reshape(1, cfg.m2 * cfg.k2, n).astype(int)
-    idx = np.vstack([(x1 * (2 * k) + x2 * k + x3).reshape(pairs, n), x3])
+    idx = np.vstack([_rows(k, x1, x2, x3).reshape(pairs, n),
+                     _rows(k, 0, 0, x3)])
     laws = gz[idx]          # the pairs' per-position laws, then the all-off's
-    # padding positions mix the short user's symbols 0 and 1 at its density
+    # padding positions mix the short user's symbols 0 and 1 at its density:
+    # its symbol 1 moves a row by the row of (1, 0, 0) or (0, 1, 0)
     pad, p = ens.pad_idx, ens.pad_p[:, None]
-    pad_step = 2 * k if ens.swapped else k
-    mixed = gz[idx[:-1, pad] + pad_step]
-    laws[:-1, pad] = (1 - p) * laws[:-1, pad] + p * mixed
+    step = _rows(k, *((1, 0) if ens.swapped else (0, 1)), 0)
+    laws[:-1, pad] = (1 - p) * laws[:-1, pad] + p * gz[idx[:-1, pad] + step]
     s, size = 0, 1          # positions 0..s-1 and n-1 vary in a block
     while (s < n - 1 and size * zs * zs <= _SUM_CHUNK
            and (pairs + 1) * size * zs <= _PREFIX_CAP):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
-from covertmac.channel import ChannelFormatError, from_dict, load_channel, save_channel
+from covertmac.channel import (ChannelFormatError, Dmc, _rows, from_dict,
+                               load_channel, save_channel)
+from covertmac.simulator import _input_rows
 
 from conftest import make_dmc
 
@@ -38,6 +40,28 @@ def test_row_index_bijection(paper):
     seen = {paper.row_index(x1, x2, x3)
             for x1 in (0, 1) for x2 in (0, 1) for x3 in range(paper.x3_size)}
     assert seen == set(range(paper.n_rows))
+
+
+@pytest.mark.parametrize("x3_size", [1, 2, 3, 4])
+def test_row_map_is_row_index_and_input_rows(x3_size):
+    """The row map gives Dmc.row_index at every input triple, elementwise
+    over arrays, and _input_rows is the map on random codewords."""
+    ones = np.ones((4 * x3_size, 1))
+    d = Dmc(x3_size, 1, 1, ones, ones)
+    triples = [(x1, x2, x3) for x1 in (0, 1) for x2 in (0, 1)
+               for x3 in range(x3_size)]
+    assert [_rows(x3_size, *t) for t in triples] == [
+        d.row_index(*t) for t in triples] == list(range(4 * x3_size))
+    rows = _rows(x3_size, *np.array(triples).T)
+    assert rows.dtype == np.int64 and rows.tolist() == list(range(d.n_rows))
+    rng = np.random.default_rng(x3_size)
+    x1, x2 = (rng.random(50) < 0.3).astype(np.uint8), rng.integers(2, size=50)
+    x3 = rng.integers(x3_size, size=50)
+    got = _input_rows(d, x1, x2, x3)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(
+        got, _rows(x3_size, x1.astype(np.int64), x2, x3))
+    assert got.tolist() == [d.row_index(*t) for t in zip(x1, x2, x3)]
 
 
 def test_row_index_out_of_range(paper):
@@ -87,10 +111,12 @@ def test_sizes_must_be_json_integers(paper, value):
 
 
 @pytest.mark.parametrize("name", ["gamma_y", "gamma_z"])
-@pytest.mark.parametrize("value", ["0.28", True, False, None, [0.28]])
+@pytest.mark.parametrize("value", ["0.28", True, False, None, [0.28],
+                                   pytest.param(10 ** 400, id="huge-int")])
 def test_matrix_entries_must_be_json_numbers(paper, name, value):
-    """A string, bool, null or list entry is not converted: the load fails
-    with a message naming the matrix."""
+    """A string, bool, null or list entry, or an integer too large for a
+    float, is not converted: the load fails with a message naming the
+    matrix."""
     doc = paper.to_dict()
     doc[name][0][0] = value
     with pytest.raises(ChannelFormatError,

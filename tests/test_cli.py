@@ -1,8 +1,12 @@
+import copy
+import functools
 import json
 import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import covertmac as cm
 from covertmac.cli import main
@@ -348,8 +352,10 @@ PLAN_DOC = cm.PhasePlan.single_phase((0.535, 0.465), 0.5, 0.5).to_dict()
     ({**PLAN_DOC, "rho1": [True]}, "rho1"),
     ({**PLAN_DOC, "p_x3_given_t": [[0.5, None]]}, "p_x3_given_t"),
     ({**PLAN_DOC, "p_x3_given_t": 1.0}, "p_x3_given_t"),
+    ({**PLAN_DOC, "rho1": [10 ** 400]}, "rho1"),
+    ({**PLAN_DOC, "beta2": -10 ** 400}, "beta2"),
 ], ids=["list", "no-rho2", "null-beta1", "bool-beta2", "string-p_t",
-        "bool-rho1", "null-q-entry", "number-q"])
+        "bool-rho1", "null-q-entry", "number-q", "huge-rho1", "huge-beta2"])
 @pytest.mark.parametrize("cmd", [["sizing", "--n", "1000000"],
                                  ["sizing", "--n", "1000000", "--xi", "0.2"],
                                  ["simulate", "--n", "24", "--trials", "2"]],
@@ -507,3 +513,61 @@ def test_sizing_json_pinned(capsys, monkeypatch, tmp_path):
         '\n  "r2": 0.21052268986155048,\n  "R3": 0.1545375004427595,'
         '\n  "k1": 0.0,\n  "k2": 0.15233137824193943\n },'
         '\n "unit": "bits"\n}\n')
+
+
+REF_PLAN_DOC = {"p_t": [0.6, 0.4], "p_x3_given_t": [[0.7, 0.3], [0.2, 0.8]],
+                "rho1": [0.9, 0.3], "rho2": [0.4, 1.1],
+                "beta1": 0.9, "beta2": 0.8}
+
+
+def _paths(node, path=()):
+    """Every path of keys and indices into a JSON document, the root's too."""
+    yield path
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+# what a mutation puts in place of a value: _DROP deletes it, a function
+# of the value wraps or retypes it
+_DROP = object()
+_REPLACEMENTS = [_DROP, None, True, False, math.nan, "0.5", 10 ** 400, [],
+                 lambda v: [v], lambda v: {"v": v}, str]
+
+
+@st.composite
+def _mutated(draw, doc):
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(st.sampled_from(_REPLACEMENTS))
+    if not path:
+        return new(doc) if callable(new) else None if new is _DROP else new
+    *head, key = path
+    parent = functools.reduce(lambda node, k: node[k], head, doc)
+    if new is _DROP:
+        del parent[key]
+    else:
+        parent[key] = new(parent[key]) if callable(new) else new
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.tuples(_mutated(cm.paper_channel().to_dict()), st.just(REF_PLAN_DOC)),
+    st.tuples(st.just(cm.paper_channel().to_dict()), _mutated(REF_PLAN_DOC))))
+def test_mutated_documents_exit_with_a_documented_code(tmp_path, docs):
+    """A channel or plan document with one value dropped, retyped, nested,
+    emptied or replaced by null, a bool, NaN, a string or an integer too
+    large for a float: profile, sizing and simulate end with a documented
+    exit code, and no exception escapes main."""
+    chan, plan = tmp_path / "chan.json", tmp_path / "plan.json"
+    chan.write_text(json.dumps(docs[0]))
+    plan.write_text(json.dumps(docs[1]))
+    common = ["--channel", str(chan), "--out", str(tmp_path / "out")]
+    for argv in (["profile", *common],
+                 ["sizing", *common, "--plan", str(plan), "--n", "1000"],
+                 ["simulate", *common, "--plan", str(plan), "--n", "8",
+                  "--trials", "1"]):
+        assert main(argv) in (0, 2, 3, 4, 5)

@@ -1351,3 +1351,13 @@ def test_plan_quantities_same_bits_with_every_symbol_sent(seed):
     for unit in ("bits", "nats"):
         _same_bits(d, plans, unit)
     _same_bits(cm.paper_channel(), _oracle_plans(rng, 2, 30, True), "bits")
+
+
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+def test_with_betas_silent_user_1_meets_no_r1_floor(paper, unit):
+    """A plan whose user 1 is silent in every phase has r1 = 0 at any
+    beta1, so under a positive r1 floor it gives no plan."""
+    plan = PhasePlan.single_phase((0.5, 0.5), 0.0, 1.0)
+    assert region._with_betas(paper, plan, Constraints(r1_min=0.1),
+                              unit) is None
+    assert region._with_betas(paper, plan, Constraints(), unit) is not None
