@@ -106,10 +106,11 @@ def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
             isinstance(r, list) and all(map(_is_number, r)) for r in mat)):
         raise ChannelFormatError(
             f"{name} must be a list of rows of JSON numbers")
-    arr = np.asarray(mat, dtype=float)
-    if arr.shape != (n_rows, n_cols):
+    if len(mat) != n_rows or any(len(r) != n_cols for r in mat):
         raise ChannelFormatError(
-            f"{name}: expected shape ({n_rows}, {n_cols}), got {arr.shape}")
+            f"{name}: expected shape ({n_rows}, {n_cols}), got row lengths "
+            f"{[len(r) for r in mat]}")
+    arr = np.asarray(mat, dtype=float)
     if not np.isfinite(arr).all():
         raise ChannelFormatError(f"{name}: non-finite entries")
     if np.any(arr < 0):

@@ -14,11 +14,12 @@ the thresholds and the divergence predictor weight phase t by p_t (region's
 docstring); the non-covert codewords are i.i.d. from the phase's x3
 distribution.  Under hypothesis 0 the covert users send all-zero sequences.
 All randomness flows through numpy Generators seeded from (seed, trial
-index), so reports are reproducible under any scheduling.  The x3 draws
-equal rng.choice's bit for bit, from the same uniforms.  Sampling and
-decoding read per-channel tables (cumulative output laws and log gamma_y),
-built once and cached on the Dmc through channel._cached, and every input
-row comes from the channel's row map, channel._rows.
+index), so reports are reproducible under any scheduling.  The x3 words
+are uint8 and equal rng.choice's bit for bit, from the same uniforms.  A
+run makes its configuration's layout (_Layout) once.  Sampling (a guide
+table over the cumulative output laws, _Guide) and decoding (log gamma_y)
+read per-channel tables cached on the Dmc through channel._cached, and
+every input row comes from the channel's row map, channel._rows.
 """
 from __future__ import annotations
 
@@ -81,45 +82,55 @@ def phase_lengths(n: int, p_t) -> list[int]:
     return lens
 
 
+class _Layout:
+    """What one configuration's ensembles share, made once per run: phase
+    spans, _codeword_densities' results, padding map and x3 cdfs."""
+
+    def __init__(self, cfg: SimConfig, d_x3_size: int):
+        self.n_t = phase_lengths(cfg.n, cfg.plan.p_t)
+        self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
+        ((self.phi1, self.phi2, self.swapped), (self.active1, self.active2),
+         self.dens, self.clip_warnings) = _codeword_densities(
+             cfg.plan, self.n_t, cfg.omega_n)
+        self.cdfs, pad_idx, pad_p = [], [], []
+        for t, q in enumerate(cfg.plan.p_x3_given_t):
+            if len(q) != d_x3_size:
+                raise ValueError("plan x3 alphabet does not match the channel")
+            cdf = np.asarray(q, dtype=float).cumsum()
+            self.cdfs.append(cdf / cdf[-1])
+            # the shorter-active user pads [active_short, active_long)
+            lo, hi = sorted((self.active1[t], self.active2[t]))
+            pad_idx.append(self.offsets[t] + np.arange(lo, hi))
+            pad_p.append(np.full(hi - lo, self.dens[not self.swapped][t]))
+        self.pad_idx, self.pad_p = map(np.concatenate, (pad_idx, pad_p))
+        for a in (self.pad_idx, self.pad_p, *self.cdfs):
+            a.flags.writeable = False
+
+
 class CodebookEnsemble:
     """Random codebooks for one (plan, n, omega_n, sizes) configuration.
 
     Each codebook is stored once at block length: ``x1`` (m1, k1, n) and
-    ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3`` is
-    (m3, n), and ``pad_idx``/``pad_p`` give the positions and densities of the
-    shorter-active user's padding.  The arrays are read-only, so the views
-    handed out cannot alter them.
+    ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3``
+    (m3, n) and so ``x3_sequence`` are uint8 (the least unsigned type that
+    holds x3_size - 1).  ``layout``'s attributes (made here if none is given)
+    are the ensemble's, ``pad_idx``/``pad_p`` (the positions and densities of
+    the shorter-active user's padding) among them.  Arrays are read-only.
     """
 
-    def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
-        plan = cfg.plan
-        self.cfg = cfg
-        self.n = cfg.n
-        self.n_t = phase_lengths(cfg.n, plan.p_t)
-        self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
-        ((self.phi1, self.phi2, self.swapped), (self.active1, self.active2),
-         dens, self.clip_warnings) = _codeword_densities(plan, self.n_t,
-                                                         cfg.omega_n)
+    def __init__(self, cfg: SimConfig, rng: np.random.Generator,
+                 d_x3_size: int, layout: _Layout | None = None):
+        vars(self).update(vars(layout or _Layout(cfg, d_x3_size)))
+        self.cfg, self.n = cfg, cfg.n
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
-        self.x3 = np.zeros((cfg.m3, cfg.n), dtype=int)
-        pad_idx, pad_p = [], []
-        for t in range(plan.tau):
-            nt, off = self.n_t[t], self.offsets[t]
+        self.x3 = np.zeros((cfg.m3, cfg.n), np.min_scalar_type(d_x3_size - 1))
+        for t, (nt, off) in enumerate(zip(self.n_t, self.offsets)):
             a1, a2 = self.active1[t], self.active2[t]
-            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < dens[0][t]
-            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < dens[1][t]
-            q = np.asarray(plan.p_x3_given_t[t], dtype=float)
-            if len(q) != d_x3_size:
-                raise ValueError("plan x3 alphabet does not match the channel")
-            _choice_into(rng, q, self.x3[:, off:off + nt])
-            # the shorter-active user pads [active_short, active_long)
-            lo, hi = sorted((a1, a2))
-            pad_idx.append(np.arange(off + lo, off + hi))
-            pad_p.append(np.full(hi - lo, dens[0 if self.swapped else 1][t]))
-        self.pad_idx = np.concatenate(pad_idx)
-        self.pad_p = np.concatenate(pad_p)
-        for a in (self.x1, self.x2, self.x3, self.pad_idx, self.pad_p):
+            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < self.dens[0][t]
+            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < self.dens[1][t]
+            _choice_into(rng, self.cdfs[t], self.x3[:, off:off + nt])
+        for a in (self.x1, self.x2, self.x3):
             a.flags.writeable = False
 
     def x3_sequence(self, w3: int) -> np.ndarray:
@@ -130,24 +141,22 @@ class CodebookEnsemble:
         return (self.x1 if user == 1 else self.x2)[w, s].copy()
 
 
-def _choice_into(rng: np.random.Generator, q: np.ndarray,
+def _choice_into(rng: np.random.Generator, cdf: np.ndarray,
                  out: np.ndarray) -> None:
-    """Fill the zero array ``out`` with rng.choice(len(q), out.shape, p=q),
-    bit for bit and from the same uniforms.  choice normalises the cdf by its
-    last entry, draws rng.random(shape) and takes searchsorted(cdf, u,
-    "right"); as the cdf never falls and its last entry is exactly 1 > u,
-    that index is the number of the other entries at or below u."""
-    cdf = q.cumsum()
-    cdf /= cdf[-1]
+    """Fill the zero integer array ``out`` with rng.choice(len(q), out.shape,
+    p=q) bit for bit, from the same uniforms, where ``cdf`` is q's cumsum
+    over its last entry, as choice makes it.  choice draws rng.random(shape)
+    and takes searchsorted(cdf, u, "right"): as the cdf never falls and ends
+    at exactly 1 > u, the number of the other entries at or below u."""
     u = rng.random(out.shape)
     for c in cdf[:-1]:
         out += u >= c
 
 
 def build_codebooks(cfg: SimConfig, rng: np.random.Generator,
-                    d: Dmc) -> CodebookEnsemble:
+                    d: Dmc, layout: _Layout | None = None) -> CodebookEnsemble:
     """Draw a fresh random-coding ensemble; deterministic given the rng state."""
-    return CodebookEnsemble(cfg, rng, d.x3_size)
+    return CodebookEnsemble(cfg, rng, d.x3_size, layout)
 
 
 def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
@@ -175,21 +184,48 @@ def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
     return x[0], x[1], x3
 
 
-class _Tables:
-    """The tables the trial path reads, built once per channel.
+class _Guide:
+    """Inverse-CDF sampler of a matrix's rows with a guide table (Chen and
+    Asau, 1974): row r's output for a uniform u is the number of its first
+    |Y| - 1 cumulative sums c_j at or below u (they never fall, so the last
+    symbol takes any mass that rounding leaves above them).  With B a power
+    of two, b = floor(u B) is exact; ``start[r B + b]`` is the position in
+    ``sums`` (the c_j, each row padded with 2.0 > u) of row r's first
+    c_j > b / B, and ``steps`` comparisons pass each c_j <= (b + 1) / B."""
 
-    ``cum_y``/``cum_z`` hold the first |Y| - 1 (|Z| - 1) columns of the
-    row-wise cumulative sums, transposed, and ``log_y`` log(gamma_y) at the
-    rows (0,0,x3), (1,0,x3) and (0,1,x3), each raveled, so that the entry
-    for (x3, y) sits at x3 |Y| + y.
-    """
+    def __init__(self, mat: np.ndarray):
+        n_rows, size = mat.shape
+        self.buckets = b = 1 << size.bit_length() + 3   # in (8|Y|, 16|Y|]
+        cum = np.cumsum(mat, axis=1)
+        cum[:, -1] = 2.0
+        edges = np.arange(b + 1) / b
+        at = np.array([np.searchsorted(c, edges, "right") for c in cum])
+        self.steps = int(np.diff(at).max(initial=0))
+        self.start = (at[:, :-1] + np.arange(n_rows)[:, None] * size).ravel()
+        self.sums = cum.ravel()
+        self.label = np.tile(np.arange(size), n_rows)
+
+    def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One output per row (any integer dtype) from len(rows) uniforms."""
+        u = rng.random(len(rows))
+        key = np.multiply(rows, self.buckets, dtype=np.intp)
+        key += (u * self.buckets).astype(np.intp)
+        pos = self.start.take(key)
+        for _ in range(self.steps):
+            pos += u >= self.sums.take(pos)
+        return self.label.take(pos)     # the column of each position
+
+
+class _Tables:
+    """The trial path's tables of one channel: samplers ``y`` and ``z``, and
+    log(gamma_y) at the rows (0,0,x3), (1,0,x3) and (0,1,x3), each with the
+    entry for (x3, y) at y |X3| + x3 (``log_y``)."""
 
     def __init__(self, d: Dmc):
-        self.cum_y, self.cum_z = (np.cumsum(m, axis=1)[:, :-1].T.copy()
-                                  for m in (d.gamma_y, d.gamma_z))
-        xs = np.arange(d.x3_size)
+        self.y, self.z = _Guide(d.gamma_y), _Guide(d.gamma_z)
+        x = np.arange(d.x3_size)
         with np.errstate(divide="ignore"):
-            self.log_y = [np.log(d.gamma_y[_rows(d.x3_size, *on, xs)]).ravel()
+            self.log_y = [np.log(d.gamma_y[_rows(d.x3_size, *on, x)]).T.ravel()
                           for on in ((0, 0), (1, 0), (0, 1))]
 
 
@@ -205,39 +241,26 @@ def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
     for name, x, size in zip(("x1", "x2", "x3"), xs, (2, 2, d.x3_size)):
         if x.size and not (x.min() >= 0 and x.max() < size):
             raise IndexError(f"{name} has a symbol outside [0, {size})")
-    rows = _input_rows(d, *xs)
-    tab = _tables(d)
-    return _sample(tab.cum_y, rows, rng), _sample(tab.cum_z, rows, rng)
+    rows, tab = _input_rows(d, *xs), _tables(d)
+    return tab.y.draw(rows, rng), tab.z.draw(rows, rng)
 
 
 def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
-    """The y of channel_sample(d, x1, x2, x3, rng) for inputs in range: z's
-    uniforms are drawn and dropped, so rng ends in the same state."""
-    rows = _input_rows(d, x1, x2, x3)
-    y = _sample(_tables(d).cum_y, rows, rng)
-    rng.random(len(rows))
+    """channel_sample's y for inputs in range (0: a silent user), with rows
+    in the words' dtype while they fit a byte.  advance skips z's uniforms,
+    so the next doubles are channel_sample's; it also clears PCG64's 32-bit
+    buffer, so a later rng.integers could differ (run_trials has none)."""
+    k = d.x3_size if d.n_rows <= 256 else np.intp(d.x3_size)
+    y = _tables(d).y.draw(_rows(k, x1, x2, x3), rng)
+    rng.bit_generator.advance(len(y))
     return y
 
 
 def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
-    """Channel matrix row of each input triple."""
-    x1, x2, x3 = (np.asarray(x, dtype=int) for x in (x1, x2, x3))
+    """Channel matrix row of each input triple (int arrays)."""
     if not (len(x1) == len(x2) == len(x3)):
         raise ValueError("input sequences must have equal length")
     return _rows(d.x3_size, x1, x2, x3)
-
-
-def _sample(cum_t: np.ndarray, rows: np.ndarray,
-            rng: np.random.Generator) -> np.ndarray:
-    """One output per row by inverse CDF: the number of the row's first
-    |Y| - 1 cumulative sums at or below a uniform u.  A row's cumulative
-    sums never fall, so that is min((u >= cumsum(row)).sum(), |Y| - 1): the
-    last symbol also takes any mass that rounding leaves above the sums."""
-    u = rng.random(len(rows))
-    out = np.zeros(len(rows), dtype=int)
-    for c in cum_t:
-        out += u >= c.take(rows)
-    return out
 
 
 @dataclass(frozen=True)
@@ -263,29 +286,51 @@ def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
     y = np.asarray(yn, dtype=int)
     if y.size and not (y.min() >= 0 and y.max() < d.y_size):
         raise IndexError(f"y has a symbol outside [0, {d.y_size})")
+    return _decode(ens, d, y, s1, s2, hypothesis, eta1, eta2,
+                   _score_buffer(ens.cfg))
+
+
+def _score_buffer(cfg: SimConfig) -> np.ndarray:
+    """_w3_scores' scratch: as many rows of n as 2^16 entries hold, >= 1."""
+    return np.empty((min(cfg.m3, max(1, (1 << 16) // cfg.n)), cfg.n), np.intp)
+
+
+def _decode(ens: CodebookEnsemble, d: Dmc, y: np.ndarray, s1: int, s2: int,
+            hypothesis: int, eta1: float, eta2: float,
+            buf: np.ndarray) -> DecodeResult:
+    """decode without its checks; run_trials passes one buf for a run."""
     log_off, *log_on = _tables(d).log_y
-    # step 1: non-covert message, all-zero covert inputs assumed.  The
-    # scores overwrite their index array, the one m3 x n array made here
-    # (take reads each index before it writes that entry, mode "clip" writes
-    # in place, and every index is in range): with a second m3 x n array
-    # the allocator returned the memory to the OS after each decode and
-    # faulted it back in, which doubled the decode time at n = 10^4.
-    idx = ens.x3 * d.y_size
-    idx += y
-    scores = log_off.take(idx, out=idx.view(float), mode="clip")
-    w3_hat = int(np.argmax(scores.sum(axis=1)))
+    y_off = np.multiply(y, d.x3_size, dtype=np.intp)  # (x3, y) at y_off + x3
+    # step 1: non-covert message, all-zero covert inputs assumed
+    w3_hat = int(np.argmax(_w3_scores(ens, log_off, y_off, buf)))
     if hypothesis == 0:
         return DecodeResult(w3=w3_hat)
-    base, at = scores[w3_hat], ens.x3[w3_hat] * d.y_size + y
+    at = np.add(ens.x3[w3_hat], y_off, dtype=np.intp)
+    base = log_off.take(at)
     hats = []
     with np.errstate(invalid="ignore"):
         for sub, log, eta in ((ens.x1[:, s1], log_on[0], eta1),
                               (ens.x2[:, s2], log_on[1], eta2)):
             gain = log.take(at) - base
-            llr = np.where(sub == 1, gain, 0.0).sum(axis=1)
+            llr = np.where(sub.view(bool), gain, 0.0).sum(axis=1)
             hits = np.flatnonzero(llr > eta)
             hats.append(int(hits[0]) if len(hits) == 1 else None)
     return DecodeResult(w3=w3_hat, w1=hats[0], w2=hats[1])
+
+
+def _w3_scores(ens: CodebookEnsemble, log_off: np.ndarray,
+               y_off: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each w3's sum of log_off at y_off + x3[w3], over blocks of len(buf)
+    rows: a row's sum is its own, so no block moves a bit.  Scores overwrite
+    their index block (take reads an index before writing its entry; mode
+    "clip", never needed, writes in place): a second array doubled its time."""
+    scores = np.empty(len(ens.x3))
+    for start in range(0, len(scores), len(buf)):
+        block = ens.x3[start:start + len(buf)]
+        idx = np.add(block, y_off, out=buf[:len(block)], dtype=np.intp)
+        scores[start:start + len(block)] = log_off.take(
+            idx, out=idx.view(float), mode="clip").sum(axis=1)
+    return scores
 
 
 @dataclass
@@ -330,6 +375,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         ev.rates()
         predictor = ev.predictor(cfg.n, cfg.omega_n)
     eta1, eta2 = ev.thresholds(cfg.n, cfg.omega_n, MU)
+    layout, buf = _Layout(cfg, d.x3_size), _score_buffer(cfg)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0
@@ -338,33 +384,26 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
         if ens is None or not cfg.fixed_codebook:
             ens = build_codebooks(cfg, rng_cb if cfg.fixed_codebook else rng,
-                                  d=d)
+                                  d=d, layout=layout)
         w1 = int(rng.integers(cfg.m1)); s1 = int(rng.integers(cfg.k1))
         w2 = int(rng.integers(cfg.m2)); s2 = int(rng.integers(cfg.k2))
         w3 = int(rng.integers(cfg.m3))
-        # hypothesis 0
-        x1, x2, x3 = encode(ens, 0, w1, s1, w2, s2, w3, rng)
-        y = _receiver_sample(d, x1, x2, x3, rng)
-        res0 = decode(ens, d, y, s1, s2, 0, eta1, eta2)
-        if res0.w3 != w3:
-            e0 += 1
-            stage["w3_h0"] += 1
+        # hypothesis 0: the covert users send zeros
+        y = _receiver_sample(d, 0, 0, ens.x3[w3], rng)
+        e0 += _decode(ens, d, y, s1, s2, 0, eta1, eta2, buf).w3 != w3
         # hypothesis 1
         x1, x2, x3 = encode(ens, 1, w1, s1, w2, s2, w3, rng)
         y = _receiver_sample(d, x1, x2, x3, rng)
-        res1 = decode(ens, d, y, s1, s2, 1, eta1, eta2)
-        bad3 = res1.w3 != w3
-        bad1 = res1.w1 != w1
-        bad2 = res1.w2 != w2
-        stage["w3"] += bad3
-        stage["w1"] += bad1
-        stage["w2"] += bad2
-        if bad3 or bad1 or bad2:
-            e1 += 1
+        res = _decode(ens, d, y, s1, s2, 1, eta1, eta2, buf)
+        bad = {"w3": res.w3 != w3, "w1": res.w1 != w1, "w2": res.w2 != w2}
+        for key, wrong in bad.items():
+            stage[key] += wrong
+        e1 += any(bad.values())
+    stage["w3_h0"] = e0
     delta_exact = delta_ratio = None
     if cfg.exact_divergence:
         if ens is None or not cfg.fixed_codebook:
-            ens = build_codebooks(cfg, rng_cb, d=d)
+            ens = build_codebooks(cfg, rng_cb, d=d, layout=layout)
         deltas, by_word = [], {}
         for w3 in range(cfg.m3):
             word = ens.x3[w3].tobytes()
@@ -430,7 +469,7 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     if work > ENUM_CAP:
         raise EnumerationCapError(
             f"|Z|^n * pairs = {work} exceeds enumeration cap {ENUM_CAP}")
-    x3 = ens.x3[w3]
+    x3 = ens.x3[w3].astype(int)
     gz, k = d.gamma_z, d.x3_size
     x1 = ens.x1.reshape(cfg.m1 * cfg.k1, 1, n).astype(int)
     x2 = ens.x2.reshape(1, cfg.m2 * cfg.k2, n).astype(int)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_dimension_mismatch_rejected(paper):
     doc = paper.to_dict()
     doc["gamma_y"] = doc["gamma_y"][:4]
     with pytest.raises(ChannelFormatError, match="shape"):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["gamma_y", "gamma_z"])
+@pytest.mark.parametrize("row", [2, 7])
+def test_ragged_matrix_names_the_matrix_and_its_shape(paper, name, row):
+    """A matrix with one row of the wrong length fails with the matrix's
+    name, its expected shape and the row lengths, not numpy's text."""
+    doc = paper.to_dict()
+    doc[name][row] = doc[name][row][:5]
+    lengths = [5 if r == row else 6 for r in range(8)]
+    with pytest.raises(ChannelFormatError, match=re.escape(
+            f"{name}: expected shape (8, 6), got row lengths {lengths}")):
         from_dict(doc)
 
 

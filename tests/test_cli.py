@@ -5,7 +5,7 @@ import math
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import covertmac as cm
@@ -530,10 +530,14 @@ def _paths(node, path=()):
 
 
 # what a mutation puts in place of a value: _DROP deletes it, a function
-# of the value wraps or retypes it
+# of the value wraps, retypes or lengthens it (a longer matrix row leaves
+# the matrix ragged)
 _DROP = object()
 _REPLACEMENTS = [_DROP, None, True, False, math.nan, "0.5", 10 ** 400, [],
-                 lambda v: [v], lambda v: {"v": v}, str]
+                 lambda v: [v], lambda v: {"v": v}, str,
+                 lambda v: [*v, 0.0] if isinstance(v, list) else [v, 0.0]]
+_RAGGED = cm.paper_channel().to_dict()
+_RAGGED["gamma_y"][3].append(0.0)
 
 
 @st.composite
@@ -557,6 +561,7 @@ def _mutated(draw, doc):
 @given(st.one_of(
     st.tuples(_mutated(cm.paper_channel().to_dict()), st.just(REF_PLAN_DOC)),
     st.tuples(st.just(cm.paper_channel().to_dict()), _mutated(REF_PLAN_DOC))))
+@example(docs=(_RAGGED, REF_PLAN_DOC))
 def test_mutated_documents_exit_with_a_documented_code(tmp_path, docs):
     """A channel or plan document with one value dropped, retyped, nested,
     emptied or replaced by null, a bool, NaN, a string or an integer too

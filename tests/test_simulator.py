@@ -154,6 +154,23 @@ def test_receiver_sample_is_channel_sample_y(paper):
     assert a.random() == b.random()       # the same stream position after
 
 
+@pytest.mark.parametrize("x3_size", [2, 65])
+def test_receiver_sample_forms_rows_from_uint8_words(x3_size):
+    """From uint8 words, and from 0 for silent covert users, the trial
+    sampler gives channel_sample's y and leaves the stream where it does.
+    At x3_size 65 a row (up to 259) no longer fits a byte."""
+    gen = np.random.default_rng(x3_size)
+    d = cm.channel.Dmc(x3_size, 3, 2, gen.dirichlet(np.ones(3), 4 * x3_size),
+                       gen.dirichlet(np.ones(2), 4 * x3_size))
+    x1, x2 = (gen.random((2, 300)) < 0.5).astype(np.uint8)
+    x3 = gen.integers(x3_size, size=300).astype(np.uint8)
+    for words in ((x1, x2, x3), (0, 0, x3)):
+        a, b = rng_for(14), rng_for(14)
+        y, _ = channel_sample(d, *(np.broadcast_to(w, 300) for w in words), a)
+        np.testing.assert_array_equal(_receiver_sample(d, *words, b), y)
+        assert a.random() == b.random()
+
+
 def test_channel_sample_empty(paper):
     y, z = channel_sample(paper, [], [], [], rng_for(19))
     assert len(y) == 0 and len(z) == 0
@@ -185,13 +202,17 @@ SAMPLE_ROWS = st.integers(1, 7).flatmap(lambda size: st.lists(
        st.integers(0, 2**32 - 1))
 @example([[0.1] * 10, [0.0] * 9 + [1.0], [1.0] + [0.0] * 9,
           [0.0, 0.5, 0.0, 0.5] + [0.0] * 6], [0, 1, 2, 3] * 5, 0)
+# nine boundaries in the first of 32 buckets, and boundaries at 0 and 1
+@example([[1e-4] * 9 + [1 - 9e-4]] * 2 + [[0.0] * 9 + [1.0]] * 2,
+         [0, 1, 2, 3] * 15, 1)
+@example([[0.0, 0.0, 1e-4, 0.0, 0.5 - 1e-4, 0.5]] * 4, [0, 1, 2, 3] * 15, 2)
 def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
     mat = np.array(rows)
     size = mat.shape[1]
     d = cm.channel.Dmc(1, size, size, mat, mat)
     picks = np.array(picks, dtype=int)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = simulator._sample(simulator._tables(d).cum_y, picks, a)
+    got = simulator._tables(d).y.draw(picks, a)
     u = b.random(len(picks))
     want = [min(int((v >= np.cumsum(mat[r])).sum()), size - 1)
             for v, r in zip(u, picks)]
@@ -204,16 +225,55 @@ def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
            min_size=k, max_size=k).filter(any)).map(
                lambda w: [v / sum(w) for v in w]),
-       st.integers(1, 4), st.integers(0, 50), st.integers(0, 2**32 - 1))
-@example([0.1] * 10, 3, 20, 0)          # the cdf ends below 1
-@example([0.0, 1.0, 0.0], 2, 30, 1)
-def test_x3_draw_is_rng_choice(q, m3, nt, seed):
+       st.integers(1, 4), st.integers(0, 50), st.integers(0, 2**32 - 1),
+       st.sampled_from([int, np.uint8]))
+@example([0.1] * 10, 3, 20, 0, int)     # the cdf ends below 1
+@example([0.1] * 10, 3, 20, 0, np.uint8)
+@example([0.0, 1.0, 0.0], 2, 30, 1, np.uint8)
+def test_x3_draw_is_rng_choice(q, m3, nt, seed, dtype):
+    """From the same uniforms into an int64 or a uint8 array (the
+    ensemble's x3)."""
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = np.zeros((m3, nt), dtype=int)
-    simulator._choice_into(a, np.array(q), got)
+    got = np.zeros((m3, nt), dtype=dtype)
+    layout = simulator._Layout(SimConfig(
+        n=1, plan=PhasePlan.single_phase(q, 0.0, 0.0), trials=0), len(q))
+    simulator._choice_into(a, layout.cdfs[0], got)
     want = b.choice(len(q), size=(m3, nt), p=q)
     np.testing.assert_array_equal(got, want)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_w3_scores_do_not_depend_on_the_block(paper):
+    """decode's w3 scores over blocks of 1 or 5 rows equal, bit for bit,
+    those over one block of all 16 and the row sums of the whole gathered
+    array: each row is summed on its own."""
+    cfg = SimConfig(n=3000, plan=SIM_REF_PLAN, m3=16, trials=0)
+    ens = build_codebooks(cfg, rng_for(60), d=paper)
+    y, _ = channel_sample(paper, *encode(ens, 0, 0, 0, 0, 0, 3, rng_for(61)),
+                          rng_for(62))
+    log_off = simulator._tables(paper).log_y[0]
+    y_off = y * paper.x3_size
+    whole = log_off.take(ens.x3 + y_off).sum(axis=1)
+    assert len(simulator._score_buffer(cfg)) == 16
+    for rows in (1, 5, 16):
+        got = simulator._w3_scores(ens, log_off, y_off,
+                                   np.empty((rows, cfg.n), dtype=np.intp))
+        assert got.tobytes() == whole.tobytes()
+
+
+def test_trial_path_memory_at_n_1e5(paper):
+    """At n = 10^5, m3 = 16 on REF_PLAN, under tracemalloc: one
+    build_codebooks peaks under 17 MB (23.8 MB with an int64 x3) and one
+    hypothesis-1 decode under 9 MB (18 MB with two m3 x n int64 arrays)."""
+    cfg = SimConfig(n=10 ** 5, plan=SIM_REF_PLAN, m1=4, m2=4, m3=16, k1=2,
+                    k2=2, trials=0)
+    ens, peak = _traced_peak(lambda: build_codebooks(cfg, rng_for(63),
+                                                     d=paper))
+    assert ens.x3.dtype == np.uint8 and peak <= 17e6
+    y, _ = channel_sample(paper, *encode(ens, 1, 1, 0, 2, 1, 5, rng_for(64)),
+                          rng_for(65))
+    eta = auto_thresholds(paper, SIM_REF_PLAN, cfg.n, cfg.omega_n)
+    assert _traced_peak(lambda: decode(ens, paper, y, 0, 1, 1, *eta))[1] <= 9e6
 
 
 def test_decode_m3_one_always_correct(paper):
