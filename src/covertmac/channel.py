@@ -60,7 +60,7 @@ class Dmc:
             raise IndexError(f"covert inputs must be bits, got ({x1}, {x2})")
         if not 0 <= x3 < self.x3_size:
             raise IndexError(f"x3={x3} out of range [0, {self.x3_size})")
-        return _rows(self.x3_size, x1, x2, x3)
+        return int(_rows(self.x3_size, x1, x2, x3))
 
     def row(self, side: str, x1: int, x2: int, x3: int) -> np.ndarray:
         """Conditional output distribution for one input triple."""
@@ -89,8 +89,10 @@ class Dmc:
 
 
 def _rows(x3_size: int, x1, x2, x3):
-    """Matrix row of each input triple (ints or int64 arrays); no checks."""
-    return x1 * (2 * x3_size) + x2 * x3_size + x3
+    """Matrix row of each input triple, (2 x1 + x2) x3_size + x3, formed in
+    intp by both ufuncs whatever the inputs' integer dtype; no checks."""
+    return np.add(np.multiply(2 * x1 + x2, x3_size, dtype=np.intp), x3,
+                  dtype=np.intp)
 
 
 def _cached(d: Dmc, key: str, build, *args):

@@ -16,10 +16,9 @@ distribution.  Under hypothesis 0 the covert users send all-zero sequences.
 All randomness flows through numpy Generators seeded from (seed, trial
 index), so reports are reproducible under any scheduling.  The x3 words
 are uint8 and equal rng.choice's bit for bit, from the same uniforms.  A
-run makes its configuration's layout (_Layout) once.  Sampling (a guide
-table over the cumulative output laws, _Guide) and decoding (log gamma_y)
-read per-channel tables cached on the Dmc through channel._cached, and
-every input row comes from the channel's row map, channel._rows.
+run's ensembles share one layout (_Layout).  Sampling (a guide table,
+_Guide) and decoding (log gamma_y) read per-channel tables cached on the
+Dmc through channel._cached; every row comes from channel._rows.
 """
 from __future__ import annotations
 
@@ -83,8 +82,8 @@ def phase_lengths(n: int, p_t) -> list[int]:
 
 
 class _Layout:
-    """What one configuration's ensembles share, made once per run: phase
-    spans, _codeword_densities' results, padding map and x3 cdfs."""
+    """What one configuration's ensembles share (_layout makes it once per
+    run): phase spans, _codeword_densities' results, padding map, x3 cdfs."""
 
     def __init__(self, cfg: SimConfig, d_x3_size: int):
         self.n_t = phase_lengths(cfg.n, cfg.plan.p_t)
@@ -107,21 +106,31 @@ class _Layout:
             a.flags.writeable = False
 
 
+_last_layout = ((None,), None)  # ((plan, n, omega_n, x3_size), its _Layout)
+
+
+def _layout(cfg: SimConfig, d_x3_size: int) -> _Layout:
+    """cfg's layout, kept while the plan object, n, omega_n, |X3| repeat."""
+    global _last_layout
+    key = (cfg.plan, cfg.n, cfg.omega_n, d_x3_size)
+    if _last_layout[0][0] is not cfg.plan or _last_layout[0][1:] != key[1:]:
+        _last_layout = key, _Layout(cfg, d_x3_size)
+    return _last_layout[1]
+
+
 class CodebookEnsemble:
     """Random codebooks for one (plan, n, omega_n, sizes) configuration.
 
     Each codebook is stored once at block length: ``x1`` (m1, k1, n) and
     ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3``
     (m3, n) and so ``x3_sequence`` are uint8 (the least unsigned type that
-    holds x3_size - 1).  ``layout``'s attributes (made here if none is given)
-    are the ensemble's, ``pad_idx``/``pad_p`` (the positions and densities of
+    holds x3_size - 1).  The ``layout`` a run's ensembles share lends them
+    its attributes, ``pad_idx``/``pad_p`` (the positions and densities of
     the shorter-active user's padding) among them.  Arrays are read-only.
     """
 
-    def __init__(self, cfg: SimConfig, rng: np.random.Generator,
-                 d_x3_size: int, layout: _Layout | None = None):
-        vars(self).update(vars(layout or _Layout(cfg, d_x3_size)))
-        self.cfg, self.n = cfg, cfg.n
+    def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
+        self.cfg, self.n, self.layout = cfg, cfg.n, _layout(cfg, d_x3_size)
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
         self.x3 = np.zeros((cfg.m3, cfg.n), np.min_scalar_type(d_x3_size - 1))
@@ -132,6 +141,9 @@ class CodebookEnsemble:
             _choice_into(rng, self.cdfs[t], self.x3[:, off:off + nt])
         for a in (self.x1, self.x2, self.x3):
             a.flags.writeable = False
+
+    def __getattr__(self, name: str):       # the layout's attributes
+        return getattr(vars(self).get("layout"), name)
 
     def x3_sequence(self, w3: int) -> np.ndarray:
         return self.x3[w3]
@@ -154,9 +166,9 @@ def _choice_into(rng: np.random.Generator, cdf: np.ndarray,
 
 
 def build_codebooks(cfg: SimConfig, rng: np.random.Generator,
-                    d: Dmc, layout: _Layout | None = None) -> CodebookEnsemble:
+                    d: Dmc) -> CodebookEnsemble:
     """Draw a fresh random-coding ensemble; deterministic given the rng state."""
-    return CodebookEnsemble(cfg, rng, d.x3_size, layout)
+    return CodebookEnsemble(cfg, rng, d.x3_size)
 
 
 def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
@@ -202,13 +214,12 @@ class _Guide:
         at = np.array([np.searchsorted(c, edges, "right") for c in cum])
         self.steps = int(np.diff(at).max(initial=0))
         self.start = (at[:, :-1] + np.arange(n_rows)[:, None] * size).ravel()
-        self.sums = cum.ravel()
-        self.label = np.tile(np.arange(size), n_rows)
+        self.sums, self.label = cum.ravel(), np.tile(np.arange(size), n_rows)
 
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One output per row (any integer dtype) from len(rows) uniforms."""
+        """One output per row (intp) from len(rows) uniforms."""
         u = rng.random(len(rows))
-        key = np.multiply(rows, self.buckets, dtype=np.intp)
+        key = rows * self.buckets
         key += (u * self.buckets).astype(np.intp)
         pos = self.start.take(key)
         for _ in range(self.steps):
@@ -246,12 +257,10 @@ def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
 
 
 def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
-    """channel_sample's y for inputs in range (0: a silent user), with rows
-    in the words' dtype while they fit a byte.  advance skips z's uniforms,
-    so the next doubles are channel_sample's; it also clears PCG64's 32-bit
-    buffer, so a later rng.integers could differ (run_trials has none)."""
-    k = d.x3_size if d.n_rows <= 256 else np.intp(d.x3_size)
-    y = _tables(d).y.draw(_rows(k, x1, x2, x3), rng)
+    """channel_sample's y for inputs in range (0: a silent user), unchecked.
+    advance skips z's uniforms (the next doubles are channel_sample's) and
+    clears PCG64's 32-bit buffer: a later rng.integers would differ."""
+    y = _tables(d).y.draw(_rows(d.x3_size, x1, x2, x3), rng)
     rng.bit_generator.advance(len(y))
     return y
 
@@ -286,23 +295,10 @@ def decode(ens: CodebookEnsemble, d: Dmc, yn, s1: int, s2: int,
     y = np.asarray(yn, dtype=int)
     if y.size and not (y.min() >= 0 and y.max() < d.y_size):
         raise IndexError(f"y has a symbol outside [0, {d.y_size})")
-    return _decode(ens, d, y, s1, s2, hypothesis, eta1, eta2,
-                   _score_buffer(ens.cfg))
-
-
-def _score_buffer(cfg: SimConfig) -> np.ndarray:
-    """_w3_scores' scratch: as many rows of n as 2^16 entries hold, >= 1."""
-    return np.empty((min(cfg.m3, max(1, (1 << 16) // cfg.n)), cfg.n), np.intp)
-
-
-def _decode(ens: CodebookEnsemble, d: Dmc, y: np.ndarray, s1: int, s2: int,
-            hypothesis: int, eta1: float, eta2: float,
-            buf: np.ndarray) -> DecodeResult:
-    """decode without its checks; run_trials passes one buf for a run."""
     log_off, *log_on = _tables(d).log_y
-    y_off = np.multiply(y, d.x3_size, dtype=np.intp)  # (x3, y) at y_off + x3
+    y_off = y * d.x3_size           # (x3, y) at y_off + x3
     # step 1: non-covert message, all-zero covert inputs assumed
-    w3_hat = int(np.argmax(_w3_scores(ens, log_off, y_off, buf)))
+    w3_hat = int(np.argmax(_w3_scores(ens, log_off, y_off)))
     if hypothesis == 0:
         return DecodeResult(w3=w3_hat)
     at = np.add(ens.x3[w3_hat], y_off, dtype=np.intp)
@@ -318,15 +314,19 @@ def _decode(ens: CodebookEnsemble, d: Dmc, y: np.ndarray, s1: int, s2: int,
     return DecodeResult(w3=w3_hat, w1=hats[0], w2=hats[1])
 
 
+_SCORE_BLOCK = 1 << 16             # most entries in one block of w3 scores
+
+
 def _w3_scores(ens: CodebookEnsemble, log_off: np.ndarray,
-               y_off: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Each w3's sum of log_off at y_off + x3[w3], over blocks of len(buf)
-    rows: a row's sum is its own, so no block moves a bit.  Scores overwrite
-    their index block (take reads an index before writing its entry; mode
-    "clip", never needed, writes in place): a second array doubled its time."""
+               y_off: np.ndarray) -> np.ndarray:
+    """Each w3's sum of log_off at y_off + x3[w3], in blocks of at most
+    _SCORE_BLOCK entries or one row; a row's sum is its own.  Scores overwrite
+    their index ("clip" take reads each index, then writes it in place)."""
     scores = np.empty(len(ens.x3))
-    for start in range(0, len(scores), len(buf)):
-        block = ens.x3[start:start + len(buf)]
+    rows = max(1, _SCORE_BLOCK // ens.n)
+    buf = np.empty((min(rows, len(scores)), ens.n), np.intp)
+    for start in range(0, len(scores), rows):
+        block = ens.x3[start:start + rows]
         idx = np.add(block, y_off, out=buf[:len(block)], dtype=np.intp)
         scores[start:start + len(block)] = log_off.take(
             idx, out=idx.view(float), mode="clip").sum(axis=1)
@@ -375,7 +375,6 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
         ev.rates()
         predictor = ev.predictor(cfg.n, cfg.omega_n)
     eta1, eta2 = ev.thresholds(cfg.n, cfg.omega_n, MU)
-    layout, buf = _Layout(cfg, d.x3_size), _score_buffer(cfg)
     rng_cb = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2**31]))
     ens = None                  # the fixed ensemble, or the last trial's
     e0 = e1 = 0
@@ -383,18 +382,17 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
         if ens is None or not cfg.fixed_codebook:
-            ens = build_codebooks(cfg, rng_cb if cfg.fixed_codebook else rng,
-                                  d=d, layout=layout)
+            ens = build_codebooks(cfg, rng_cb if cfg.fixed_codebook else rng, d=d)
         w1 = int(rng.integers(cfg.m1)); s1 = int(rng.integers(cfg.k1))
         w2 = int(rng.integers(cfg.m2)); s2 = int(rng.integers(cfg.k2))
         w3 = int(rng.integers(cfg.m3))
         # hypothesis 0: the covert users send zeros
         y = _receiver_sample(d, 0, 0, ens.x3[w3], rng)
-        e0 += _decode(ens, d, y, s1, s2, 0, eta1, eta2, buf).w3 != w3
+        e0 += decode(ens, d, y, s1, s2, 0, eta1, eta2).w3 != w3
         # hypothesis 1
         x1, x2, x3 = encode(ens, 1, w1, s1, w2, s2, w3, rng)
         y = _receiver_sample(d, x1, x2, x3, rng)
-        res = _decode(ens, d, y, s1, s2, 1, eta1, eta2, buf)
+        res = decode(ens, d, y, s1, s2, 1, eta1, eta2)
         bad = {"w3": res.w3 != w3, "w1": res.w1 != w1, "w2": res.w2 != w2}
         for key, wrong in bad.items():
             stage[key] += wrong
@@ -403,7 +401,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
     delta_exact = delta_ratio = None
     if cfg.exact_divergence:
         if ens is None or not cfg.fixed_codebook:
-            ens = build_codebooks(cfg, rng_cb, d=d, layout=layout)
+            ens = build_codebooks(cfg, rng_cb, d=d)
         deltas, by_word = [], {}
         for w3 in range(cfg.m3):
             word = ens.x3[w3].tobytes()
@@ -469,10 +467,10 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     if work > ENUM_CAP:
         raise EnumerationCapError(
             f"|Z|^n * pairs = {work} exceeds enumeration cap {ENUM_CAP}")
-    x3 = ens.x3[w3].astype(int)
+    x3 = ens.x3[w3]
     gz, k = d.gamma_z, d.x3_size
-    x1 = ens.x1.reshape(cfg.m1 * cfg.k1, 1, n).astype(int)
-    x2 = ens.x2.reshape(1, cfg.m2 * cfg.k2, n).astype(int)
+    x1 = ens.x1.reshape(cfg.m1 * cfg.k1, 1, n)
+    x2 = ens.x2.reshape(1, cfg.m2 * cfg.k2, n)
     idx = np.vstack([_rows(k, x1, x2, x3).reshape(pairs, n),
                      _rows(k, 0, 0, x3)])
     laws = gz[idx]          # the pairs' per-position laws, then the all-off's

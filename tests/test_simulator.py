@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -243,7 +244,7 @@ def test_x3_draw_is_rng_choice(q, m3, nt, seed, dtype):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_w3_scores_do_not_depend_on_the_block(paper):
+def test_w3_scores_do_not_depend_on_the_block(paper, monkeypatch):
     """decode's w3 scores over blocks of 1 or 5 rows equal, bit for bit,
     those over one block of all 16 and the row sums of the whole gathered
     array: each row is summed on its own."""
@@ -254,11 +255,34 @@ def test_w3_scores_do_not_depend_on_the_block(paper):
     log_off = simulator._tables(paper).log_y[0]
     y_off = y * paper.x3_size
     whole = log_off.take(ens.x3 + y_off).sum(axis=1)
-    assert len(simulator._score_buffer(cfg)) == 16
+    assert simulator._SCORE_BLOCK >= 16 * cfg.n      # one block by default
     for rows in (1, 5, 16):
-        got = simulator._w3_scores(ens, log_off, y_off,
-                                   np.empty((rows, cfg.n), dtype=np.intp))
+        monkeypatch.setattr(simulator, "_SCORE_BLOCK", rows * cfg.n)
+        got = simulator._w3_scores(ens, log_off, y_off)
         assert got.tobytes() == whole.tobytes()
+
+
+def test_ensembles_of_a_run_share_one_layout(paper, monkeypatch):
+    """run_trials' fresh ensembles share one layout; another n, omega_n or
+    plan object (even an equal one) gets a layout of its own."""
+    real, made = simulator._Layout, []
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(simulator, "_Layout", spy)
+    plan, equal_plan = (PhasePlan.from_dict(SIM_REF_PLAN.to_dict())
+                        for _ in range(2))
+    cfg = SimConfig(n=50, plan=plan, trials=6, seed=1)
+    run_trials(cfg, paper)
+    assert len(made) == 1
+    for i, other in enumerate((dict(n=60), dict(omega_n=0.3),
+                               dict(plan=equal_plan))):
+        ens = build_codebooks(dataclasses.replace(cfg, **other), rng_for(66),
+                              d=paper)
+        assert len(made) == 2 + i and ens.layout is made[-1]
+        assert ens.n_t == phase_lengths(ens.n, ens.cfg.plan.p_t)
 
 
 def test_trial_path_memory_at_n_1e5(paper):
