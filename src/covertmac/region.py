@@ -434,24 +434,21 @@ def _highs_solve(cost, a_ub, b_ub, eq_row, lb, ub):
         raise ValueError("LP rows must be finite")
     m, n = a.shape
     nz = a.T != 0                       # the nonzeros of csc_array(a)
-    lp = hs.HighsLp()
-    mat = lp.a_matrix_
-    lp.num_col_, lp.num_row_ = n, m
-    mat.num_col_, mat.num_row_ = n, m
-    mat.format_ = hs.MatrixFormat.kColwise
-    # lists: the matrix fields convert a numpy array element by element
-    mat.start_ = np.append(0, np.cumsum(nz.sum(axis=1))).tolist()
-    mat.index_ = np.nonzero(nz)[1].tolist()
-    mat.value_ = a.T[nz].tolist()
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
-    lp.row_lower_ = np.append(np.full(m - 1, -hs.kHighsInf), 1.0)
-    lp.row_upper_ = np.append(b_ub, 1.0)
+    value = a.T[nz]
+    start = np.append(0, np.cumsum(nz.sum(axis=1))).astype(np.int32)
     highs = hs._Highs()
     for opt in (("output_flag", False), ("log_to_console", False),
                 ("presolve", "on"), *_LP_OPTIONS.items(),
                 ("simplex_strategy", 1)):           # dual simplex
         highs.setOptionValue(*opt)
-    if highs.passModel(lp) == hs.HighsStatus.kError:
+    # integrality: an empty array makes passModel a model error
+    status = highs.passModel(
+        n, m, len(value), hs.MatrixFormat.kColwise.value,
+        hs.ObjSense.kMinimize.value, 0.0, cost, lb, ub,
+        np.append(np.full(m - 1, -hs.kHighsInf), 1.0), np.append(b_ub, 1.0),
+        start, np.nonzero(nz)[1].astype(np.int32), value,
+        np.zeros(n, np.int32))
+    if status == hs.HighsStatus.kError:
         return _INFEASIBLE
     highs.run()
     model = highs.getModelStatus()
@@ -473,7 +470,7 @@ def _highs_solve(cost, a_ub, b_ub, eq_row, lb, ub):
 
 def __getattr__(name):
     # The benchmark's --trace 1 looks up region.minimize by name; this goes
-    # when ROADMAP item 5 drops that span.
+    # when ROADMAP item 1 drops that span.
     if name == "minimize":
         from scipy.optimize import minimize
         return minimize

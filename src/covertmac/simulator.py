@@ -15,8 +15,9 @@ docstring); the non-covert codewords are i.i.d. from the phase's x3
 distribution.  Under hypothesis 0 the covert users send all-zero sequences.
 All randomness flows through numpy Generators seeded from (seed, trial
 index), so reports are reproducible under any scheduling.  The x3 words
-are uint8 and equal rng.choice's bit for bit, from the same uniforms.  A
-run's ensembles share one layout (_Layout).  Sampling (a guide table,
+are uint8 and equal rng.choice's bit for bit, from the same uniforms.
+SimConfig is frozen and owns the run's layout (SimConfig.layout, a
+_Layout), which all its ensembles share.  Sampling (a guide table,
 _Guide) and decoding (log gamma_y) read per-channel tables cached on the
 Dmc through channel._cached; every row comes from channel._rows.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class EnumerationCapError(RuntimeError):
     """Exact-divergence enumeration would exceed ENUM_CAP."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     n: int
     plan: PhasePlan
@@ -60,7 +62,7 @@ class SimConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.omega_n is None:
-            self.omega_n = float(self.n) ** -0.25
+            object.__setattr__(self, "omega_n", float(self.n) ** -0.25)
         if not (math.isfinite(self.omega_n) and self.omega_n > 0):
             raise ValueError("omega_n must be finite and positive")
         for name in ("m1", "m2", "m3", "k1", "k2"):
@@ -73,6 +75,11 @@ class SimConfig:
     def pair_count(self) -> int:
         return self.m1 * self.k1 * self.m2 * self.k2
 
+    @cached_property
+    def layout(self) -> _Layout:
+        """What this configuration's ensembles share, made on first use."""
+        return _Layout(self)
+
 
 def phase_lengths(n: int, p_t) -> list[int]:
     """floor(n * p_t) per phase, remainder assigned to the last phase."""
@@ -82,10 +89,12 @@ def phase_lengths(n: int, p_t) -> list[int]:
 
 
 class _Layout:
-    """What one configuration's ensembles share (_layout makes it once per
-    run): phase spans, _codeword_densities' results, padding map, x3 cdfs."""
+    """What one configuration's ensembles share: phase spans,
+    _codeword_densities' results, padding map, x3 cdfs.  The frozen
+    SimConfig owns it (SimConfig.layout, made on first use), so a run
+    makes it once."""
 
-    def __init__(self, cfg: SimConfig, d_x3_size: int):
+    def __init__(self, cfg: SimConfig):
         self.n_t = phase_lengths(cfg.n, cfg.plan.p_t)
         self.offsets = np.concatenate([[0], np.cumsum(self.n_t)]).astype(int)
         ((self.phi1, self.phi2, self.swapped), (self.active1, self.active2),
@@ -93,8 +102,6 @@ class _Layout:
              cfg.plan, self.n_t, cfg.omega_n)
         self.cdfs, pad_idx, pad_p = [], [], []
         for t, q in enumerate(cfg.plan.p_x3_given_t):
-            if len(q) != d_x3_size:
-                raise ValueError("plan x3 alphabet does not match the channel")
             cdf = np.asarray(q, dtype=float).cumsum()
             self.cdfs.append(cdf / cdf[-1])
             # the shorter-active user pads [active_short, active_long)
@@ -106,31 +113,22 @@ class _Layout:
             a.flags.writeable = False
 
 
-_last_layout = ((None,), None)  # ((plan, n, omega_n, x3_size), its _Layout)
-
-
-def _layout(cfg: SimConfig, d_x3_size: int) -> _Layout:
-    """cfg's layout, kept while the plan object, n, omega_n, |X3| repeat."""
-    global _last_layout
-    key = (cfg.plan, cfg.n, cfg.omega_n, d_x3_size)
-    if _last_layout[0][0] is not cfg.plan or _last_layout[0][1:] != key[1:]:
-        _last_layout = key, _Layout(cfg, d_x3_size)
-    return _last_layout[1]
-
-
 class CodebookEnsemble:
     """Random codebooks for one (plan, n, omega_n, sizes) configuration.
 
     Each codebook is stored once at block length: ``x1`` (m1, k1, n) and
     ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3``
     (m3, n) and so ``x3_sequence`` are uint8 (the least unsigned type that
-    holds x3_size - 1).  The ``layout`` a run's ensembles share lends them
-    its attributes, ``pad_idx``/``pad_p`` (the positions and densities of
-    the shorter-active user's padding) among them.  Arrays are read-only.
+    holds x3_size - 1).  The frozen SimConfig owns the run's ``layout``,
+    which all its ensembles share; it lends them its attributes,
+    ``pad_idx``/``pad_p`` (the positions and densities of the
+    shorter-active user's padding) among them.  Arrays are read-only.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
-        self.cfg, self.n, self.layout = cfg, cfg.n, _layout(cfg, d_x3_size)
+        self.cfg, self.n, self.layout = cfg, cfg.n, cfg.layout
+        if len(self.cdfs[0]) != d_x3_size:
+            raise ValueError("plan x3 alphabet does not match the channel")
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
         self.x3 = np.zeros((cfg.m3, cfg.n), np.min_scalar_type(d_x3_size - 1))
@@ -252,7 +250,9 @@ def channel_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
     for name, x, size in zip(("x1", "x2", "x3"), xs, (2, 2, d.x3_size)):
         if x.size and not (x.min() >= 0 and x.max() < size):
             raise IndexError(f"{name} has a symbol outside [0, {size})")
-    rows, tab = _input_rows(d, *xs), _tables(d)
+    if not (len(xs[0]) == len(xs[1]) == len(xs[2])):
+        raise ValueError("input sequences must have equal length")
+    rows, tab = _rows(d.x3_size, *xs), _tables(d)
     return tab.y.draw(rows, rng), tab.z.draw(rows, rng)
 
 
@@ -263,13 +263,6 @@ def _receiver_sample(d: Dmc, x1, x2, x3, rng: np.random.Generator):
     y = _tables(d).y.draw(_rows(d.x3_size, x1, x2, x3), rng)
     rng.bit_generator.advance(len(y))
     return y
-
-
-def _input_rows(d: Dmc, x1, x2, x3) -> np.ndarray:
-    """Channel matrix row of each input triple (int arrays)."""
-    if not (len(x1) == len(x2) == len(x3)):
-        raise ValueError("input sequences must have equal length")
-    return _rows(d.x3_size, x1, x2, x3)
 
 
 @dataclass(frozen=True)

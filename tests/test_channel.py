@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import covertmac as cm
 from covertmac.channel import (ChannelFormatError, Dmc, _rows, from_dict,
                                load_channel, save_channel)
-from covertmac.simulator import _input_rows
 
 from conftest import make_dmc
 
@@ -46,7 +45,7 @@ def test_row_index_bijection(paper):
 @pytest.mark.parametrize("x3_size", [1, 2, 3, 4])
 def test_row_map_is_row_index_and_input_rows(x3_size):
     """The row map gives Dmc.row_index at every input triple, elementwise
-    over arrays, and _input_rows is the map on random codewords."""
+    over arrays, and on random codewords with a uint8 x1, as an ensemble's."""
     ones = np.ones((4 * x3_size, 1))
     d = Dmc(x3_size, 1, 1, ones, ones)
     triples = [(x1, x2, x3) for x1 in (0, 1) for x2 in (0, 1)
@@ -58,7 +57,7 @@ def test_row_map_is_row_index_and_input_rows(x3_size):
     rng = np.random.default_rng(x3_size)
     x1, x2 = (rng.random(50) < 0.3).astype(np.uint8), rng.integers(2, size=50)
     x3 = rng.integers(x3_size, size=50)
-    got = _input_rows(d, x1, x2, x3)
+    got = _rows(x3_size, x1, x2, x3)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(
         got, _rows(x3_size, x1.astype(np.int64), x2, x3))

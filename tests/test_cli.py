@@ -576,3 +576,107 @@ def test_mutated_documents_exit_with_a_documented_code(tmp_path, docs):
                  ["simulate", *common, "--plan", str(plan), "--n", "8",
                   "--trials", "1"]):
         assert main(argv) in (0, 2, 3, 4, 5)
+
+
+# argv values the property draws, each of which argparse takes: valid
+# ones (listed first and, for files, twice, as hypothesis draws them more
+# often) and ones out of range, non-finite, too large for a float or
+# malformed; file names are relative to the test's directory, and None
+# leaves the flag out
+_REAL = ["0", "0.1", "0.5", "0.8", "1", "2", "-1", "inf", "nan", "1e400"]
+_COUNT = ["0", "1", "2", "-1"]                   # sizes of at most 2
+_SIZE = ["1", "2", "3", "4", "0", "-1"]          # m's and k's of at most 4
+_GRID = ["0", "0.1", "0,0.1", "0,0.05,0.1", "0:0.1:3", "0:1:2", "1,0.5",
+         "-0.1", "nan", "inf", "0:1", "0:1:x", "0:1:0", "x", ""]
+_COMMON = {"--unit": ["bits", "nats"], "--seed": ["0", "7", "-1"],
+           "--out": ["out", "out", ".", "missing/out"]}
+_SOLVE = {"--max-phases": ["1", "2", "3", "0", "-1"], "--restarts": _COUNT,
+          "--max-iter": _COUNT, "--threads": _COUNT, "--r1": _REAL,
+          "--k1-max": _REAL}
+_PLAN = ["ref.json", "plan.json", "ref.json", "plan.json", "missing.json",
+         "bad.json", None]
+_CHANNEL = ["paper", "chan.json", "paper", "chan.json", "uniform.json",
+            "missing.json", "bad.json", None]
+# per subcommand: the flags drawn at will, and those always given, as they
+# are required or their defaults are large (21 grid points, 20 cases,
+# 1000 trials); simulate's --n is drawn apart
+_FLAGS = {
+    "profile": (_COMMON, {}),
+    "region": ({**_COMMON, **_SOLVE, "--k2-max": _REAL, "--r3-grid": _GRID},
+               {"--grid-points": ["0", "1", "2", "3", "-1"]}),
+    "curve": ({**_COMMON, **_SOLVE, "--fix-x3": ["0", "1", "2", "-1"]},
+              {"--k2-grid": _GRID}),
+    "simulate": ({**_COMMON, "--omega": _REAL, "--threads": _COUNT,
+                  **{f"--{m}": _SIZE for m in ("m1", "m2", "m3", "k1", "k2")}},
+                 {"--plan": _PLAN, "--trials": _COUNT}),
+    "verify-asymptotics": ({**_COMMON, "--rho1": _REAL, "--rho2": _REAL,
+                            "--x3": ["0", "1", "2", "-1"],
+                            "--alpha": ["1e-2", "1e-2,1e-3,1e-4", "0", "-1",
+                                        "nan", "1e-2,x", ""]},
+                           {"--random": _COUNT}),
+    "sizing": ({**_COMMON, "--omega": _REAL,
+                "--xi": ["0.1", "0.1,0.2", ",".join(["0.1"] * 6), "0", "1.5",
+                         "nan", "x"]},
+               {"--plan": _PLAN, "--n": ["1", "1000", "1000000", "0", "-5"]}),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, its --channel, its always-given flags and up to four
+    of its other flags with drawn values; at times a value argparse refuses
+    or an unknown flag.  simulate's --n is at most 64, and with
+    --exact-delta at most 5 or at least 11, so that the enumeration is
+    quick or over its cap."""
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    flags, given = _FLAGS[cmd]
+    pairs = [(flag, draw(st.sampled_from(values)))
+             for flag, values in given.items()]
+    pairs += [(flag, draw(st.sampled_from(flags[flag])))
+              for flag in draw(st.lists(st.sampled_from(sorted(flags)),
+                                        unique=True, max_size=4))]
+    pairs.append(("--channel", draw(st.sampled_from(_CHANNEL))))
+    if cmd == "simulate":
+        exact = draw(st.booleans())
+        n = (st.one_of(st.integers(1, 5), st.integers(11, 64)) if exact
+             else st.integers(1, 64))
+        pairs.append(("--n", str(draw(st.one_of(n, st.just(0))))))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(["x", "", "1.5"])))
+    argv = [cmd, *(a for pair in pairs if pair[1] is not None
+                   for a in pair)]
+    if cmd == "simulate":
+        argv += ["--exact-delta"] * exact
+        argv += ["--fixed-codebook"] * draw(st.booleans())
+    if draw(st.sampled_from([False] * 19 + [True])):
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+@example(["region", "--channel", "paper", "--grid-points", "3",
+          "--r3-grid", "0,0.1", "--max-phases", "1"])
+@example(["curve", "--channel", "paper", "--k2-grid", "0.3",
+          "--max-phases", "1"])
+@example(["simulate", "--channel", "paper", "--plan", "ref.json", "--trials",
+          "2", "--n", "5", "--exact-delta", "--m1", "4", "--m2", "4",
+          "--k1", "4", "--k2", "4"])
+@example(["simulate", "--channel", "chan.json", "--plan", "plan.json",
+          "--trials", "1", "--n", "11", "--exact-delta"])
+def test_generated_argv_exits_with_a_documented_code(
+        tmp_path, monkeypatch, uniform_channel, argv):
+    """argv drawn from valid and invalid flags and values of every
+    subcommand: main returns 0, 2, 3, 4 or 5, and no exception escapes.
+    It runs in tmp_path, so that every file it names or writes is there."""
+    monkeypatch.chdir(tmp_path)
+    if not os.path.exists("chan.json"):
+        cm.save_channel(cm.paper_channel(), "chan.json")
+        cm.save_channel(uniform_channel, "uniform.json")
+        (tmp_path / "plan.json").write_text(
+            cm.PhasePlan.single_phase((0.535, 0.465), 0.5, 0.5).to_json())
+        (tmp_path / "ref.json").write_text(json.dumps(REF_PLAN_DOC))
+        (tmp_path / "bad.json").write_text("{")
+    assert main(argv) in (0, 2, 3, 4, 5)

@@ -859,6 +859,20 @@ def test_highs_solve_bit_identical_to_linprog(paper, monkeypatch):
                 solve(*lp)
 
 
+def test_highs_solve_unbounded_and_infeasible_ends():
+    """An unbounded LP (min -x0 with x1 = 1 and one zero row) gives None;
+    a row entry of 1e16, which HiGHS reads as infinite and refuses as a
+    model, and x0 + x1 = 1 under x0 + x1 <= 0.5 give _INFEASIBLE."""
+    lb, ub = np.zeros(2), np.full(2, math.inf)
+    assert region._highs_solve(np.array([-1.0, 0.0]), np.zeros((1, 2)),
+                               np.zeros(1), np.array([0.0, 1.0]), lb,
+                               ub) is None
+    for row, b in (([1e16, 0.0], 1.0), ([1.0, 1.0], 0.5)):
+        assert region._highs_solve(np.array([1.0, 0.0]), np.array([row]),
+                                   np.array([b]), np.ones(2), lb,
+                                   ub) is region._INFEASIBLE
+
+
 @pytest.mark.parametrize("R3", [0.0, 0.1])
 def test_max_r2_huge_finite_caps_match_no_cap(paper, R3):
     """A k1 or k2 cap of 1e15 or 1e20, where a cap coefficient would reach
@@ -1361,3 +1375,15 @@ def test_with_betas_silent_user_1_meets_no_r1_floor(paper, unit):
     assert region._with_betas(paper, plan, Constraints(r1_min=0.1),
                               unit) is None
     assert region._with_betas(paper, plan, Constraints(), unit) is not None
+
+
+def test_with_betas_zero_key_cap_and_r3_floor(paper):
+    """A plan with K2 > 0 under k2_max = 0 gets beta2 = 0, and a plan whose
+    R3 is below R3_min misses the floor at any betas: both give None."""
+    plan = PhasePlan.single_phase((0.5, 0.5), 1.0, 1.0)
+    assert region._evaluate(paper, plan, "bits").key[1] > 0
+    rt = region._with_betas(paper, plan, Constraints(), "bits")[1]
+    assert region._with_betas(paper, plan, Constraints(k2_max=0.0),
+                              "bits") is None
+    assert region._with_betas(paper, plan, Constraints(R3_min=2 * rt.R3),
+                              "bits") is None

@@ -237,7 +237,7 @@ def test_x3_draw_is_rng_choice(q, m3, nt, seed, dtype):
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = np.zeros((m3, nt), dtype=dtype)
     layout = simulator._Layout(SimConfig(
-        n=1, plan=PhasePlan.single_phase(q, 0.0, 0.0), trials=0), len(q))
+        n=1, plan=PhasePlan.single_phase(q, 0.0, 0.0), trials=0))
     simulator._choice_into(a, layout.cdfs[0], got)
     want = b.choice(len(q), size=(m3, nt), p=q)
     np.testing.assert_array_equal(got, want)
@@ -283,6 +283,14 @@ def test_ensembles_of_a_run_share_one_layout(paper, monkeypatch):
                               d=paper)
         assert len(made) == 2 + i and ens.layout is made[-1]
         assert ens.n_t == phase_lengths(ens.n, ens.cfg.plan.p_t)
+
+
+def test_sim_config_is_frozen_and_owns_its_layout():
+    """A SimConfig refuses assignment, and its layout is made once."""
+    cfg = SimConfig(n=50, plan=PLAN_Q, trials=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n = 60
+    assert cfg.omega_n == 50 ** -0.25 and cfg.layout is cfg.layout
 
 
 def test_trial_path_memory_at_n_1e5(paper):
