@@ -4,7 +4,8 @@ The channel is a pair of conditional probability matrices: ``gamma_y`` to the
 legitimate receiver and ``gamma_z`` to the warden.  Rows are indexed by the
 input triple (x1, x2, x3) in lexicographic order with x3 fastest, i.e. row
 ``x1*(2*x3_size) + x2*x3_size + x3``; ``_rows`` is the one place that layout
-lives.  Input symbol 0 is the off-symbol for the two covert users.
+lives.  Input symbol 0 is the off-symbol for the two covert users.  A Dmc
+made from arrays is checked as one read from a file is.
 """
 from __future__ import annotations
 
@@ -29,27 +30,52 @@ class ChannelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dmc:
-    """Validated, immutable channel pair.
-
-    ``ac_violations`` lists the x3 symbols where the warden rows of the
-    covert-on inputs put mass outside the support of the all-off row; the
-    chi-square distance is infinite there, everything else still works.
+    """Validated, immutable channel pair, made from its matrices alone:
+    they are checked as a channel file's are, and the sizes are read off
+    them.  ``ac_violations`` lists the x3 symbols where the warden rows of
+    the covert-on inputs put mass outside the support of the all-off row;
+    the chi-square distance is infinite there, everything else still works.
     """
 
-    x3_size: int
-    y_size: int
-    z_size: int
     gamma_y: np.ndarray
     gamma_z: np.ndarray
-    ac_violations: tuple[int, ...] = field(default=())
+    x3_size: int = field(init=False)
+    y_size: int = field(init=False)
+    z_size: int = field(init=False)
+    ac_violations: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        gy = np.ascontiguousarray(np.asarray(self.gamma_y, dtype=float))
-        gz = np.ascontiguousarray(np.asarray(self.gamma_z, dtype=float))
-        gy.setflags(write=False)
-        gz.setflags(write=False)
-        object.__setattr__(self, "gamma_y", gy)
-        object.__setattr__(self, "gamma_z", gz)
+        gy, gz = (np.array(m, dtype=float, order="C")
+                  for m in (self.gamma_y, self.gamma_z))
+        if not (gy.ndim == gz.ndim == 2 and len(gy) == len(gz) > 0
+                and len(gy) % 4 == 0):
+            raise ChannelFormatError(
+                f"gamma_y and gamma_z must have the same 4 * x3_size rows, "
+                f"got shapes {gy.shape} and {gz.shape}")
+        for name, arr in (("gamma_y", gy), ("gamma_z", gz)):
+            if not np.isfinite(arr).all():
+                raise ChannelFormatError(f"{name}: non-finite entries")
+            if np.any(arr < 0):
+                raise ChannelFormatError(f"{name}: negative entries")
+            sums = arr.sum(axis=1)
+            bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL_INPUT)[0]
+            if bad.size:
+                raise ChannelFormatError(
+                    f"{name}: row {bad[0]} sums to {sums[bad[0]]!r}, not 1 "
+                    f"within {ROW_SUM_TOL_INPUT}")
+            # renormalize only rows outside the internal tolerance; clean rows
+            # stay bit-identical so load -> save -> load is the identity
+            fix = np.abs(sums - 1.0) > ROW_SUM_TOL_INTERNAL
+            arr[fix] = arr[fix] / sums[fix, None]
+            arr.setflags(write=False)
+        k = len(gy) // 4
+        off, on1, on2 = (gz[_rows(k, *on, np.arange(k))]
+                         for on in ((0, 0), (1, 0), (0, 1)))
+        leak = (off == 0.0) & ((on1 > 0) | (on2 > 0))
+        vars(self).update(      # frozen: set through the instance dict
+            gamma_y=gy, gamma_z=gz, x3_size=k, y_size=gy.shape[1],
+            z_size=gz.shape[1],
+            ac_violations=tuple(np.flatnonzero(leak.any(axis=1)).tolist()))
 
     @property
     def n_rows(self) -> int:
@@ -102,7 +128,8 @@ def _cached(d: Dmc, key: str, build, *args):
     return d.__dict__[key]
 
 
-def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
+def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> list:
+    """mat, once it is a list of n_rows rows of n_cols JSON numbers."""
     # np.asarray would read the string "0.28" as 0.28 and true as 1.0
     if not (isinstance(mat, list) and all(
             isinstance(r, list) and all(map(_is_number, r)) for r in mat)):
@@ -112,23 +139,7 @@ def _validate_matrix(name: str, mat, n_rows: int, n_cols: int) -> np.ndarray:
         raise ChannelFormatError(
             f"{name}: expected shape ({n_rows}, {n_cols}), got row lengths "
             f"{[len(r) for r in mat]}")
-    arr = np.asarray(mat, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ChannelFormatError(f"{name}: non-finite entries")
-    if np.any(arr < 0):
-        raise ChannelFormatError(f"{name}: negative entries")
-    sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL_INPUT)[0]
-    if bad.size:
-        raise ChannelFormatError(
-            f"{name}: row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within "
-            f"{ROW_SUM_TOL_INPUT}")
-    # renormalize only rows outside the internal tolerance; rows that are
-    # already clean stay bit-identical so load -> save -> load is the identity
-    arr = arr.copy()
-    fix = np.abs(sums - 1.0) > ROW_SUM_TOL_INTERNAL
-    arr[fix] = arr[fix] / sums[fix, None]
-    return arr
+    return mat
 
 
 def _is_number(v) -> bool:
@@ -137,13 +148,6 @@ def _is_number(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
     return isinstance(v, float) or abs(v) <= sys.float_info.max  # exact test
-
-
-def _find_ac_violations(gz: np.ndarray, x3_size: int) -> tuple[int, ...]:
-    off, on1, on2 = (gz[_rows(x3_size, *on, np.arange(x3_size))]
-                     for on in ((0, 0), (1, 0), (0, 1)))
-    bad = (off == 0.0) & ((on1 > 0) | (on2 > 0))
-    return tuple(np.flatnonzero(bad.any(axis=1)).tolist())
 
 
 def from_dict(doc: dict) -> Dmc:
@@ -159,11 +163,8 @@ def from_dict(doc: dict) -> Dmc:
     if x3_size < 1 or y_size < 1 or z_size < 1:
         raise ChannelFormatError("sizes must be positive")
     n_rows = 4 * x3_size
-    gy = _validate_matrix("gamma_y", doc.get("gamma_y"), n_rows, y_size)
-    gz = _validate_matrix("gamma_z", doc.get("gamma_z"), n_rows, z_size)
-    return Dmc(x3_size=x3_size, y_size=y_size, z_size=z_size,
-               gamma_y=gy, gamma_z=gz,
-               ac_violations=_find_ac_violations(gz, x3_size))
+    return Dmc(_validate_matrix("gamma_y", doc.get("gamma_y"), n_rows, y_size),
+               _validate_matrix("gamma_z", doc.get("gamma_z"), n_rows, z_size))
 
 
 def load_channel(path) -> Dmc:

@@ -111,8 +111,8 @@ def chi_square(d: Dmc, rho1: float, rho2: float, x3: int) -> float:
     Depends on (rho1, rho2) only through the ratio.  Returns +inf on an
     absolute-continuity violation at x3.
     """
-    if rho1 < 0 or rho2 < 0:
-        raise ValueError("rho1, rho2 must be non-negative")
+    if not (0 <= rho1 < math.inf and 0 <= rho2 < math.inf):   # NaN fails
+        raise ValueError("rho1, rho2 must be finite and non-negative")
     if rho1 + rho2 == 0:
         raise ValueError("rho1 + rho2 = 0: mixture weight undefined "
                          "(degenerate phases contribute zero by convention)")

@@ -44,12 +44,14 @@ in lam at each law too.  That search is local, so the LP's upper bound
 on r2 is measured, not proven.  A polish, priced at the
 plan's laws alone, merges the columns of each law into one phase.
 
-A plan becomes numbers here only: the methods of its _evaluate record
-give the rates, sizing, thresholds and divergence predictor, which weight
-phase t by p_t, and _codeword_densities gives the simulator's codeword
-density rho_t omega_n / sqrt(n_t), which does not.  One-phase plans agree
-under both; on the tests' two-phase REF_PLAN the ensemble's warden
-divergence is about 1.98 times the predictor.
+A PhasePlan checks itself when it is made; an evaluation checks only that
+its x3 alphabet is the channel's.  A plan becomes numbers here only: the
+methods of its _evaluate record give the rates, sizing, thresholds and
+divergence predictor, which weight phase t by p_t, and _codeword_densities
+gives the simulator's codeword density rho_t omega_n / sqrt(n_t), which
+does not.  One-phase plans agree under both; on the tests' two-phase
+REF_PLAN the ensemble's warden divergence is about 1.98 times the
+predictor.
 
 Every evaluator reads its channel terms (divergence_profile, chi2, I(X3; Y),
 capacity) from infotheory's _ChannelTerms table, one per (Dmc, unit), which
@@ -93,25 +95,21 @@ class PhasePlan:
     def tau(self) -> int:
         return len(self.p_t)
 
-    def validate(self, x3_size: int | None = None):
-        """p_x3_given_t and (rho1, rho2) as float arrays once every check
-        passes; a ValueError names the field at fault."""
+    def __post_init__(self):
+        """Every check a plan must pass; a ValueError names the field at
+        fault."""
         tau = self.tau
         if not 1 <= tau <= MAX_PHASES:
             raise ValueError(f"tau must be in [1, {MAX_PHASES}], got {tau}")
         for name in ("p_x3_given_t", "rho1", "rho2"):
             if len(getattr(self, name)) != tau:
                 raise ValueError(f"{name} must have one entry per phase")
-        k = len(self.p_x3_given_t[0]) if x3_size is None else x3_size
+        k = len(self.p_x3_given_t[0])
         if any(len(q) != k for q in self.p_x3_given_t):
             raise ValueError(f"p_x3_given_t rows must have length {k}")
-        flat = np.array([*self.p_t, *itertools.chain(*self.p_x3_given_t),
-                         *self.rho1, *self.rho2], dtype=float)
-        if not np.isfinite(flat).all():
-            for field in ("p_t", "p_x3_given_t", "rho1", "rho2"):
-                if not np.isfinite(np.array(getattr(self, field),
-                                            dtype=float)).all():
-                    raise ValueError(f"{field} has a non-finite entry")
+        for name in ("p_t", "p_x3_given_t", "rho1", "rho2"):
+            if not np.isfinite(np.array(getattr(self, name), float)).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if abs(sum(self.p_t) - 1.0) > 1e-12 or min(self.p_t) < 0:
             raise ValueError("p_t must be a distribution (sum 1 within 1e-12)")
         for q in self.p_x3_given_t:
@@ -122,8 +120,6 @@ class PhasePlan:
         for b in (self.beta1, self.beta2):
             if not 0 < b <= 1:
                 raise ValueError("beta1, beta2 must lie in (0, 1]")
-        return (flat[tau:-2 * tau].reshape(tau, k),
-                flat[-2 * tau:].reshape(2, tau))
 
     def scaled(self, c: float) -> "PhasePlan":
         """Same plan with all rho's multiplied by c > 0 (rates unchanged)."""
@@ -218,13 +214,17 @@ def _terms(lam, laws):
 
 
 def _plan_quantities(d: Dmc, plan: PhasePlan, unit: str):
-    """(num1, num2, keynum1, keynum2, Dsq, R3) without beta/sqrt2; validates.
+    """(num1, num2, keynum1, keynum2, Dsq, R3) without beta/sqrt2; a plan
+    over another x3 alphabet than d's raises ValueError.
 
     The table's kernels give every phase's I(q) and every (phase, x3)
     chi-square in a few array operations; the loop adds them up in the
     order of a per-phase, per-symbol sum, with one BLAS dot over the
     symbols a phase sends per (user, numerator)."""
-    q, rho = plan.validate(d.x3_size)
+    if len(plan.p_x3_given_t[0]) != d.x3_size:
+        raise ValueError(f"p_x3_given_t rows must have length {d.x3_size}")
+    q = np.array(plan.p_x3_given_t, dtype=float)
+    rho = np.array((plan.rho1, plan.rho2), dtype=float)
     tab = _channel_terms(d, unit)
     info = tab.mutual_info(q)
     sent = q > 0
@@ -311,7 +311,8 @@ class _Evaluated(NamedTuple):
 
 
 def _evaluate(d: Dmc, plan: PhasePlan, unit: str) -> _Evaluated:
-    """The plan's _Evaluated record; validates the plan against d."""
+    """The plan's _Evaluated record; ValueError for a plan whose x3
+    alphabet is not d's."""
     return _Evaluated(plan, unit, *_plan_quantities(d, plan, unit))
 
 

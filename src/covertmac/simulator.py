@@ -70,7 +70,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        self.plan.validate()
 
     def pair_count(self) -> int:
         return self.m1 * self.k1 * self.m2 * self.k2
@@ -120,28 +119,26 @@ class CodebookEnsemble:
     ``x2`` (m2, k2, n) hold zeros outside each phase's active span, ``x3``
     (m3, n) and so ``x3_sequence`` are uint8 (the least unsigned type that
     holds x3_size - 1).  The frozen SimConfig owns the run's ``layout``,
-    which all its ensembles share; it lends them its attributes,
-    ``pad_idx``/``pad_p`` (the positions and densities of the
-    shorter-active user's padding) among them.  Arrays are read-only.
+    which all its ensembles share: ``layout.pad_idx``/``layout.pad_p`` are
+    the positions and densities of the shorter-active user's padding.
+    Arrays are read-only.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, d_x3_size: int):
-        self.cfg, self.n, self.layout = cfg, cfg.n, cfg.layout
-        if len(self.cdfs[0]) != d_x3_size:
+        self.cfg, self.n = cfg, cfg.n
+        self.layout = lay = cfg.layout
+        if len(lay.cdfs[0]) != d_x3_size:
             raise ValueError("plan x3 alphabet does not match the channel")
         self.x1 = np.zeros((cfg.m1, cfg.k1, cfg.n), dtype=np.uint8)
         self.x2 = np.zeros((cfg.m2, cfg.k2, cfg.n), dtype=np.uint8)
         self.x3 = np.zeros((cfg.m3, cfg.n), np.min_scalar_type(d_x3_size - 1))
-        for t, (nt, off) in enumerate(zip(self.n_t, self.offsets)):
-            a1, a2 = self.active1[t], self.active2[t]
-            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < self.dens[0][t]
-            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < self.dens[1][t]
-            _choice_into(rng, self.cdfs[t], self.x3[:, off:off + nt])
+        for t, (nt, off) in enumerate(zip(lay.n_t, lay.offsets)):
+            a1, a2 = lay.active1[t], lay.active2[t]
+            self.x1[:, :, off:off + a1] = rng.random((cfg.m1, cfg.k1, a1)) < lay.dens[0][t]
+            self.x2[:, :, off:off + a2] = rng.random((cfg.m2, cfg.k2, a2)) < lay.dens[1][t]
+            _choice_into(rng, lay.cdfs[t], self.x3[:, off:off + nt])
         for a in (self.x1, self.x2, self.x3):
             a.flags.writeable = False
-
-    def __getattr__(self, name: str):       # the layout's attributes
-        return getattr(vars(self).get("layout"), name)
 
     def x3_sequence(self, w3: int) -> np.ndarray:
         return self.x3[w3]
@@ -187,10 +184,11 @@ def encode(ens: CodebookEnsemble, hypothesis: int, w1: int, s1: int,
     if not (0 <= w1 < cfg.m1 and 0 <= s1 < cfg.k1
             and 0 <= w2 < cfg.m2 and 0 <= s2 < cfg.k2):
         raise IndexError("message or key index out of range")
+    lay = ens.layout
     x = [ens.x1[w1, s1], ens.x2[w2, s2]]
-    short = 0 if ens.swapped else 1
+    short = 0 if lay.swapped else 1
     x[short] = x[short].copy()
-    x[short][ens.pad_idx] = rng.random(len(ens.pad_idx)) < ens.pad_p
+    x[short][lay.pad_idx] = rng.random(len(lay.pad_idx)) < lay.pad_p
     return x[0], x[1], x3
 
 
@@ -408,7 +406,7 @@ def run_trials(cfg: SimConfig, d: Dmc) -> SimReport:
                              "the (0,0,x3) row")
         delta_ratio = delta_exact / predictor if predictor > 0 else None
     # every ensemble of one (plan, n, omega_n) clips alike
-    clip = tuple(ens.clip_warnings) if ens is not None else ()
+    clip = tuple(ens.layout.clip_warnings) if ens is not None else ()
     n_tr = cfg.trials
     return SimReport(
         trials_run=n_tr,
@@ -469,8 +467,9 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     laws = gz[idx]          # the pairs' per-position laws, then the all-off's
     # padding positions mix the short user's symbols 0 and 1 at its density:
     # its symbol 1 moves a row by the row of (1, 0, 0) or (0, 1, 0)
-    pad, p = ens.pad_idx, ens.pad_p[:, None]
-    step = _rows(k, *((1, 0) if ens.swapped else (0, 1)), 0)
+    lay = ens.layout
+    pad, p = lay.pad_idx, lay.pad_p[:, None]
+    step = _rows(k, *((1, 0) if lay.swapped else (0, 1)), 0)
     laws[:-1, pad] = (1 - p) * laws[:-1, pad] + p * gz[idx[:-1, pad] + step]
     s, size = 0, 1          # positions 0..s-1 and n-1 vary in a block
     while (s < n - 1 and size * zs * zs <= _SUM_CHUNK

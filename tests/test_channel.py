@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -47,7 +49,7 @@ def test_row_map_is_row_index_and_input_rows(x3_size):
     """The row map gives Dmc.row_index at every input triple, elementwise
     over arrays, and on random codewords with a uint8 x1, as an ensemble's."""
     ones = np.ones((4 * x3_size, 1))
-    d = Dmc(x3_size, 1, 1, ones, ones)
+    d = Dmc(ones, ones)
     triples = [(x1, x2, x3) for x1 in (0, 1) for x2 in (0, 1)
                for x3 in range(x3_size)]
     assert [_rows(x3_size, *t) for t in triples] == [
@@ -161,15 +163,69 @@ def test_parse_failure(tmp_path):
         load_channel(tmp_path / "missing.json")
 
 
+# (0,0,0) warden row is a point mass; (1,0,0) puts mass on z=2
+AC_GZ = [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
+         [1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
+         [0.0, 0.0, 1.0], [0.3, 0.3, 0.4],
+         [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]
+AC_GY = [[0.5, 0.3, 0.2]] * 8
+
+
 def test_absolute_continuity_violation_recorded_not_fatal():
-    # (0,0,0) warden row is a point mass; (1,0,0) puts mass on z=2
-    gz = [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
-          [1.0, 0.0, 0.0], [0.3, 0.3, 0.4],
-          [0.0, 0.0, 1.0], [0.3, 0.3, 0.4],
-          [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]
-    gy = [[0.5, 0.3, 0.2]] * 8
-    d = make_dmc(gy, gz)
+    d = make_dmc(AC_GY, AC_GZ)
     assert d.ac_violations == (0,)
+
+
+def test_direct_channel_derives_its_support_violations():
+    """A Dmc made from the matrices alone finds the violation that loading
+    them from a file finds: chi-square is infinite at x3 = 0, and a plan
+    that sends x3 = 0 has no rates."""
+    d = Dmc(np.array(AC_GY), np.array(AC_GZ))
+    assert (d.x3_size, d.y_size, d.z_size, d.ac_violations) == (2, 3, 3, (0,))
+    assert cm.chi_square(d, 1, 1, 0) == math.inf
+    plan = cm.PhasePlan.single_phase((1.0, 0.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="violates absolute continuity"):
+        cm.rate_tuple(d, plan)
+
+
+@pytest.mark.parametrize("rows_y, rows_z", [(8, 4), (4, 8), (6, 6), (0, 0)])
+def test_direct_channel_needs_the_same_4k_rows(paper, rows_y, rows_z):
+    with pytest.raises(ChannelFormatError,
+                       match=r"^gamma_y and gamma_z must have the same 4 \*"):
+        Dmc(paper.gamma_y[:rows_y], paper.gamma_z[:rows_z])
+
+
+@pytest.mark.parametrize("row0, message", [
+    ([0.2, 0.2, 0.2, 0.1, 0.1, 0.1], "gamma_y: row 0 sums to "),
+    ([math.nan] + [0.2] * 5, "gamma_y: non-finite entries"),
+    ([-0.1, 0.3, 0.2, 0.2, 0.2, 0.2], "gamma_y: negative entries")])
+def test_direct_channel_is_checked_like_a_file(paper, row0, message):
+    """A Dmc made from arrays fails with the message of the same matrices
+    read from a channel document."""
+    gy = paper.gamma_y.copy()
+    gy[0] = row0
+    doc = {**paper.to_dict(), "gamma_y": gy.tolist()}
+    errors = []
+    for make in (lambda: Dmc(gy, paper.gamma_z), lambda: from_dict(doc)):
+        with pytest.raises(ChannelFormatError) as e:
+            make()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1] and errors[0].startswith(message)
+
+
+def test_direct_channel_keeps_a_loaded_channel(paper):
+    """Two init fields; a loaded channel's matrices make the same channel,
+    bit for bit, on read-only copies of the caller's arrays."""
+    assert [f.name for f in dataclasses.fields(Dmc) if f.init] == [
+        "gamma_y", "gamma_z"]
+    gy, gz = paper.gamma_y.copy(), paper.gamma_z.copy()
+    d = Dmc(gy, gz)
+    for mine, theirs, orig in ((d.gamma_y, gy, paper.gamma_y),
+                               (d.gamma_z, gz, paper.gamma_z)):
+        assert mine.tobytes() == orig.tobytes() and mine.flags.c_contiguous
+        assert not mine.flags.writeable and theirs.flags.writeable
+    assert d.digest() == paper.digest()
+    assert (d.x3_size, d.y_size, d.z_size, d.ac_violations) == (2, 6, 6, ())
 
 
 def test_immutability(paper):

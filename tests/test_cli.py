@@ -174,6 +174,18 @@ def test_verify_asymptotics_one_case(capsys):
     assert all(0.99 < float(r[4]) < 1.01 for r in rows)
 
 
+@pytest.mark.filterwarnings("error")    # a numpy warning is a second line
+@pytest.mark.parametrize("rhos", [["--rho1", "inf"],
+                                  ["--rho1", "1e400", "--rho2", "1e400"],
+                                  ["--rho1", "nan"]],
+                         ids=["inf", "overflow", "nan"])
+def test_verify_asymptotics_rejects_non_finite_rho(capsys, rhos):
+    code, out, err = run(capsys, "verify-asymptotics", "--channel", "paper",
+                         *rhos)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rho1, rho2 ") and err.count("\n") == 1
+
+
 def test_simulate_exact_delta_silent_plan_strict_json(capsys, tmp_path):
     """A silent plan has a zero divergence bound: its delta_bound_ratio is
     null, and the report is JSON without Infinity or NaN."""

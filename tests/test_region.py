@@ -192,31 +192,44 @@ def test_sizing_independent_of_phase_order_at_infinite_chi_square():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
+    """A plan checks itself when it is made."""
+    with pytest.raises(ValueError, match="^p_t must be a distribution"):
         PhasePlan(p_t=(0.5, 0.4), p_x3_given_t=((1, 0), (1, 0)),
-                  rho1=(1, 1), rho2=(0, 0)).validate()
-    with pytest.raises(ValueError):
-        PhasePlan.single_phase((0.5, 0.5), -1.0, 0.0).validate()
-    with pytest.raises(ValueError):
-        PhasePlan.single_phase((0.5, 0.5), 1.0, 0.0, beta1=1.5).validate()
-    seven = PhasePlan(p_t=(1 / 7,) * 7, p_x3_given_t=((0.5, 0.5),) * 7,
-                      rho1=(1,) * 7, rho2=(0,) * 7)
-    with pytest.raises(ValueError):
-        seven.validate()
+                  rho1=(1, 1), rho2=(0, 0))
+    with pytest.raises(ValueError, match="^rho prefactors"):
+        PhasePlan.single_phase((0.5, 0.5), -1.0, 0.0)
+    with pytest.raises(ValueError, match="^beta1, beta2 must lie"):
+        PhasePlan.single_phase((0.5, 0.5), 1.0, 0.0, beta1=1.5)
+    with pytest.raises(ValueError, match="^tau must be in"):
+        PhasePlan(p_t=(1 / 7,) * 7, p_x3_given_t=((0.5, 0.5),) * 7,
+                  rho1=(1,) * 7, rho2=(0,) * 7)
 
 
 @pytest.mark.parametrize("field, value", [
     ("p_t", (math.nan,)), ("p_x3_given_t", ((math.nan, 1.0),)),
     ("p_x3_given_t", ((-math.inf, 1.0),)), ("rho1", (math.inf,)),
     ("rho2", (math.nan,))])
-def test_plan_rejects_non_finite_entries(paper, field, value):
-    """A NaN or infinite entry fails validation with a message naming its
-    field, before any rate is evaluated (NaN rates or R3 = 0 otherwise)."""
-    plan = replace(PhasePlan.single_phase((0.5, 0.5), 1.0, 1.0),
-                   **{field: value})
-    for call in (plan.validate, lambda: rate_tuple(paper, plan),
-                 lambda: theorem1_sizing(paper, plan, 10**6, 1e-2, (0.1,) * 6)):
+def test_plan_rejects_non_finite_entries(field, value):
+    """A NaN or infinite entry fails when the plan is made, by replace or
+    from a document, with a message naming its field (NaN rates or R3 = 0
+    otherwise)."""
+    plan = PhasePlan.single_phase((0.5, 0.5), 1.0, 1.0)
+    doc = {**plan.to_dict(), field: [list(v) if isinstance(v, tuple) else v
+                                     for v in value]}
+    for call in (lambda: replace(plan, **{field: value}),
+                 lambda: PhasePlan.from_dict(doc)):
         with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
+            call()
+
+
+def test_plan_over_another_alphabet_is_refused(paper):
+    """A plan over three x3 symbols is a valid plan, but not on the paper
+    channel's two: rate_tuple and theorem1_sizing refuse it."""
+    plan = PhasePlan.single_phase((0.2, 0.3, 0.5), 1.0, 1.0)
+    for call in (lambda: rate_tuple(paper, plan),
+                 lambda: theorem1_sizing(paper, plan, 10**6, 1e-2, (0.1,) * 6)):
+        with pytest.raises(ValueError,
+                           match="^p_x3_given_t rows must have length 2$"):
             call()
 
 

@@ -69,7 +69,7 @@ def test_codebook_density_clipping(paper):
     plan = PhasePlan.single_phase((0.5, 0.5), 50.0, 0.0)
     cfg = SimConfig(n=16, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(4), d=paper)
-    assert ens.clip_warnings and ens.x1.all()
+    assert ens.layout.clip_warnings and ens.x1.all()
 
 
 def test_encode_h0_all_zero(paper):
@@ -105,7 +105,7 @@ def test_encode_padding_segment(paper):
     plan = PhasePlan.single_phase((0.535, 0.465), 1.0, 1.0, beta1=1.0, beta2=0.5)
     cfg = SimConfig(n=400, plan=plan, trials=0)
     ens = build_codebooks(cfg, rng_for(12), d=paper)
-    assert ens.active1[0] == 400 and ens.active2[0] == 200
+    assert ens.layout.active1[0] == 400 and ens.layout.active2[0] == 200
     x1, x2, _ = encode(ens, 1, 0, 0, 0, 0, 0, rng_for(13))
     np.testing.assert_array_equal(x2[:200], ens.x2[0, 0, :200])
     assert x2[200:400].sum() >= 0                 # fresh symbols live here
@@ -161,7 +161,7 @@ def test_receiver_sample_forms_rows_from_uint8_words(x3_size):
     sampler gives channel_sample's y and leaves the stream where it does.
     At x3_size 65 a row (up to 259) no longer fits a byte."""
     gen = np.random.default_rng(x3_size)
-    d = cm.channel.Dmc(x3_size, 3, 2, gen.dirichlet(np.ones(3), 4 * x3_size),
+    d = cm.channel.Dmc(gen.dirichlet(np.ones(3), 4 * x3_size),
                        gen.dirichlet(np.ones(2), 4 * x3_size))
     x1, x2 = (gen.random((2, 300)) < 0.5).astype(np.uint8)
     x3 = gen.integers(x3_size, size=300).astype(np.uint8)
@@ -208,12 +208,11 @@ SAMPLE_ROWS = st.integers(1, 7).flatmap(lambda size: st.lists(
          [0, 1, 2, 3] * 15, 1)
 @example([[0.0, 0.0, 1e-4, 0.0, 0.5 - 1e-4, 0.5]] * 4, [0, 1, 2, 3] * 15, 2)
 def test_sample_kernel_is_inverse_cdf_over_the_row(rows, picks, seed):
-    mat = np.array(rows)
+    mat = np.array(rows)        # not distributions, so no Dmc holds them
     size = mat.shape[1]
-    d = cm.channel.Dmc(1, size, size, mat, mat)
     picks = np.array(picks, dtype=int)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = simulator._tables(d).y.draw(picks, a)
+    got = simulator._Guide(mat).draw(picks, a)
     u = b.random(len(picks))
     want = [min(int((v >= np.cumsum(mat[r])).sum()), size - 1)
             for v, r in zip(u, picks)]
@@ -282,7 +281,7 @@ def test_ensembles_of_a_run_share_one_layout(paper, monkeypatch):
         ens = build_codebooks(dataclasses.replace(cfg, **other), rng_for(66),
                               d=paper)
         assert len(made) == 2 + i and ens.layout is made[-1]
-        assert ens.n_t == phase_lengths(ens.n, ens.cfg.plan.p_t)
+        assert ens.layout.n_t == phase_lengths(ens.n, ens.cfg.plan.p_t)
 
 
 def test_sim_config_is_frozen_and_owns_its_layout():
@@ -486,7 +485,7 @@ def test_run_trials_reads_clip_warnings_of_drawn_ensembles(
     rep = run_trials(SimConfig(n=16, plan=plan, trials=trials, seed=5,
                                fixed_codebook=fixed), paper)
     assert len(built) == builds
-    assert rep.clip_warnings == (tuple(built[-1].clip_warnings) if built
+    assert rep.clip_warnings == (tuple(built[-1].layout.clip_warnings) if built
                                  else ())
     assert bool(rep.clip_warnings) == (trials > 0)
 
@@ -623,10 +622,10 @@ def test_ensemble_draws_at_region_densities(paper, case):
         plan, phase_lengths(n, plan.p_t), cfg.omega_n)
     assert [float(p).hex() for p in seen] == [
         p.hex() for t in range(plan.tau) for p in (dens[0][t], dens[1][t])]
-    assert ens.clip_warnings == warnings
+    assert ens.layout.clip_warnings == warnings
     assert bool(warnings) == (case == "clipped")
-    assert (ens.active1, ens.active2) == active
-    assert (ens.phi1, ens.phi2, ens.swapped) == fractions
+    assert (ens.layout.active1, ens.layout.active2) == active
+    assert (ens.layout.phi1, ens.layout.phi2, ens.layout.swapped) == fractions
 
 
 def test_divergence_bound_and_ratio_are_floats(paper):
@@ -751,11 +750,11 @@ def test_exact_delta_padding_segment_exact(paper):
                                   beta1=1.0, beta2=0.5)
     cfg = SimConfig(n=4, plan=plan, m1=1, m2=1, m3=1, k1=1, k2=1, trials=0)
     ens = build_codebooks(cfg, rng_for(34), d=paper)
-    assert ens.active1[0] == 4 and ens.active2[0] == 2
+    assert ens.layout.active1[0] == 4 and ens.layout.active2[0] == 2
     x1 = ens.covert_sequence(1, 0, 0)
     x2cw = ens.x2[0, 0]
     x3 = ens.x3_sequence(0)
-    p = ens.pad_p[0]
+    p = ens.layout.pad_p[0]
     # direct: average the product law over the two padding symbols
     qhat = np.ones(1)
     for i in range(4):
@@ -784,8 +783,8 @@ def _reference_exact_delta(ens, d, w3, unit="nats"):
     gz, k = d.gamma_z, d.x3_size
     ref = _reference_product_law(gz[x3])
     # padding positions mix the short user's symbols 0 and 1 at its density
-    pad, p = ens.pad_idx, ens.pad_p[:, None]
-    pad_step = 2 * k if ens.swapped else k
+    pad, p = ens.layout.pad_idx, ens.layout.pad_p[:, None]
+    pad_step = 2 * k if ens.layout.swapped else k
     qhat = np.zeros_like(ref)
     for x1 in ens.x1.reshape(cfg.m1 * cfg.k1, n).astype(int):
         for x2 in ens.x2.reshape(cfg.m2 * cfg.k2, n).astype(int):
@@ -1064,7 +1063,7 @@ def _three_symbol_channel():
     gy[:, 1] = 0
     gy /= gy.sum(axis=1, keepdims=True)
     gz = gen.dirichlet(np.ones(4), 12)
-    return cm.channel.Dmc(3, 5, 4, gy, gz)
+    return cm.channel.Dmc(gy, gz)
 
 
 # REF_PLAN of tests/test_region.py and the benchmark's simulate workload
