@@ -61,8 +61,8 @@ class Dmc:
             bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL_INPUT)[0]
             if bad.size:
                 raise ChannelFormatError(
-                    f"{name}: row {bad[0]} sums to {sums[bad[0]]!r}, not 1 "
-                    f"within {ROW_SUM_TOL_INPUT}")
+                    f"{name}: row {bad[0]} sums to {float(sums[bad[0]])!r}, "
+                    f"not 1 within {ROW_SUM_TOL_INPUT}")
             # renormalize only rows outside the internal tolerance; clean rows
             # stay bit-identical so load -> save -> load is the identity
             fix = np.abs(sums - 1.0) > ROW_SUM_TOL_INTERNAL

@@ -1144,11 +1144,6 @@ def _one_phase_max_r2(d: Dmc, cons: Constraints, unit: str):
     raise InfeasibleError(f"no single-phase plan meets {cons}")
 
 
-def _check_phases(max_phases: int) -> None:
-    if max_phases < 1:
-        raise ValueError("max_phases must be at least 1")
-
-
 def max_r2(d: Dmc, constraints: Constraints, max_phases: int = MAX_PHASES,
            unit: str = DEFAULT_UNIT,
            fix_x3: int | None = None) -> tuple[PhasePlan, RateTuple]:
@@ -1170,7 +1165,8 @@ def max_r2(d: Dmc, constraints: Constraints, max_phases: int = MAX_PHASES,
     short of an optimum (_highs_solve's None), a silent fallback that can
     lose r2.
     """
-    _check_phases(max_phases)
+    if max_phases < 1:
+        raise ValueError("max_phases must be at least 1")
     if fix_x3 is not None:
         if not 0 <= fix_x3 < d.x3_size:
             raise ValueError(f"fixed x3 {fix_x3} out of range")
@@ -1207,10 +1203,9 @@ def _pareto(points):
 def trace_r2_R3(d: Dmc, r1_fixed: float, k1_max: float, k2_max: float,
                 grid, max_phases: int = MAX_PHASES, unit: str = DEFAULT_UNIT):
     """Boundary points (r2, R3): max r2 with R3_min swept over ``grid``."""
-    _check_phases(max_phases)
     cap = _channel_terms(d, unit).capacity[0]
     grid = sorted(float(g) for g in grid)
-    if not grid or not all(-1e-12 <= g <= cap + 1e-9 for g in grid):
+    if not grid or not all(0 <= g <= cap + 1e-9 for g in grid):
         raise ValueError(f"R3 grid must be non-empty and lie within "
                          f"[0, capacity={cap:.6f}]")
     pts = []
@@ -1226,7 +1221,6 @@ def curve_r2_vs_k2(d: Dmc, r1_fixed: float, k1_max: float, k2_grid,
                    unit: str = DEFAULT_UNIT):
     """Curve points (k2, r2): max r2 with the user-2 key rate capped, x3
     optimized or fixed to the symbol ``fix_x3`` as in max_r2."""
-    _check_phases(max_phases)
     k2_grid = sorted(float(v) for v in k2_grid)
     if not k2_grid or not all(k2 >= 0 for k2 in k2_grid):
         raise ValueError("k2 grid must be non-empty and non-negative")

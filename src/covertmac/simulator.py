@@ -4,9 +4,9 @@ decoder, Monte-Carlo error estimation, and the exact warden divergence at
 desk scale.
 
 The exact divergence enumerates every output sequence, in blocks of at most
-_SUM_CHUNK outputs whose terms go to an exact accumulator as they are made,
-so its memory is bounded by _PREFIX_CAP doubles plus a few blocks for any n,
-and ENUM_CAP bounds only its time.
+_SUM_CHUNK outputs made by outer products, whose terms go to an exact
+accumulator as they are made, so its memory is bounded by _PREFIX_CAP doubles
+plus a few blocks for any n, and ENUM_CAP bounds only its time.
 
 Covert codewords are i.i.d. Bernoulli at density rho * omega_n / sqrt(n_t)
 (region._codeword_densities) over the active fraction of each phase, while
@@ -435,19 +435,19 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     per-symbol Bernoulli mixture.
 
     The product law of each pair, and of the all-off reference, over the
-    first s positions is built once (``_product_law``): s is the largest
-    number with s <= n - 1, |Z|^(s+1) <= _SUM_CHUNK and
+    first s positions is built once by outer products (``_product_law``):
+    s is the largest number with s <= n - 1, |Z|^(s+1) <= _SUM_CHUNK and
     (pairs + 1) |Z|^s <= _PREFIX_CAP (s = 5 at n >= 6 on a 6-symbol warden
     with up to 133 pairs).  A block fixes the symbols at positions s to
     n - 2 and holds the |Z|^(s+1) outputs of the prefix and the last
     position.  Per pair it forms the head ((prefix law * f_s) * ...) *
-    f_(n-2) of the block's symbol probabilities once, left to right, and
-    its product with each of the last position's |Z| probabilities, and
-    sums the pairs in order: every probability is bit for bit the entry of
-    the whole product law.  The KL terms go block by block to
+    f_(n-2) of the block's symbol probabilities, left to right (``_scaled``),
+    and its outer product with the last position's |Z| probabilities; q sums
+    these over the pairs in order, over ``pairs``: every probability is bit
+    for bit the entry of the whole product law.  The terms q log(q / r) go to
     ``_ExactSum``, which is correctly rounded and so returns the same value
     in any order.  Memory is O(pairs |Z|^s), at most _PREFIX_CAP doubles,
-    plus three blocks, not O(|Z|^n).
+    plus a few blocks, not O(|Z|^n).
     """
     cfg = ens.cfg
     if not (0 <= w3 < cfg.m3):
@@ -475,60 +475,42 @@ def exact_delta(ens: CodebookEnsemble, d: Dmc, w3: int,
     while (s < n - 1 and size * zs * zs <= _SUM_CHUNK
            and (pairs + 1) * size * zs <= _PREFIX_CAP):
         s, size = s + 1, size * zs
-    prefix = np.empty((pairs + 1, size))
-    for rows, out in zip(laws, prefix):
-        _product_law(rows[:s], out)
+    prefix = [_product_law(rows[:s]) for rows in laws]
     cols, last = np.arange(s, n - 1), laws[:, -1]
-    head = np.empty(size)
-    q, law, ref = (np.empty((zs, size)) for _ in range(3))
     acc = _ExactSum()
     for block in range(zs ** (n - 1 - s)):
         digits = [block // zs ** i % zs for i in range(n - 1 - s)]  # z_s, ...
         *factors, ref_factors = laws[:, cols, digits].tolist()
-        q.fill(0.0)
+        q = 0.0                     # an array from the first pair on
         for pre, f, z_last in zip(prefix, factors, last):
-            q += np.multiply.outer(z_last, _scaled(pre, f, head), out=law)
-        q /= pairs
-        np.multiply.outer(last[-1], _scaled(prefix[-1], ref_factors, head),
-                          out=ref)
-        qb, r = q.ravel(), ref.ravel()
-        if not qb.all():            # drop the 0 log 0 terms
-            mask = qb > 0
-            qb, r = qb[mask], r[mask]
+            q += np.multiply.outer(z_last, _scaled(pre, f))
+        r = np.multiply.outer(last[-1], _scaled(prefix[-1], ref_factors))
+        q, r = q.ravel() / pairs, r.ravel()
+        if not q.all():             # drop the 0 log 0 terms
+            mask = q > 0
+            q, r = q[mask], r[mask]
         if not r.all():
             return math.inf
-        terms = np.divide(qb, r, out=law.ravel()[:len(qb)])
-        np.log(terms, out=terms)
-        terms *= qb
-        acc.add(terms)
+        acc.add(q * np.log(q / r))
     return acc.value() / scale
 
 
-def _scaled(law: np.ndarray, factors: list, out: np.ndarray) -> np.ndarray:
-    """((law * f_0) * f_1) * ..., left to right, written into ``out``;
-    ``law`` itself when there are no factors."""
-    if not factors:
-        return law
-    np.multiply(law, factors[0], out=out)
-    for f in factors[1:]:
-        out *= f
-    return out
+def _scaled(law: np.ndarray, factors: list) -> np.ndarray:
+    """((law * f_0) * f_1) * ..., left to right."""
+    for f in factors:
+        law = law * f
+    return law
 
 
-def _product_law(rows, out: np.ndarray) -> np.ndarray:
+def _product_law(rows) -> np.ndarray:
     """Product law of independent symbols with laws ``rows``, in reversed
     layout: z = (z_0, ..., z_{n-1}) sits at sum_i z_i |Z|^i.  Each entry is
     the left-to-right product ((1 * r_0[z_0]) * r_1[z_1]) * ..., bit for bit
-    the entry of the lexicographic kron chain.  Every outer product runs its
-    inner loop over the long axis and writes into ``out`` in place."""
-    out[0] = 1.0
-    size = 1
+    the entry of the lexicographic kron chain."""
+    law = np.ones(1)
     for r in rows:
-        # block j = r[j] * out[:size]; block 0, last, is the only one read
-        for j in range(len(r) - 1, -1, -1):
-            np.multiply(r[j], out[:size], out=out[j * size:(j + 1) * size])
-        size *= len(r)
-    return out
+        law = np.multiply.outer(r, law).ravel()
+    return law
 
 
 _SUM_CHUNK = 1 << 16                # most terms per bincount and per block

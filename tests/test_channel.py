@@ -195,6 +195,17 @@ def test_direct_channel_needs_the_same_4k_rows(paper, rows_y, rows_z):
         Dmc(paper.gamma_y[:rows_y], paper.gamma_z[:rows_z])
 
 
+def test_row_sum_message_prints_a_plain_float(paper):
+    """The row sum in the message reads as a Python float, not as
+    np.float64(...)."""
+    gy = paper.gamma_y.copy()
+    gy[0, 0] -= 0.1
+    with pytest.raises(ChannelFormatError) as e:
+        Dmc(gy, paper.gamma_z)
+    assert str(e.value) == ("gamma_y: row 0 sums to 0.9000000000000001, "
+                            "not 1 within 1e-09")
+
+
 @pytest.mark.parametrize("row0, message", [
     ([0.2, 0.2, 0.2, 0.1, 0.1, 0.1], "gamma_y: row 0 sums to "),
     ([math.nan] + [0.2] * 5, "gamma_y: non-finite entries"),

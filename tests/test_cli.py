@@ -409,6 +409,18 @@ def test_channel_string_entry_exit_3(capsys, tmp_path):
     assert err == "error: gamma_y must be a list of rows of JSON numbers\n"
 
 
+def test_profile_row_sum_message_exit_3(capsys, tmp_path):
+    """A channel file whose first gamma_y row sums to 0.9: exit 3 and one
+    stderr line that prints the sum as a plain float."""
+    doc = cm.paper_channel().to_dict()
+    doc["gamma_y"][0][0] -= 0.1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "profile", "--channel", str(path))
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert "sums to 0.9000000000000001, not 1" in err
+
+
 def test_profile_ac_violation_rows(capsys, tmp_path):
     """A warden-side absolute-continuity violation at x3 = 0 gives inf
     chi-square rows there, finite ones at x3 = 1, a comment line naming the

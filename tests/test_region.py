@@ -1068,6 +1068,28 @@ def test_trace_grid_validation(paper):
         trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.5], max_phases=1)
 
 
+def test_trace_grid_refuses_a_negative_r3(paper):
+    """An R3 below 0, however close, gets the grid message."""
+    with pytest.raises(ValueError, match="^R3 grid must be non-empty and "
+                                         r"lie within \[0, capacity="):
+        trace_r2_R3(paper, 0.5, 0.8, 0.8, [-1e-13])
+
+
+@pytest.mark.parametrize("sweep", ["trace", "curve"])
+def test_sweeps_refuse_zero_phases_before_any_lp(paper, monkeypatch, sweep):
+    """max_phases = 0 on a valid grid is refused by max_r2 at the first
+    point, before any LP."""
+    calls = []
+    monkeypatch.setattr(region, "_highs_solve",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^max_phases must be at least 1$"):
+        if sweep == "trace":
+            trace_r2_R3(paper, 0.5, 0.8, 0.8, [0.0, 0.1], max_phases=0)
+        else:
+            curve_r2_vs_k2(paper, 0.1, 0.8, [0.5, 1.0], max_phases=0)
+    assert calls == []
+
+
 def test_trace_small_grid_pareto(paper):
     pts = trace_r2_R3(paper, 0.1, 0.8, 0.8, [0.0, 0.09, 0.18], max_phases=2)
     assert len(pts) >= 2
@@ -1206,6 +1228,32 @@ def test_max_r2_falls_back_on_one_phase_when_highs_fails(
     assert len(calls) >= 3
     assert repr(got) == repr(one) and got[0].tau == 1
     assert got[1].r2 == (lp_r2 if r3 == 0 else 0.3310962837041381)
+
+
+def test_highs_solve_refuses_a_point_that_fails_linprogs_check(
+        paper, monkeypatch):
+    """A HiGHS that reports every optimal x entry 1 too low (below the
+    bound 0) fails linprog's post-optimal check: _highs_solve returns None,
+    and max_r2 at the paper corner at R3 = 0.1 falls back on the best
+    single phase."""
+    from scipy.optimize._highspy import _core as hs
+    lp = (np.array([1.0, 2.0]), np.array([[1.0, 0.0]]), np.array([0.8]),
+          np.ones(2), np.zeros(2), np.full(2, math.inf))
+    x, _ = region._highs_solve(*lp)
+    assert np.allclose(x, [0.8, 0.2])
+
+    class Shifted(hs._Highs):
+        def getSolution(self):
+            sol = super().getSolution()
+            sol.col_value = [v - 1.0 for v in sol.col_value]
+            return sol
+
+    monkeypatch.setattr(hs, "_Highs", Shifted)
+    assert region._highs_solve(*lp) is None
+    cons = Constraints(r1_min=0.5, R3_min=0.1, k1_max=0.8, k2_max=0.8)
+    got = max_r2(paper, cons)
+    assert repr(got) == repr(region._one_phase_max_r2(paper, cons, "bits"))
+    assert got[0].tau == 1 and got[1].r2 == 0.3310962837041381
 
 
 def test_max_r2_fix_mode_infeasible_caps(paper):
